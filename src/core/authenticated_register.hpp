@@ -238,13 +238,24 @@ class AuthenticatedRegister {
       for (int i = 1; i <= cfg_.n; ++i)
         candidates.insert(ri[static_cast<std::size_t>(i)].begin(),
                           ri[static_cast<std::size_t>(i)].end());
+      const bool literal = literal_steps();
+      ValueSet adopt;  // qualifying values not yet in r_j
       for (const V& v : candidates) {
         int count = 0;
         for (int i = 1; i <= cfg_.n; ++i)
           if (ri[static_cast<std::size_t>(i)].contains(v)) ++count;
-        if (r1.contains(v) || count >= cfg_.f + 1)
-          witness_[j]->update([&](ValueSet& s) { s.insert(v); });  // L34
+        if (r1.contains(v) || count >= cfg_.f + 1) {
+          if (literal)
+            witness_[j]->update([&](ValueSet& s) { s.insert(v); });  // L34
+          else if (!ri[static_cast<std::size_t>(j)].contains(v))
+            adopt.insert(v);
+        }
       }
+      // L34, merged into one write (or none) outside deterministic runs —
+      // see VerifiableRegister::help_round.
+      if (!adopt.empty())
+        witness_[j]->update(
+            [&](ValueSet& s) { s.insert(adopt.begin(), adopt.end()); });
       rj = witness_[j]->read();  // L35
     } else {
       // For j = 1 the writer answers with the values of its own R_1
@@ -296,6 +307,15 @@ class AuthenticatedRegister {
       if (witness_[i]->read().contains(v) && ++count >= cfg_.n - cfg_.f)
         return true;
     return false;
+  }
+
+  // Deterministic runs keep the paper-literal L34 loop (see
+  // VerifiableRegister::literal_steps).
+  bool literal_steps() const {
+    if constexpr (requires(SpaceT& s) { s.free_mode(); })
+      return !space_->free_mode();
+    else
+      return false;
   }
 
   bool fast_path() const {

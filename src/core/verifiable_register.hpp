@@ -257,14 +257,25 @@ class VerifiableRegister {
     for (int i = 1; i <= cfg_.n; ++i)
       candidates.insert(r[static_cast<std::size_t>(i)].begin(),
                         r[static_cast<std::size_t>(i)].end());
+    const bool literal = literal_steps();
+    ValueSet adopt;  // qualifying values not yet in r_j
     for (const V& v : candidates) {
       int count = 0;
       for (int i = 1; i <= cfg_.n; ++i)
         if (r[static_cast<std::size_t>(i)].contains(v)) ++count;
       if (r[1].contains(v) || count >= cfg_.f + 1) {
-        witness_[j]->update([&](ValueSet& rj) { rj.insert(v); });  // L32
+        if (literal)
+          witness_[j]->update([&](ValueSet& rj) { rj.insert(v); });  // L32
+        else if (!r[static_cast<std::size_t>(j)].contains(v))
+          adopt.insert(v);
       }
     }
+    // L32, merged: one write of R_j ∪ adopt is |adopt| back-to-back L32
+    // writes with no step in between — a legal schedule of Help() (design
+    // note 17) — and no write at all when nothing is new.
+    if (!adopt.empty())
+      witness_[j]->update(
+          [&](ValueSet& rj) { rj.insert(adopt.begin(), adopt.end()); });
 
     // L33: r_j <- R_j.
     const ValueSet rj = witness_[j]->read();
@@ -310,6 +321,17 @@ class VerifiableRegister {
       if (witness_[i]->read().contains(v) && ++count >= cfg_.n - cfg_.f)
         return true;
     return false;
+  }
+
+  // True in deterministic (replayable) runs, whose pinned traces fix the
+  // paper-literal step sequence of Help(): one L32 update per adopted
+  // value. Substrates without free_mode() (message passing) always run
+  // free.
+  bool literal_steps() const {
+    if constexpr (requires(SpaceT& s) { s.free_mode(); })
+      return !space_->free_mode();
+    else
+      return false;
   }
 
   // True when the version-gated fast paths may be used: substrate supports

@@ -50,7 +50,6 @@
 // against the unbatched space under a deterministic reorder seed.
 #pragma once
 
-#include <any>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -84,9 +83,9 @@ namespace detail {
 struct BatchRegOps {
   virtual ~BatchRegOps() = default;
   virtual runtime::ProcessId reg_owner() const = 0;
-  // Interns a raw payload value, returning a stable per-register value id.
-  // Throws std::bad_any_cast on a malformed (Byzantine) payload.
-  virtual int intern_any(const std::any& value) = 0;
+  // Interns an op's value payload, returning a stable per-register value
+  // id — or -1 for a malformed (empty or wrong-typed, Byzantine) payload.
+  virtual int intern(const Payload& value) = 0;
   // Applies a delivered op to process `self`'s stored state, sn-monotone.
   virtual void apply(int self, std::uint64_t sn, int vid) = 0;
   // Serves per-register READ/STATE messages (same as the unbatched path).
@@ -99,11 +98,12 @@ struct BatchRegOps {
 
 }  // namespace detail
 
-// One write op inside a round's batch.
+// One write op inside a round's batch. The value is the register's shared
+// handle: batching a write copies a reference, not the value.
 struct BatchOp {
   int reg = 0;
   std::uint64_t sn = 0;
-  std::any value;
+  Payload value;
 };
 using Batch = std::vector<BatchOp>;
 
@@ -186,15 +186,9 @@ class BatchShard {
     ws.cv.notify_all();
     if (!retry_.enabled) return;
     if (ws.in_flight) {
-      Batch copy = ws.inflight_batch;
-      const std::uint64_t round = ws.inflight_round;
+      Message m = inflight_bwrite(ws);
       lock.unlock();
-      Message m;
-      m.reg = kBatchProto;
-      m.type = "BWRITE";
-      m.sn = round;
-      m.payload = std::move(copy);
-      net_.broadcast(m);
+      net_.broadcast(std::move(m));
     } else {
       maybe_lead(ws, lock);
     }
@@ -213,7 +207,7 @@ class BatchShard {
   // order: rounds drain the pending queue FIFO, one round in flight per
   // owner.
   std::uint64_t submit(runtime::ProcessId owner, int reg_id, std::uint64_t sn,
-                       std::any value) {
+                       Payload value) {
     WriterState& ws = writers_[static_cast<std::size_t>(owner)];
     std::unique_lock lock(ws.mu);
     const std::uint64_t ticket = ++ws.last_ticket;
@@ -305,15 +299,9 @@ class BatchShard {
                            owner, ws.inflight_round, backoff);
       detail::retry_counter().add();
       if (ws.in_flight) {
-        Batch copy = ws.inflight_batch;
-        const std::uint64_t round = ws.inflight_round;
+        Message m = inflight_bwrite(ws);
         lock.unlock();
-        Message m;
-        m.reg = kBatchProto;
-        m.type = "BWRITE";
-        m.sn = round;
-        m.payload = std::move(copy);
-        net_.broadcast(m);
+        net_.broadcast(std::move(m));
         lock.lock();
       } else {
         maybe_lead(ws, lock);
@@ -347,7 +335,7 @@ class BatchShard {
     bool in_flight = false;
     std::uint64_t inflight_round = 0;
     std::uint64_t inflight_last_ticket = 0;
-    Batch inflight_batch;  // kept for retry / crash-recovery re-leads
+    Payload inflight_batch;  // the shared Batch, for retry / recovery re-leads
     // Owner crashed with the round in flight: parks await()'s retry timer
     // until restart, when recover() re-leads the round.
     bool interrupted = false;
@@ -362,27 +350,34 @@ class BatchShard {
         std::min(ws.pending.size(), static_cast<std::size_t>(batch_max_));
     Batch batch;
     batch.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) batch.push_back(ws.pending[i].op);
+    for (std::size_t i = 0; i < take; ++i)
+      batch.push_back(std::move(ws.pending[i].op));
     ws.inflight_last_ticket = ws.pending[take - 1].ticket;
     ws.pending.erase(ws.pending.begin(),
                      ws.pending.begin() + static_cast<std::ptrdiff_t>(take));
     ws.in_flight = true;
     ws.inflight_round = ++ws.last_round;
-    ws.inflight_batch = batch;  // retained for retry / recovery re-leads
+    ws.inflight_batch = Payload::of(std::move(batch));  // built once, shared
     ws.backs.clear();
-    const std::uint64_t round = ws.inflight_round;
+    Message m = inflight_bwrite(ws);
     lock.unlock();
     detail::record_phase(obs::EventKind::kRoundLead,
                          runtime::ThisProcess::id(), kBatchProto,
-                         runtime::ThisProcess::id(), round,
+                         runtime::ThisProcess::id(), m.sn,
                          static_cast<std::uint64_t>(take));
+    net_.broadcast(std::move(m));
+    lock.lock();
+  }
+
+  // The BWRITE of the owner's in-flight round (lead, retry and recovery
+  // all send the same shared batch). Caller holds ws.mu.
+  static Message inflight_bwrite(const WriterState& ws) {
     Message m;
     m.reg = kBatchProto;
-    m.type = "BWRITE";
-    m.sn = round;
-    m.payload = std::move(batch);
-    net_.broadcast(m);
-    lock.lock();
+    m.tag = obs::MsgTag::kBWrite;
+    m.sn = ws.inflight_round;
+    m.payload = ws.inflight_batch;
+    return m;
   }
 
   // ------------------------------------------------------------- server
@@ -392,20 +387,22 @@ class BatchShard {
             std::memory_order_acquire))
       return;  // crashed process: neither receives nor reacts
     if (m.reg == kBatchProto) {
-      try {
-        if (m.type == "BWRITE") {
+      switch (m.tag) {
+        case obs::MsgTag::kBWrite:
           on_bwrite(self, m);
-        } else if (m.type == "BECHO") {
+          return;
+        case obs::MsgTag::kBEcho:
           on_vote(self, m, /*is_echo=*/true);
-        } else if (m.type == "BACCEPT") {
+          return;
+        case obs::MsgTag::kBAccept:
           on_vote(self, m, /*is_echo=*/false);
-        } else if (m.type == "BACK") {
+          return;
+        case obs::MsgTag::kBack:
           on_back(self, m);
-        }
-      } catch (const std::bad_any_cast&) {
-        // Malformed payload from a Byzantine sender: dropped.
+          return;
+        default:
+          return;
       }
-      return;
     }
     detail::BatchRegOps* reg = nullptr;
     {
@@ -413,11 +410,7 @@ class BatchShard {
       const auto it = registry_.find(m.reg);
       if (it != registry_.end()) reg = it->second;
     }
-    if (!reg) return;
-    try {
-      reg->handle(m);
-    } catch (const std::bad_any_cast&) {
-    }
+    if (reg) reg->handle(m);
   }
 
   // Interns a raw batch under mu_ for server ladder `lad`. Returns the
@@ -445,12 +438,8 @@ class BatchShard {
       const RoundKey key{op.reg, op.sn};
       if (!batch_ops.insert(key).second) return -1;  // sn reused in batch
       if (lad.op_claimed(key)) return -1;  // sn reused across rounds
-      int vid;
-      try {
-        vid = it->second->intern_any(op.value);
-      } catch (const std::bad_any_cast&) {
-        return -1;
-      }
+      const int vid = it->second->intern(op.value);
+      if (vid < 0) return -1;  // malformed value payload
       canon.emplace_back(op.reg, op.sn, vid);
     }
     // The whole batch is valid: this server now echo-supports each of its
@@ -464,16 +453,16 @@ class BatchShard {
 
   void on_bwrite(int self, const Message& m) {
     const int origin = m.from;  // authenticated by the network
+    const Batch* batch = m.payload.get<Batch>();
+    if (batch == nullptr) return;  // malformed payload: dropped
     Ladder::WriteStep step;
     {
       std::scoped_lock lock(mu_);
       Ladder& lad = state_[static_cast<std::size_t>(self)];
       // Recovery on this substrate is complete-only (see recover()), so no
       // round is ever abort-fenced: complete stays false.
-      step = lad.on_write(RoundKey{origin, m.sn}, /*complete=*/false, [&] {
-        return intern_batch(lad, origin,
-                            std::any_cast<const Batch&>(m.payload));
-      });
+      step = lad.on_write(RoundKey{origin, m.sn}, /*complete=*/false,
+                          [&] { return intern_batch(lad, origin, *batch); });
     }
     switch (step.action) {
       case Ladder::WriteAction::kReAck: {
@@ -481,10 +470,10 @@ class BatchShard {
         // refreshing the (possibly lost) BACK. Origins dedup by sender.
         Message back;
         back.reg = kBatchProto;
-        back.type = "BACK";
+        back.tag = obs::MsgTag::kBack;
         back.sn = m.sn;
         back.to = origin;
-        net_.send(back);
+        net_.send(std::move(back));
         return;
       }
       case Ladder::WriteAction::kFenced:   // unreachable: never fenced
@@ -497,12 +486,13 @@ class BatchShard {
       detail::record_phase(obs::EventKind::kPhaseEcho, self, kBatchProto,
                            origin, m.sn,
                            static_cast<std::uint64_t>(step.value_id));
-    vote("BECHO", origin, m.sn, step.value_id);
+    vote(obs::MsgTag::kBEcho, origin, m.sn, step.value_id);
   }
 
   void on_vote(int self, const Message& m, bool is_echo) {
-    const auto& [origin, digest] =
-        std::any_cast<const std::pair<int, int>&>(m.payload);
+    const auto* vote_payload = m.payload.get<std::pair<int, int>>();
+    if (vote_payload == nullptr) return;  // malformed payload: dropped
+    const auto [origin, digest] = *vote_payload;
     if (origin < 1 || origin > n_) return;  // forged origin
     Ladder::VoteStep step;
     {
@@ -529,17 +519,17 @@ class BatchShard {
                                           : obs::EventKind::kPhaseAccept,
                            self, kBatchProto, origin, m.sn,
                            static_cast<std::uint64_t>(digest));
-      vote("BACCEPT", origin, m.sn, digest);
+      vote(obs::MsgTag::kBAccept, origin, m.sn, digest);
     }
     if (step.deliver) {
       detail::record_phase(obs::EventKind::kPhaseAck, self, kBatchProto,
                            origin, m.sn);
       Message back;
       back.reg = kBatchProto;
-      back.type = "BACK";
+      back.tag = obs::MsgTag::kBack;
       back.sn = m.sn;
       back.to = origin;
-      net_.send(back);
+      net_.send(std::move(back));
     }
   }
 
@@ -560,13 +550,13 @@ class BatchShard {
     maybe_lead(ws, lock);
   }
 
-  void vote(const char* type, int origin, std::uint64_t round, int digest) {
+  void vote(obs::MsgTag tag, int origin, std::uint64_t round, int digest) {
     Message m;
     m.reg = kBatchProto;
-    m.type = type;
+    m.tag = tag;
     m.sn = round;
-    m.payload = std::pair<int, int>(origin, digest);
-    net_.broadcast(m);
+    m.payload = Payload::of(std::pair<int, int>(origin, digest));
+    net_.broadcast(std::move(m));
   }
 
   const int n_;
@@ -593,6 +583,7 @@ class BatchShard {
 template <typename T>
 class BatchedSwmr : public detail::BatchRegOps, public detail::SwmrCore<T> {
   using Core = detail::SwmrCore<T>;
+  using Ref = typename Core::Ref;
 
  public:
   BatchedSwmr(BatchShard& shard, int reg_id, int n, int f,
@@ -613,7 +604,7 @@ class BatchedSwmr : public detail::BatchRegOps, public detail::SwmrCore<T> {
     this->require_owner("write");
     std::scoped_lock wl(this->writer_mu_);
     const auto t0 = std::chrono::steady_clock::now();
-    await_locked(submit_locked(std::move(v)));
+    await_locked(submit_locked(std::make_shared<const T>(std::move(v))));
     round_hist.add(std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - t0)
                        .count());
@@ -625,7 +616,7 @@ class BatchedSwmr : public detail::BatchRegOps, public detail::SwmrCore<T> {
   std::uint64_t write_async(T v) {
     this->require_owner("write_async");
     std::scoped_lock wl(this->writer_mu_);
-    return submit_locked(std::move(v));
+    return submit_locked(std::make_shared<const T>(std::move(v)));
   }
 
   void await(std::uint64_t ticket) {
@@ -639,7 +630,7 @@ class BatchedSwmr : public detail::BatchRegOps, public detail::SwmrCore<T> {
   template <typename F>
   T update(F&& fn) {
     this->require_owner("update");
-    return this->update_with(std::forward<F>(fn), [this](T v) {
+    return this->update_with(std::forward<F>(fn), [this](Ref v) {
       await_locked(submit_locked(std::move(v)));
     });
   }
@@ -652,10 +643,9 @@ class BatchedSwmr : public detail::BatchRegOps, public detail::SwmrCore<T> {
 
   runtime::ProcessId reg_owner() const override { return this->owner_; }
 
-  int intern_any(const std::any& value) override {
-    const T& v = std::any_cast<const T&>(value);  // may throw: shard drops
+  int intern(const Payload& value) override {
     std::scoped_lock lock(this->mu_);
-    return this->intern_locked(v);
+    return this->intern_payload_locked(value);
   }
 
   void apply(int self, std::uint64_t sn, int vid) override {
@@ -666,9 +656,9 @@ class BatchedSwmr : public detail::BatchRegOps, public detail::SwmrCore<T> {
 
   void handle(const Message& m) override {
     const int self = runtime::ThisProcess::id();
-    if (m.type == "READ") {
+    if (m.tag == obs::MsgTag::kRead) {
       this->serve_read(shard_->network(), self, m);
-    } else if (m.type == "STATE") {
+    } else if (m.tag == obs::MsgTag::kState) {
       this->accept_state(m);
     }
   }
@@ -685,14 +675,19 @@ class BatchedSwmr : public detail::BatchRegOps, public detail::SwmrCore<T> {
 
  private:
   // Allocates the sn, updates owner_view_ sn-monotonically, and hands the
-  // op to the shard. Caller holds writer_mu_.
-  std::uint64_t submit_locked(T v) {
-    const std::uint64_t sn = this->allocate_sn_locked(v);
+  // op — the value's canonical handle — to the shard. Caller holds
+  // writer_mu_.
+  std::uint64_t submit_locked(Ref v) {
+    const auto [sn, vid] = this->allocate_sn_locked(std::move(v));
+    Payload payload;
+    {
+      std::scoped_lock lock(this->mu_);
+      payload = this->payload_locked(vid);
+    }
     detail::record_phase(
         obs::EventKind::kWriteStart, this->owner_, this->reg_id_,
         this->owner_, sn,
         static_cast<std::uint64_t>(shard_->pending_depth(this->owner_)));
-    std::any payload(std::move(v));
     return shard_->submit(this->owner_, this->reg_id_, sn, std::move(payload));
   }
 

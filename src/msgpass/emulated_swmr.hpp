@@ -58,7 +58,6 @@
 // traces to the pre-pipeline protocol.
 #pragma once
 
-#include <any>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -116,6 +115,7 @@ template <typename T>
 class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   using Core = detail::SwmrCore<T>;
   using Ladder = detail::BrachaLadder<std::uint64_t>;
+  using Ref = typename Core::Ref;
 
  public:
   // Fired once when an async write settles: (sn, aborted). Runs on the
@@ -145,7 +145,8 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   void write(T v) {
     this->require_owner("write");
     std::scoped_lock wl(this->writer_mu_);
-    await_locked(write_async_locked(std::move(v), {}));
+    await_locked(
+        write_async_locked(std::make_shared<const T>(std::move(v)), {}));
   }
 
   // Asynchronous write: broadcasts the WRITE and returns its sn without
@@ -159,7 +160,8 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   std::uint64_t write_async(T v, SettleCallback on_settled) {
     this->require_owner("write_async");
     std::scoped_lock wl(this->writer_mu_);
-    return write_async_locked(std::move(v), std::move(on_settled));
+    return write_async_locked(std::make_shared<const T>(std::move(v)),
+                              std::move(on_settled));
   }
 
   // Blocks until every in-flight write with sn' <= sn has settled, then
@@ -179,7 +181,7 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   template <typename F>
   T update(F&& fn) {
     this->require_owner("update");
-    return this->update_with(std::forward<F>(fn), [this](T v) {
+    return this->update_with(std::forward<F>(fn), [this](Ref v) {
       await_locked(write_async_locked(std::move(v), {}));
     });
   }
@@ -191,51 +193,44 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
 
   void handle(const Message& m) override {
     const runtime::ProcessId self = runtime::ThisProcess::id();
-    if (m.type == "WRITE") {
-      if (m.from != this->owner_) return;  // only the owner's writes count
-      on_write(self, m, /*complete=*/false);
-    } else if (m.type == "CWRITE") {
-      // Completion re-issue from the owner's crash recovery: the only
-      // message that lifts an abort fence (a plain retried WRITE must stay
-      // inert at fenced servers or a delayed pre-crash copy could undo a
-      // finalized abort).
-      if (m.from != this->owner_) return;
-      on_write(self, m, /*complete=*/true);
-    } else if (m.type == "ECHO") {
-      on_vote_msg(self, m, /*is_echo=*/true);
-    } else if (m.type == "ACCEPT") {
-      on_vote_msg(self, m, /*is_echo=*/false);
-    } else if (m.type == "ACK") {
-      if (self != this->owner_) return;
-      SettleCallback cb;
-      {
-        std::scoped_lock lock(this->mu_);
-        // Only count ACKs for writes currently in flight (the slot is
-        // opened by write_async_locked before the broadcast): late or
-        // replayed ACKs would otherwise recreate map entries that are
-        // never erased.
-        const auto it = acks_.find(m.sn);
-        if (it == acks_.end()) return;
-        AckWait& w = it->second;
-        w.acks.insert(m.from);
-        if (static_cast<int>(w.acks.size()) >= this->n_ - this->f_ &&
-            w.fate == AckWait::Fate::kPending && !w.fired && w.on_settled) {
-          w.fired = true;
-          cb = std::move(w.on_settled);
-        }
-        this->cv_.notify_all();
-      }
-      if (cb) cb(m.sn, /*aborted=*/false);
-    } else if (m.type == "ABORT") {
-      if (m.from != this->owner_) return;  // only the owner fences its sns
-      on_abort(self, m);
-    } else if (m.type == "ABACK") {
-      if (self != this->owner_) return;
-      on_aback(m);
-    } else if (m.type == "READ") {
-      this->serve_read(*net_, self, m);
-    } else if (m.type == "STATE") {
-      this->accept_state(m);
+    switch (m.tag) {
+      case obs::MsgTag::kWrite:
+        if (m.from != this->owner_) return;  // only the owner's writes count
+        on_write(self, m, /*complete=*/false);
+        return;
+      case obs::MsgTag::kCWrite:
+        // Completion re-issue from the owner's crash recovery: the only
+        // message that lifts an abort fence (a plain retried WRITE must
+        // stay inert at fenced servers or a delayed pre-crash copy could
+        // undo a finalized abort).
+        if (m.from != this->owner_) return;
+        on_write(self, m, /*complete=*/true);
+        return;
+      case obs::MsgTag::kEcho:
+        on_vote_msg(self, m, /*is_echo=*/true);
+        return;
+      case obs::MsgTag::kAccept:
+        on_vote_msg(self, m, /*is_echo=*/false);
+        return;
+      case obs::MsgTag::kAck:
+        on_ack(self, m);
+        return;
+      case obs::MsgTag::kAbort:
+        if (m.from != this->owner_) return;  // only the owner fences its sns
+        on_abort(self, m);
+        return;
+      case obs::MsgTag::kAbAck:
+        if (self != this->owner_) return;
+        on_aback(m);
+        return;
+      case obs::MsgTag::kRead:
+        this->serve_read(*net_, self, m);
+        return;
+      case obs::MsgTag::kState:
+        this->accept_state(m);
+        return;
+      default:
+        return;
     }
   }
 
@@ -418,29 +413,24 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
       if (this->cv_.wait_until(lock, until, pred)) return;
       if (std::chrono::steady_clock::now() >= op_deadline)
         throw_op_timeout(lock, victim);
-      struct Resend {
-        std::uint64_t sn;
-        int vid;
-        bool cwrite;
-      };
-      std::vector<Resend> resend;
+      std::vector<Message> resend;
       for (const auto& [sn, w] : acks_) {
         if (sn > limit) break;
         if (settled_locked(w) || w.interrupted) continue;
-        resend.push_back({sn, w.vid, w.recovered});
+        Message rm;
+        rm.reg = this->reg_id_;
+        rm.tag = w.recovered ? obs::MsgTag::kCWrite : obs::MsgTag::kWrite;
+        rm.sn = sn;
+        rm.payload = this->payload_locked(w.vid);
+        resend.push_back(std::move(rm));
       }
       if (!resend.empty()) {
         lock.unlock();
-        for (const Resend& r : resend) {
+        for (Message& rm : resend) {
           detail::record_phase(obs::EventKind::kOpRetry, this->owner_,
-                               this->reg_id_, this->owner_, r.sn, backoff);
+                               this->reg_id_, this->owner_, rm.sn, backoff);
           detail::retry_counter().add();
-          Message rm;
-          rm.reg = this->reg_id_;
-          rm.type = r.cwrite ? "CWRITE" : "WRITE";
-          rm.sn = r.sn;
-          rm.payload = value_snapshot(r.vid);
-          net_->broadcast(rm);
+          net_->broadcast(std::move(rm));
         }
         lock.lock();
       }
@@ -450,8 +440,9 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   }
 
   // Issue half of the pipelined write path: caller holds writer_mu_.
-  // Blocks only on the capacity gate (unsettled in-flight >= depth).
-  std::uint64_t write_async_locked(T v, SettleCallback on_settled) {
+  // Blocks only on the capacity gate (unsettled in-flight >= depth). `v` is
+  // the value's one shared copy; the WRITE carries its canonical handle.
+  std::uint64_t write_async_locked(Ref v, SettleCallback on_settled) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto op_deadline =
         this->retry_.op_timeout_ms > 0
@@ -467,28 +458,28 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
                           /*victim=*/0,
                           [&] { return unsettled_locked() < pipeline_depth_; });
     }
-    const std::uint64_t sn = this->allocate_sn_locked(v);
+    const auto [sn, vid] = this->allocate_sn_locked(std::move(v));
     int slot;
+    Message m;
+    m.reg = this->reg_id_;
+    m.tag = obs::MsgTag::kWrite;
+    m.sn = sn;
     {
       // Open the ACK wait slot before broadcasting so the ACK handler can
       // tell the in-flight write from stale/replayed sns.
       std::scoped_lock lock(this->mu_);
       slot = unsettled_locked();  // writes already in flight (0 = none)
       AckWait& w = acks_[sn];
-      w.vid = this->intern_locked(v);
+      w.vid = vid;
       w.on_settled = std::move(on_settled);
       w.slot = slot;
       w.t0 = t0;
+      m.payload = this->payload_locked(vid);
     }
     detail::record_phase(obs::EventKind::kWriteStart, this->owner_,
                          this->reg_id_, this->owner_, sn,
                          static_cast<std::uint64_t>(slot));
-    Message m;
-    m.reg = this->reg_id_;
-    m.type = "WRITE";
-    m.sn = sn;
-    m.payload = std::move(v);
-    net_->broadcast(m);
+    net_->broadcast(std::move(m));
     detail::record_phase(obs::EventKind::kQuorumWait, this->owner_,
                          this->reg_id_, this->owner_, sn,
                          static_cast<std::uint64_t>(this->n_ - this->f_));
@@ -542,19 +533,24 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   // completion re-issue, an echoed server re-broadcasts its ORIGINAL echo
   // (receivers dedup votes by sender, so tallies never double-count — and
   // an equivocating retry cannot recruit this server's support either).
+  // A malformed payload is dropped before the ladder sees it, so it never
+  // occupies the sn's echo slot.
   void on_write(int self, const Message& m, bool complete) {
+    if (m.payload.get<T>() == nullptr) return;
     typename Ladder::WriteStep step;
+    Message echo;
     {
       std::scoped_lock lock(this->mu_);
       step = ladder_[static_cast<std::size_t>(self)].on_write(
-          m.sn, complete,
-          [&] { return this->intern_locked(std::any_cast<const T&>(m.payload)); });
+          m.sn, complete, [&] { return this->intern_payload_locked(m.payload); });
+      if (step.action == Ladder::WriteAction::kEcho)
+        echo.payload = this->payload_locked(step.value_id);
     }
     switch (step.action) {
       case Ladder::WriteAction::kReAck: {
         Message ack;
         ack.reg = this->reg_id_;
-        ack.type = "ACK";
+        ack.tag = obs::MsgTag::kAck;
         ack.sn = m.sn;
         ack.to = this->owner_;
         net_->send(ack);
@@ -568,24 +564,27 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
     }
     detail::record_phase(obs::EventKind::kPhaseEcho, self, this->reg_id_,
                          this->owner_, m.sn);
-    Message echo;
     echo.reg = this->reg_id_;
-    echo.type = "ECHO";
+    echo.tag = obs::MsgTag::kEcho;
     echo.sn = m.sn;
-    echo.payload = value_snapshot(step.value_id);
-    net_->broadcast(echo);
+    net_->broadcast(std::move(echo));
   }
 
-  // ECHO and ACCEPT: one vote into the ladder; act on what it fired.
+  // ECHO and ACCEPT: one vote into the ladder; act on what it fired. The
+  // vote counts for the interned id of the payload's CONTENT, so a copy of
+  // a value under a foreign handle tallies with the original.
   void on_vote_msg(int self, const Message& m, bool is_echo) {
     int vid;
     typename Ladder::VoteStep step;
+    Message acc;
     {
       std::scoped_lock lock(this->mu_);
-      vid = this->intern_locked(std::any_cast<const T&>(m.payload));
+      vid = this->intern_payload_locked(m.payload);
+      if (vid < 0) return;  // malformed payload: dropped
       step = ladder_[static_cast<std::size_t>(self)].on_vote(m.sn, vid,
                                                              m.from, is_echo);
       if (step.deliver) this->apply_locked(self, m.sn, vid);
+      if (step.send_accept) acc.payload = this->payload_locked(vid);
     }
     if (step.send_accept)
       detail::record_phase(step.amplified ? obs::EventKind::kPhaseAmplify
@@ -598,21 +597,42 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
                            this->owner_, m.sn);
     }
     if (step.send_accept) {
-      Message acc;
       acc.reg = this->reg_id_;
-      acc.type = "ACCEPT";
+      acc.tag = obs::MsgTag::kAccept;
       acc.sn = m.sn;
-      acc.payload = value_snapshot(vid);
-      net_->broadcast(acc);
+      net_->broadcast(std::move(acc));
     }
     if (step.deliver) {
       Message ack;
       ack.reg = this->reg_id_;
-      ack.type = "ACK";
+      ack.tag = obs::MsgTag::kAck;
       ack.sn = m.sn;
       ack.to = this->owner_;
       net_->send(ack);
     }
+  }
+
+  // ACK(sn) at the owner. Only ACKs for writes currently in flight count
+  // (the slot is opened by write_async_locked before the broadcast): late
+  // or replayed ACKs would otherwise recreate map entries that are never
+  // erased.
+  void on_ack(int self, const Message& m) {
+    if (self != this->owner_) return;
+    SettleCallback cb;
+    {
+      std::scoped_lock lock(this->mu_);
+      const auto it = acks_.find(m.sn);
+      if (it == acks_.end()) return;
+      AckWait& w = it->second;
+      w.acks.insert(m.from);
+      if (static_cast<int>(w.acks.size()) >= this->n_ - this->f_ &&
+          w.fate == AckWait::Fate::kPending && !w.fired && w.on_settled) {
+        w.fired = true;
+        cb = std::move(w.on_settled);
+      }
+      this->cv_.notify_all();
+    }
+    if (cb) cb(m.sn, /*aborted=*/false);
   }
 
   // Server side of the abort fence — BrachaLadder::fence holds the safety
@@ -626,25 +646,22 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
     }
     Message r;
     r.reg = this->reg_id_;
-    r.type = "ABACK";
+    r.tag = obs::MsgTag::kAbAck;
     r.sn = m.sn;
     r.to = m.from;
-    r.payload = unsafe;
-    net_->send(r);
+    r.payload = Payload::of(unsafe);
+    net_->send(std::move(r));
   }
 
   void on_aback(const Message& m) {
+    const bool* unsafe = m.payload.get<bool>();
+    if (unsafe == nullptr) return;  // malformed payload: dropped
     std::scoped_lock lock(this->mu_);
     const auto it = fence_.find(m.sn);
     if (it == fence_.end()) return;  // reply to a finished fence
     it->second.repliers.insert(m.from);
-    if (std::any_cast<bool>(m.payload)) it->second.unsafe_any = true;
+    if (*unsafe) it->second.unsafe_any = true;
     this->cv_.notify_all();
-  }
-
-  T value_snapshot(int vid) {
-    std::scoped_lock lock(this->mu_);
-    return this->values_[static_cast<std::size_t>(vid)];
   }
 
   // Recovery for one interrupted write sn (thread bound as the owner; see
@@ -678,17 +695,17 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
       w.recovered = true;
       w.interrupted = false;
       this->cv_.notify_all();
-      lock.unlock();
       // Kick the completion now rather than waiting a backoff slice: the
       // CWRITE lifts any fences granted mid-recovery and re-drives the
       // ladder toward the missing ACKs (the writer's own retries continue
       // as CWRITE from here).
       Message cm;
       cm.reg = this->reg_id_;
-      cm.type = "CWRITE";
+      cm.tag = obs::MsgTag::kCWrite;
       cm.sn = sn;
-      cm.payload = value_snapshot(vid);
-      net_->broadcast(cm);
+      cm.payload = this->payload_locked(vid);
+      lock.unlock();
+      net_->broadcast(std::move(cm));
       return {Recovered::Outcome::kCompleted, vid};
     }
     w.fate = AckWait::Fate::kAborted;
@@ -715,7 +732,7 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
     std::uint64_t backoff = std::max<std::uint64_t>(this->retry_.base_ms, 1);
     Message m;
     m.reg = this->reg_id_;
-    m.type = "ABORT";
+    m.tag = obs::MsgTag::kAbort;
     m.sn = sn;
     for (;;) {
       net_->broadcast(m);
@@ -879,13 +896,8 @@ class EmulatedSpace {
       if (m.reg >= 0 && m.reg < static_cast<int>(registry_.size()))
         handler = registry_[static_cast<std::size_t>(m.reg)].get();
     }
-    if (!handler) return;
-    try {
-      handler->handle(m);
-    } catch (const std::bad_any_cast&) {
-      // Malformed payload from a Byzantine sender: drop it, exactly as a
-      // deserialization failure would be dropped in a real system.
-    }
+    // Handlers drop malformed payloads themselves (Payload::get).
+    if (handler) handler->handle(m);
   }
 
   std::vector<detail::HandlerBase*> handlers() {

@@ -28,11 +28,11 @@ Network::TypeCounters& Network::TypeCounters::get() {
 namespace {
 
 // One flight-recorder event for a message crossing the network plane.
-inline void record_msg(obs::EventKind kind, obs::MsgTag tag, int pid,
-                       int peer, const Message& m, std::uint64_t aux = 0) {
+inline void record_msg(obs::EventKind kind, int pid, int peer,
+                       const Message& m, std::uint64_t aux = 0) {
   obs::Event e;
   e.kind = kind;
-  e.tag = tag;
+  e.tag = m.tag;
   e.pid = static_cast<std::int16_t>(pid);
   e.peer = static_cast<std::int16_t>(peer);
   e.reg = m.reg;
@@ -105,7 +105,7 @@ void Network::broadcast(Message m) {
   // a broadcast is one protocol action, and per-destination events would
   // multiply the hot-path event volume by n for no forensic value — the
   // receive side already records what actually arrived where.
-  record_msg(obs::EventKind::kMsgSend, obs::tag_of(m.type), self, -1, m,
+  record_msg(obs::EventKind::kMsgSend, self, -1, m,
              static_cast<std::uint64_t>(options_.n));
   for (int pid = 1; pid <= options_.n; ++pid) {
     Message copy = m;
@@ -130,21 +130,19 @@ void Network::deliver(Message m, bool note_send) {
   // The send event precedes the fault decision: a dropped message was
   // still sent, and the drop event right after it is the forensic signal.
   if (note_send)
-    record_msg(obs::EventKind::kMsgSend, obs::tag_of(m.type), m.from, m.to,
-               m);
+    record_msg(obs::EventKind::kMsgSend, m.from, m.to, m);
   if (FaultInjector* fi = injector_.load(std::memory_order_acquire)) {
     const FaultDecision d = fi->on_deliver(m);
     if (d.drop) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
-      const obs::MsgTag tag = obs::tag_of(m.type);
-      TypeCounters::get().drop[static_cast<std::size_t>(tag)]->add();
-      record_msg(obs::EventKind::kMsgDrop, tag, m.from, m.to, m);
+      TypeCounters::get().drop[static_cast<std::size_t>(m.tag)]->add();
+      record_msg(obs::EventKind::kMsgDrop, m.from, m.to, m);
       return;
     }
     if (d.delay.count() > 0) {
       delayed_total_.fetch_add(1, std::memory_order_relaxed);
-      record_msg(obs::EventKind::kMsgDelay, obs::tag_of(m.type), m.from,
-                 m.to, m, static_cast<std::uint64_t>(d.delay.count()));
+      record_msg(obs::EventKind::kMsgDelay, m.from, m.to, m,
+                 static_cast<std::uint64_t>(d.delay.count()));
       {
         std::scoped_lock lock(delay_mu_);
         delayed_.push_back(
@@ -162,8 +160,7 @@ void Network::deliver(Message m, bool note_send) {
 }
 
 void Network::enqueue(Message m) {
-  const obs::MsgTag tag = obs::tag_of(m.type);
-  TypeCounters::get().send[static_cast<std::size_t>(tag)]->add();
+  TypeCounters::get().send[static_cast<std::size_t>(m.tag)]->add();
   Inbox& inbox = inbox_for(m.to);
   {
     std::scoped_lock lock(inbox.mu);
@@ -227,9 +224,8 @@ std::optional<Message> Network::recv(std::stop_token st) {
         inbox.rng.uniform(0, inbox.queue.size() - 1));
   Message m = std::move(inbox.queue[index]);
   inbox.queue.erase(inbox.queue.begin() + static_cast<std::ptrdiff_t>(index));
-  const obs::MsgTag tag = obs::tag_of(m.type);
-  TypeCounters::get().recv[static_cast<std::size_t>(tag)]->add();
-  record_msg(obs::EventKind::kMsgRecv, tag, self, m.from, m);
+  TypeCounters::get().recv[static_cast<std::size_t>(m.tag)]->add();
+  record_msg(obs::EventKind::kMsgRecv, self, m.from, m);
   return m;
 }
 
@@ -241,9 +237,8 @@ std::optional<Message> Network::try_recv() {
   Message m = std::move(inbox.queue.front());
   inbox.queue.pop_front();
   lock.unlock();
-  const obs::MsgTag tag = obs::tag_of(m.type);
-  TypeCounters::get().recv[static_cast<std::size_t>(tag)]->add();
-  record_msg(obs::EventKind::kMsgRecv, tag, self, m.from, m);
+  TypeCounters::get().recv[static_cast<std::size_t>(m.tag)]->add();
+  record_msg(obs::EventKind::kMsgRecv, self, m.from, m);
   return m;
 }
 

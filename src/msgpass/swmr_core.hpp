@@ -6,18 +6,28 @@
 // per-process stored (sn, value) state, and the READ/STATE quorum read —
 // is identical and lives here so a protocol fix lands in both substrates
 // at once (the same reason detail::ServerPool owns the server loops).
+//
+// Values are held as immutable shared handles (Ref): a written value is
+// built once and the same bytes back the WRITE broadcast, every ECHO /
+// ACCEPT / STATE that carries it, every server's stored pair and the
+// intern table (design note 17 in docs/ARCHITECTURE.md). Protocol maps key
+// on interned value ids; interning is by content, so ids stay a function
+// of the value alone no matter whose handle carried it.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -85,7 +95,17 @@ inline util::ShardedCounter& coalesce_counter() {
 
 template <typename T>
 class SwmrCore {
+  static_assert(requires(const T& a, const T& b) {
+    { a == b } -> std::convertible_to<bool>;
+    { a < b } -> std::convertible_to<bool>;
+  }, "emulated register values need == and < (content interning)");
+
  public:
+  // Immutable shared handle to one value.
+  using Ref = std::shared_ptr<const T>;
+  // STATE reply payload: a server's stored (sn, value) pair.
+  using StatePayload = std::pair<std::uint64_t, Ref>;
+
   const std::string& name() const { return name_; }
   runtime::ProcessId owner() const { return owner_; }
 
@@ -94,7 +114,7 @@ class SwmrCore {
   std::pair<std::uint64_t, T> stored_state(int pid) const {
     std::scoped_lock lock(mu_);
     const StoredState& st = state_.at(static_cast<std::size_t>(pid));
-    return {st.stored_sn, st.stored_val};
+    return {st.stored_sn, *st.stored_val};
   }
 
  protected:
@@ -107,19 +127,16 @@ class SwmrCore {
         owner_(owner),
         sole_reader_(sole_reader),
         name_(std::move(name)),
-        initial_(initial),
+        initial_(std::make_shared<const T>(std::move(initial))),
         retry_(retry),
-        owner_view_(initial) {
-    state_.resize(static_cast<std::size_t>(n_) + 1);
-    for (int pid = 0; pid <= n_; ++pid) {
-      state_[static_cast<std::size_t>(pid)].stored_sn = 0;
-      state_[static_cast<std::size_t>(pid)].stored_val = initial;
-    }
+        owner_view_(initial_) {
+    state_.resize(static_cast<std::size_t>(n_) + 1,
+                  StoredState{0, initial_});
   }
 
   struct StoredState {
     std::uint64_t stored_sn = 0;
-    T stored_val{};
+    Ref stored_val;
   };
   struct ReadWait {
     std::set<int> senders;
@@ -145,26 +162,55 @@ class SwmrCore {
   }
 
   // Interns a value under mu_ (caller holds it), returning a stable id
-  // (values are only ever compared for equality; ids keep the protocol
-  // maps cheap and hashable-free).
-  int intern_locked(const T& v) {
-    for (std::size_t i = 0; i < values_.size(); ++i)
-      if (values_[i] == v) return static_cast<int>(i);
-    values_.push_back(v);
-    return static_cast<int>(values_.size()) - 1;
+  // (ids keep the protocol maps cheap). Lookup is the handle first — honest
+  // processes forward the canonical handle they got from values_, so the
+  // common case is one hash probe — then the content index, O(log V); it
+  // never scans. Equal content always maps to one id, whoever built the
+  // handle: a Byzantine copy of an honest value tallies with it, which is
+  // exactly the value-equality the ladder's quorum arguments count by.
+  int intern_locked(const Ref& v) {
+    if (const auto it = by_handle_.find(v.get()); it != by_handle_.end())
+      return it->second;
+    const auto [it, inserted] =
+        by_content_.try_emplace(v.get(), static_cast<int>(values_.size()));
+    if (inserted) {
+      // Only canonical handles enter by_handle_: values_ keeps them alive,
+      // so their addresses can never be reused by an unrelated payload.
+      values_.push_back(v);
+      by_handle_.emplace(v.get(), it->second);
+    }
+    return it->second;
+  }
+
+  // intern_locked for a received payload: -1 when it is empty or not a T
+  // (a malformed Byzantine message — the caller drops it).
+  int intern_payload_locked(const Payload& p) {
+    const T* v = p.get<T>();
+    if (v == nullptr) return -1;
+    if (const auto it = by_handle_.find(v); it != by_handle_.end())
+      return it->second;
+    return intern_locked(p.share<T>());
+  }
+
+  // The canonical handle of an interned value, as a message payload.
+  // Caller holds mu_.
+  Payload payload_locked(int vid) const {
+    return Payload(values_[static_cast<std::size_t>(vid)]);
   }
 
   // Allocates the next write sn and updates owner_view_ sn-monotonically,
   // so an owner-local RMW never observes an older value after a higher sn
-  // was handed to the write path. Caller holds writer_mu_.
-  std::uint64_t allocate_sn_locked(const T& v) {
+  // was handed to the write path. Returns the sn and the interned id of v.
+  // Caller holds writer_mu_.
+  std::pair<std::uint64_t, int> allocate_sn_locked(Ref v) {
     std::scoped_lock lock(mu_);
     const std::uint64_t sn = ++write_sn_;
+    const int vid = intern_locked(v);
     if (sn >= owner_view_sn_) {
-      owner_view_ = v;
+      owner_view_ = std::move(v);
       owner_view_sn_ = sn;
     }
-    return sn;
+    return {sn, vid};
   }
 
   // Owner read-modify-write, shared by both substrates (they differ only in
@@ -172,20 +218,21 @@ class SwmrCore {
   // writer_mu_ across the whole read-compute-commit: without it, two owner
   // threads both read the same owner_view_, each apply their fn, and the
   // second commit erases the first's modification (lost update). `commit`
-  // runs with writer_mu_ held and must block until the write is durable.
+  // receives the new value's one shared handle, runs with writer_mu_ held
+  // and must block until the write is durable.
   template <typename F, typename Commit>
   T update_with(F&& fn, Commit&& commit) {
     std::scoped_lock wl(writer_mu_);
     T next;
-    bool changed;
     {
       std::scoped_lock lock(mu_);
-      next = owner_view_;
+      next = *owner_view_;
       fn(next);
-      changed = !(next == owner_view_);
+      if (next == *owner_view_) return next;
     }
-    if (changed) commit(next);
-    return next;
+    Ref ref = std::make_shared<const T>(std::move(next));
+    commit(ref);
+    return *ref;
   }
 
   // Read by any process (or the sole reader, for SWSR use): broadcast READ
@@ -212,8 +259,12 @@ class SwmrCore {
     }
     const auto [sn, vid] = coalesced_quorum_pair(net, self);
     (void)sn;
-    std::scoped_lock lock(mu_);
-    return values_.at(static_cast<std::size_t>(vid));
+    Ref v;
+    {
+      std::scoped_lock lock(mu_);
+      v = values_.at(static_cast<std::size_t>(vid));
+    }
+    return *v;  // the read's one copy, made outside the protocol mutex
   }
 
   // Batched READ quorum rounds (design note 15): k reads of this register
@@ -330,7 +381,7 @@ class SwmrCore {
                    static_cast<std::uint64_t>(support));
       Message m;
       m.reg = reg_id_;
-      m.type = "READ";
+      m.tag = obs::MsgTag::kRead;
       m.sn = rid;
       net.broadcast(m);
       record_phase(obs::EventKind::kQuorumWait, self, reg_id_, owner_, rid,
@@ -409,9 +460,7 @@ class SwmrCore {
   // write-ahead bit, exactly what keeps a rejoined server from
   // re-supporting an equivocation it already refused). Caller holds mu_.
   void reset_stored_locked(int pid) {
-    StoredState& st = state_[static_cast<std::size_t>(pid)];
-    st.stored_sn = 0;
-    st.stored_val = initial_;
+    state_[static_cast<std::size_t>(pid)] = StoredState{0, initial_};
   }
 
   // The recovery subsystem: a rejoining server (calling thread bound as
@@ -427,30 +476,35 @@ class SwmrCore {
     apply_locked(self, sn, vid);
   }
 
-  // Server side of read_via: reply with process `self`'s stored pair.
+  // Server side of read_via: reply with process `self`'s stored pair (a
+  // handle to the stored value, not a copy of it).
   void serve_read(Network& net, int self, const Message& m) {
     Message reply;
     reply.reg = reg_id_;
-    reply.type = "STATE";
+    reply.tag = obs::MsgTag::kState;
     reply.sn = m.sn;  // rid
     reply.to = m.from;
+    StatePayload state;
     {
       std::scoped_lock lock(mu_);
       const StoredState& st = state_[static_cast<std::size_t>(self)];
-      reply.payload = std::pair<std::uint64_t, T>(st.stored_sn, st.stored_val);
+      state = {st.stored_sn, st.stored_val};
     }
-    net.send(reply);
+    reply.payload = Payload::of(std::move(state));
+    net.send(std::move(reply));
   }
 
-  // Client side of read_via: account a STATE reply.
+  // Client side of read_via: account a STATE reply. A malformed one (empty
+  // or wrong-typed payload, null value handle) is dropped.
   void accept_state(const Message& m) {
+    const StatePayload* state = m.payload.get<StatePayload>();
+    if (state == nullptr || state->second == nullptr) return;
     std::scoped_lock lock(mu_);
     auto it = reads_.find(m.sn);
     if (it == reads_.end()) return;  // reply to a finished/foreign read
-    const auto& [sn, val] =
-        std::any_cast<const std::pair<std::uint64_t, T>&>(m.payload);
     if (!it->second.senders.insert(m.from).second) return;  // dup sender
-    it->second.support[{sn, intern_locked(val)}].insert(m.from);
+    it->second.support[{state->first, intern_locked(state->second)}].insert(
+        m.from);
     cv_.notify_all();
   }
 
@@ -471,7 +525,7 @@ class SwmrCore {
   const runtime::ProcessId owner_;
   const runtime::ProcessId sole_reader_;  // kNoProcess = SWMR
   const std::string name_;
-  const T initial_;  // crash wipes a server's store back to this
+  const Ref initial_;  // crash wipes a server's store back to this
   const RetryPolicy retry_;
 
   mutable std::mutex mu_;
@@ -480,10 +534,17 @@ class SwmrCore {
   // the seqlock engine's writer-mutex discipline (registers/storage.hpp);
   // never touched by readers.
   std::mutex writer_mu_;
-  std::vector<T> values_;            // interned values
+  // The intern table: id -> canonical handle, plus its two lookup indexes.
+  // It keeps every value the register ever held (design note 17).
+  struct DerefLess {
+    bool operator()(const T* a, const T* b) const { return *a < *b; }
+  };
+  std::vector<Ref> values_;
+  std::unordered_map<const T*, int> by_handle_;  // canonical handles only
+  std::map<const T*, int, DerefLess> by_content_;
   std::vector<StoredState> state_;   // per process
   std::uint64_t write_sn_ = 0;       // owner-local
-  T owner_view_;                     // owner-local latest (possibly pending)
+  Ref owner_view_;                   // owner-local latest (possibly pending)
   std::uint64_t owner_view_sn_ = 0;  // sn owner_view_ corresponds to
   std::uint64_t read_rid_ = 0;
   std::map<std::uint64_t, ReadWait> reads_;

@@ -17,7 +17,6 @@
 #include <optional>
 #include <set>
 #include <stop_token>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,10 +58,10 @@ class WitnessBroadcast {
   // number `seq`. Returns immediately — delivery is eventual.
   void broadcast(std::uint64_t seq, std::uint64_t value) {
     Message m;
-    m.type = "INIT";
+    m.tag = obs::MsgTag::kInit;
     m.sn = seq;
-    m.payload = value;
-    net_.broadcast(m);
+    m.payload = Payload::of(value);
+    net_.broadcast(std::move(m));
   }
 
   // Blocks until the bound process delivers (sender, seq); returns the
@@ -104,12 +103,9 @@ class WitnessBroadcast {
   };
 
   void handle(int self, const Message& m) {
-    std::uint64_t value = 0;
-    try {
-      value = std::any_cast<std::uint64_t>(m.payload);
-    } catch (const std::bad_any_cast&) {
-      return;  // malformed Byzantine payload
-    }
+    const std::uint64_t* payload = m.payload.get<std::uint64_t>();
+    if (payload == nullptr) return;  // malformed Byzantine payload
+    const std::uint64_t value = *payload;
     const int n = options_.n;
     const int f = options_.f;
 
@@ -117,7 +113,7 @@ class WitnessBroadcast {
     PerProcess& st = state_[static_cast<std::size_t>(self)];
 
     std::pair<int, std::uint64_t> key;
-    if (m.type == "INIT") {
+    if (m.tag == obs::MsgTag::kInit) {
       key = {m.from, m.sn};  // the INIT sender is the broadcast origin
     } else {
       // ECHO/READY carry the origin in reg (abused as origin pid field).
@@ -130,7 +126,7 @@ class WitnessBroadcast {
     bool send_ready = false;
     bool ready_amplified = false;
     bool delivered_now = false;
-    if (m.type == "INIT") {
+    if (m.tag == obs::MsgTag::kInit) {
       // Echo only the FIRST value seen from this (sender, seq) — the
       // non-equivocation guard.
       bool echoed_any = false;
@@ -139,14 +135,14 @@ class WitnessBroadcast {
         tally.sent_echo = true;
         send_echo = true;
       }
-    } else if (m.type == "ECHO") {
+    } else if (m.tag == obs::MsgTag::kEcho) {
       tally.echoes.insert(m.from);
       if (!tally.sent_ready &&
           static_cast<int>(tally.echoes.size()) >= n - f) {
         tally.sent_ready = true;
         send_ready = true;
       }
-    } else if (m.type == "READY") {
+    } else if (m.tag == obs::MsgTag::kReady) {
       tally.readies.insert(m.from);
       if (!tally.sent_ready &&
           static_cast<int>(tally.readies.size()) >= f + 1) {
@@ -171,8 +167,8 @@ class WitnessBroadcast {
                            self, key);
     if (delivered_now)
       record_witness_phase(obs::EventKind::kPhaseDeliver, self, key, value);
-    if (send_echo) relay("ECHO", key, value);
-    if (send_ready) relay("READY", key, value);
+    if (send_echo) relay(obs::MsgTag::kEcho, key, value);
+    if (send_ready) relay(obs::MsgTag::kReady, key, value);
   }
 
   // One ladder-correlated event under the witness sentinel register,
@@ -190,14 +186,14 @@ class WitnessBroadcast {
     obs::record(e);
   }
 
-  void relay(const std::string& type,
-             const std::pair<int, std::uint64_t>& key, std::uint64_t value) {
+  void relay(obs::MsgTag tag, const std::pair<int, std::uint64_t>& key,
+             std::uint64_t value) {
     Message m;
-    m.type = type;
+    m.tag = tag;
     m.reg = key.first;  // origin pid rides in the reg field
     m.sn = key.second;
-    m.payload = value;
-    net_.broadcast(m);
+    m.payload = Payload::of(value);
+    net_.broadcast(std::move(m));
   }
 
   Options options_;

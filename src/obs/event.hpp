@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace swsig::obs {
 
@@ -97,13 +96,15 @@ inline const char* kind_name(EventKind k) {
   }
 }
 
-// Interned Message::type tags: the protocol vocabulary is a small closed
-// set, so network-plane events carry a one-byte tag instead of a string.
+// Message tags (msgpass::Message::tag): the protocol vocabulary is a small
+// closed set, so messages and network-plane events carry a one-byte tag.
+// ECHO is shared by the per-write ladder and witness broadcast; the reg
+// field disambiguates in dumps.
 enum class MsgTag : std::uint8_t {
   kOther = 0,
   kWrite, kEcho, kAccept, kAck, kRead, kState,          // per-write ladder
   kBWrite, kBEcho, kBAccept, kBack,                     // batched rounds
-  kInit, kWbEcho, kReady,                               // witness broadcast
+  kInit, kReady,                                        // witness broadcast
   kAbort, kAbAck, kCWrite,                              // write-abort fence
   kCount
 };
@@ -122,40 +123,11 @@ inline const char* tag_name(MsgTag t) {
     case MsgTag::kBAccept: return "BACCEPT";
     case MsgTag::kBack: return "BACK";
     case MsgTag::kInit: return "INIT";
-    case MsgTag::kWbEcho: return "WECHO";
     case MsgTag::kReady: return "READY";
     case MsgTag::kAbort: return "ABORT";
     case MsgTag::kAbAck: return "ABACK";
     case MsgTag::kCWrite: return "CWRITE";
     default: return "?";
-  }
-}
-
-// Interns a Message::type string. ECHO/READY are shared between the
-// per-write ladder and witness broadcast; the ladder's reg field
-// disambiguates in dumps, so ECHO maps to one tag.
-inline MsgTag tag_of(const std::string& type) {
-  if (type.empty()) return MsgTag::kOther;
-  switch (type[0]) {
-    case 'W': return type == "WRITE" ? MsgTag::kWrite : MsgTag::kOther;
-    case 'E': return type == "ECHO" ? MsgTag::kEcho : MsgTag::kOther;
-    case 'A':
-      if (type == "ACCEPT") return MsgTag::kAccept;
-      if (type == "ACK") return MsgTag::kAck;
-      if (type == "ABORT") return MsgTag::kAbort;
-      return type == "ABACK" ? MsgTag::kAbAck : MsgTag::kOther;
-    case 'C': return type == "CWRITE" ? MsgTag::kCWrite : MsgTag::kOther;
-    case 'R':
-      if (type == "READ") return MsgTag::kRead;
-      return type == "READY" ? MsgTag::kReady : MsgTag::kOther;
-    case 'S': return type == "STATE" ? MsgTag::kState : MsgTag::kOther;
-    case 'B':
-      if (type == "BWRITE") return MsgTag::kBWrite;
-      if (type == "BECHO") return MsgTag::kBEcho;
-      if (type == "BACCEPT") return MsgTag::kBAccept;
-      return type == "BACK" ? MsgTag::kBack : MsgTag::kOther;
-    case 'I': return type == "INIT" ? MsgTag::kInit : MsgTag::kOther;
-    default: return MsgTag::kOther;
   }
 }
 

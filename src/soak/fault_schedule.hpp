@@ -281,14 +281,15 @@ class FaultSchedule final : public msgpass::FaultInjector {
   static constexpr std::uint64_t kPartitionSalt = 0x706172ULL;
 
   // Mixes the seed, window and message identity into one 64-bit draw.
-  // splitmix64 chains give full avalanche; the type string is folded in
-  // via FNV-1a so "ECHO" and "ACCEPT" for the same (sn, from, to) decide
-  // independently.
+  // splitmix64 chains give full avalanche; the tag's name is folded in via
+  // FNV-1a so "ECHO" and "ACCEPT" for the same (sn, from, to) decide
+  // independently (hashing the name, not the enum value, keeps every
+  // seeded schedule identical to the string-typed messages it replaced).
   std::uint64_t message_hash(std::uint64_t window,
                              const msgpass::Message& m) const {
     std::uint64_t fnv = 0xcbf29ce484222325ULL;
-    for (const char c : m.type)
-      fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    for (const char* c = obs::tag_name(m.tag); *c != '\0'; ++c)
+      fnv = (fnv ^ static_cast<unsigned char>(*c)) * 0x100000001b3ULL;
     std::uint64_t s = config_.seed;
     s = util::splitmix64(s) ^ window;
     s = util::splitmix64(s) ^ fnv;

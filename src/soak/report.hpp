@@ -78,13 +78,15 @@ struct SoakMetrics {
                      static_cast<double>(duration_ms);
   }
 
-  // SLO: the run is healthy iff nothing stalled, no sampled window failed
-  // to linearize, no operation errored, and every Byzantine-register
-  // sample admitted a witness completion. Retries, aborts and partitions
-  // are NOT violations — they are the survivable faults being exercised.
+  // SLO: the run is healthy iff nothing stalled, every sampled window was
+  // decided linearizable (an undecided window — checker budget exhausted —
+  // proves nothing, so it counts against the run), no operation errored,
+  // and every Byzantine-register sample admitted a witness completion.
+  // Retries, aborts and partitions are NOT violations — they are the
+  // survivable faults being exercised.
   bool slo_ok() const {
     return liveness_violations == 0 && window_violations == 0 &&
-           op_errors == 0 && byz_failures == 0;
+           windows_undecided == 0 && op_errors == 0 && byz_failures == 0;
   }
 
   void emit(bench::Reporter& rep) const {
@@ -96,13 +98,14 @@ struct SoakMetrics {
     rep.metric(p + "write_p50_us", write_p50_us);
     rep.metric(p + "write_p99_us", write_p99_us);
     rep.metric(p + "max_stall_ms", static_cast<double>(max_stall_ms));
-    rep.metric(p + "windows_checked_ops",
-               static_cast<double>(windows_checked));
+    rep.metric(p + "windows_checked", static_cast<double>(windows_checked));
     // SLO counters: hard zeros in a healthy run (lower is better).
     rep.metric(p + "slo.liveness_violations",
                static_cast<double>(liveness_violations));
     rep.metric(p + "slo.window_violations",
                static_cast<double>(window_violations));
+    rep.metric(p + "slo.windows_undecided",
+               static_cast<double>(windows_undecided));
     rep.metric(p + "slo.op_errors", static_cast<double>(op_errors));
     rep.metric(p + "slo.byz_failures", static_cast<double>(byz_failures));
     rep.metric(p + "op_retries", static_cast<double>(op_retries));

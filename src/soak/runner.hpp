@@ -25,7 +25,6 @@
 #pragma once
 
 #include <algorithm>
-#include <any>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -156,13 +155,15 @@ inline void spray_garbage(msgpass::EmulatedSpace& space, int decoy_reg,
                           util::Rng& rng) {
   msgpass::Network& net = space.network();
   const std::uint64_t sn = rng.uniform(1, 64);
-  for (const char* type : {"WRITE", "WRITE", "ECHO", "ACCEPT"}) {
+  for (const obs::MsgTag tag : {obs::MsgTag::kWrite, obs::MsgTag::kWrite,
+                                obs::MsgTag::kEcho, obs::MsgTag::kAccept}) {
     msgpass::Message m;
     m.reg = decoy_reg;
-    m.type = type;
+    m.tag = tag;
     m.sn = sn;
-    m.payload = std::string("byz#") + std::to_string(rng.uniform(0, 7));
-    net.broadcast(m);
+    m.payload = msgpass::Payload::of(std::string("byz#") +
+                                     std::to_string(rng.uniform(0, 7)));
+    net.broadcast(std::move(m));
   }
 }
 inline void spray_garbage(msgpass::BatchedEmulatedSpace& space, int decoy_reg,
@@ -175,22 +176,24 @@ inline void spray_garbage(msgpass::BatchedEmulatedSpace& space, int decoy_reg,
     msgpass::Batch batch;
     batch.push_back(msgpass::BatchOp{
         decoy_reg, rng.uniform(1, 64),
-        std::any(std::string("byz#") + std::to_string(rng.uniform(0, 7)))});
+        msgpass::Payload::of(std::string("byz#") +
+                             std::to_string(rng.uniform(0, 7)))});
     msgpass::Message m;
     m.reg = msgpass::BatchShard::kBatchProto;
-    m.type = "BWRITE";
+    m.tag = obs::MsgTag::kBWrite;
     m.sn = round;
-    m.payload = std::move(batch);
-    shard.network().broadcast(m);
+    m.payload = msgpass::Payload::of(std::move(batch));
+    shard.network().broadcast(std::move(m));
   }
   // Bogus votes: digest ids picked blind (out-of-range ones are refused).
   msgpass::Message v;
   v.reg = msgpass::BatchShard::kBatchProto;
-  v.type = rng.chance(1, 2) ? "BECHO" : "BACCEPT";
+  v.tag = rng.chance(1, 2) ? obs::MsgTag::kBEcho : obs::MsgTag::kBAccept;
   v.sn = round;
-  v.payload = std::pair<int, int>(static_cast<int>(rng.uniform(1, 4)),
-                                  static_cast<int>(rng.uniform(0, 9)));
-  shard.network().broadcast(v);
+  v.payload = msgpass::Payload::of(
+      std::pair<int, int>(static_cast<int>(rng.uniform(1, 4)),
+                          static_cast<int>(rng.uniform(0, 9))));
+  shard.network().broadcast(std::move(v));
 }
 
 // Park gate: the fault driver asks a victim's workers to quiesce before

@@ -230,9 +230,9 @@ TEST(LadderOnEmulated, ReplayedWriteAndAcceptStormAreInert) {
     ThisProcess::Binder bind(1);  // the Byzantine owner itself
     Message m;
     m.reg = 0;
-    m.type = "WRITE";
+    m.tag = obs::MsgTag::kWrite;
     m.sn = 1;
-    m.payload = std::string("evil");
+    m.payload = Payload::of(std::string("evil"));
     net.broadcast(m);
     // Fan-out (4) + one re-ACK per delivered server (4): the equivocated
     // value recruited no echo anywhere.
@@ -244,9 +244,9 @@ TEST(LadderOnEmulated, ReplayedWriteAndAcceptStormAreInert) {
       ThisProcess::Binder bind(pid);
       Message m;
       m.reg = 0;
-      m.type = "ACCEPT";
+      m.tag = obs::MsgTag::kAccept;
       m.sn = 1;
-      m.payload = std::string("evil");
+      m.payload = Payload::of(std::string("evil"));
       net.broadcast(m);
     }
     // Two fan-outs, zero reaction: without the delivered-set guard these
@@ -279,9 +279,9 @@ TEST(LadderOnBatched, CrossRoundSnReuseAndReplayedAcceptAreInert) {
     ThisProcess::Binder bind(1);
     Message m;
     m.reg = BatchShard::kBatchProto;
-    m.type = "BWRITE";
+    m.tag = obs::MsgTag::kBWrite;
     m.sn = 99;
-    m.payload = Batch{BatchOp{0, 1, std::any(99)}};
+    m.payload = Payload::of(Batch{BatchOp{0, 1, Payload::of(99)}});
     net.broadcast(m);
     // Fan-out only: every server's claim check refuses the batch, so no
     // BECHO is ever sent and the second value cannot gather any support.
@@ -295,9 +295,9 @@ TEST(LadderOnBatched, CrossRoundSnReuseAndReplayedAcceptAreInert) {
       ThisProcess::Binder bind(pid);
       Message m;
       m.reg = BatchShard::kBatchProto;
-      m.type = "BACCEPT";
+      m.tag = obs::MsgTag::kBAccept;
       m.sn = 1;
-      m.payload = std::pair<int, int>(1, 0);
+      m.payload = Payload::of(std::pair<int, int>(1, 0));
       net.broadcast(m);
     }
     EXPECT_EQ(drain_message_count(count) - base, 8u);

@@ -43,9 +43,10 @@ TEST(EmulatedByzantine, WriterEquivocationPerSnIsResolved) {
         Message m;
         m.to = to;
         m.reg = 0;
-        m.type = "WRITE";
+        m.tag = obs::MsgTag::kWrite;
         m.sn = 1;
-        m.payload = (to <= 2) ? 100 : 200;  // two variants of write #1
+        // Two variants of write #1.
+        m.payload = Payload::of((to <= 2) ? 100 : 200);
         space.network().send(m);
       }
     }
@@ -72,9 +73,9 @@ TEST(EmulatedByzantine, FakeAcceptFloodCannotForgeValues) {
     for (int i = 0; i < 20; ++i) {
       Message m;
       m.reg = 0;
-      m.type = "ACCEPT";
+      m.tag = obs::MsgTag::kAccept;
       m.sn = 99;
-      m.payload = 666;
+      m.payload = Payload::of(666);
       space.network().broadcast(m);
     }
   }
@@ -94,9 +95,9 @@ TEST(EmulatedByzantine, NonOwnerWriteMessagesIgnored) {
     ThisProcess::Binder bind(2);
     Message m;
     m.reg = 0;
-    m.type = "WRITE";
+    m.tag = obs::MsgTag::kWrite;
     m.sn = 5;
-    m.payload = 123;
+    m.payload = Payload::of(123);
     space.network().broadcast(m);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -104,20 +105,28 @@ TEST(EmulatedByzantine, NonOwnerWriteMessagesIgnored) {
   EXPECT_EQ(reg.read(), 7);
 }
 
-// Garbage payloads (wrong std::any type) must not crash server threads,
-// and the register must keep functioning afterwards.
+// Garbage payloads — a wrong type, or none at all — must not crash server
+// threads, and the register must keep functioning afterwards.
 TEST(EmulatedByzantine, GarbagePayloadsAreDropped) {
   EmulatedSpace space({.n = 4, .f = 1});
   auto& reg = space.make_swmr<int>(1, 0, "r");
+  using State = EmulatedSwmr<int>::StatePayload;
+  const Payload garbage[] = {Payload::of(std::string("not-an-int")),
+                             Payload{}, Payload(std::shared_ptr<const int>()),
+                             Payload::of(State{1, nullptr})};
   {
     ThisProcess::Binder bind(4);
-    for (const char* type : {"WRITE", "ECHO", "ACCEPT", "STATE", "READ"}) {
-      Message m;
-      m.reg = 0;
-      m.type = type;
-      m.sn = 1;
-      m.payload = std::string("not-an-int");
-      space.network().broadcast(m);
+    for (const obs::MsgTag tag :
+         {obs::MsgTag::kWrite, obs::MsgTag::kEcho, obs::MsgTag::kAccept,
+          obs::MsgTag::kState, obs::MsgTag::kRead, obs::MsgTag::kAbAck}) {
+      for (const Payload& p : garbage) {
+        Message m;
+        m.reg = 0;
+        m.tag = tag;
+        m.sn = 1;
+        m.payload = p;
+        space.network().broadcast(m);
+      }
     }
   }
   // The system still works end-to-end.
@@ -137,9 +146,9 @@ TEST(EmulatedByzantine, UnknownRegisterIdIgnored) {
     ThisProcess::Binder bind(2);
     Message m;
     m.reg = 999;
-    m.type = "WRITE";
+    m.tag = obs::MsgTag::kWrite;
     m.sn = 1;
-    m.payload = 5;
+    m.payload = Payload::of(5);
     space.network().broadcast(m);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -184,9 +193,9 @@ TEST(EmulatedByzantine, ReplayedAcceptsAfterDeliveryAreInert) {
     ThisProcess::Binder bind(pid);
     Message m;
     m.reg = 0;
-    m.type = "ACCEPT";
+    m.tag = obs::MsgTag::kAccept;
     m.sn = 1;
-    m.payload = 8;  // the genuinely delivered value
+    m.payload = Payload::of(8);  // the genuinely delivered value
     space.network().broadcast(m);
   }
   // Exactly the 2 replay broadcasts (x4 recipients) and nothing else: any
@@ -209,10 +218,10 @@ TEST(EmulatedByzantine, RegistersAreIsolated) {
     while (!stop.load()) {
       Message m;
       m.reg = 0;  // the "bad" register
-      m.type = "WRITE";
+      m.tag = obs::MsgTag::kWrite;
       m.sn = 1;
       m.to = 1 + (i % 4);
-      m.payload = (i % 2) ? 100 : 200;
+      m.payload = Payload::of((i % 2) ? 100 : 200);
       space.network().send(m);
       ++i;
       std::this_thread::yield();
@@ -246,9 +255,10 @@ TEST(BatchedByzantine, RoundEquivocationPerRoundIsResolved) {
         Message m;
         m.to = to;
         m.reg = BatchShard::kBatchProto;
-        m.type = "BWRITE";
+        m.tag = obs::MsgTag::kBWrite;
         m.sn = 1;
-        m.payload = Batch{{0, 1, std::any((to <= 2) ? 100 : 200)}};
+        m.payload =
+            Payload::of(Batch{{0, 1, Payload::of((to <= 2) ? 100 : 200)}});
         space.shard(0).network().send(m);
       }
     }
@@ -275,10 +285,10 @@ TEST(BatchedByzantine, SmuggledForeignOpsAreRejected) {
     ThisProcess::Binder bind(2);  // Byzantine p2 targets p1's register
     Message m;
     m.reg = BatchShard::kBatchProto;
-    m.type = "BWRITE";
+    m.tag = obs::MsgTag::kBWrite;
     m.sn = 1;
-    m.payload = Batch{{/*reg=*/0, /*sn=*/99, std::any(666)},
-                      {/*reg=*/1, /*sn=*/1, std::any(4)}};
+    m.payload = Payload::of(Batch{{/*reg=*/0, /*sn=*/99, Payload::of(666)},
+                                  {/*reg=*/1, /*sn=*/1, Payload::of(4)}});
     space.shard(0).network().broadcast(m);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -315,10 +325,10 @@ TEST(BatchedByzantine, FakeAcceptFloodCannotForgeValues) {
     for (int i = 0; i < 20; ++i) {
       Message m;
       m.reg = BatchShard::kBatchProto;
-      m.type = "BACCEPT";
+      m.tag = obs::MsgTag::kBAccept;
       // Replay the real digest (0) under a fresh round id, plus bogus ids.
       m.sn = 99 + static_cast<std::uint64_t>(i % 2);
-      m.payload = std::pair<int, int>(1, i % 3 == 0 ? 0 : i);
+      m.payload = Payload::of(std::pair<int, int>(1, i % 3 == 0 ? 0 : i));
       space.shard(0).network().broadcast(m);
     }
   }
@@ -348,10 +358,10 @@ TEST(BatchedByzantine, CrossRoundSnReuseCannotSplitServers) {
       for (int round = 1; round <= 2; ++round) {
         Message m;
         m.reg = BatchShard::kBatchProto;
-        m.type = "BWRITE";
+        m.tag = obs::MsgTag::kBWrite;
         m.sn = static_cast<std::uint64_t>(round);
-        m.payload = Batch{{/*reg=*/0, /*sn=*/5,
-                           std::any(round == 1 ? 100 : 200)}};
+        m.payload = Payload::of(Batch{
+            {/*reg=*/0, /*sn=*/5, Payload::of(round == 1 ? 100 : 200)}});
         space.shard(0).network().broadcast(m);
       }
     }
@@ -384,9 +394,9 @@ TEST(BatchedByzantine, ReplayedAcceptsAfterDeliveryAreInert) {
     ThisProcess::Binder bind(pid);
     Message m;
     m.reg = BatchShard::kBatchProto;
-    m.type = "BACCEPT";
+    m.tag = obs::MsgTag::kBAccept;
     m.sn = 1;                                // the delivered round
-    m.payload = std::pair<int, int>(1, 0);   // (origin p1, the real digest)
+    m.payload = Payload::of(std::pair<int, int>(1, 0));   // (origin p1, the real digest)
     space.shard(0).network().broadcast(m);
   }
   // Exactly the 2 replay broadcasts (x4 recipients) and nothing else.
@@ -395,28 +405,39 @@ TEST(BatchedByzantine, ReplayedAcceptsAfterDeliveryAreInert) {
   EXPECT_EQ(reg.read(), 8);
 }
 
-// Garbage payloads (wrong std::any type) on every batched message type
-// must not crash server threads; the substrate keeps working afterwards.
+// Garbage payloads — a wrong type, or none at all, at the batch level or
+// inside one op — on every batched message type must not crash server
+// threads; the substrate keeps working afterwards.
 TEST(BatchedByzantine, GarbagePayloadsAreDropped) {
   BatchedEmulatedSpace space({.n = 4, .f = 1, .shards = 1, .batch_max = 4});
   auto& reg = space.make_swmr<int>(1, 0, "r");
+  const Payload garbage[] = {
+      Payload::of(std::string("not-a-batch")), Payload{},
+      Payload::of(Batch{{/*reg=*/0, /*sn=*/1, Payload{}}}),
+      Payload::of(Batch{{/*reg=*/0, /*sn=*/2, Payload::of(std::string("x"))}})};
   {
     ThisProcess::Binder bind(4);
-    for (const char* type : {"BWRITE", "BECHO", "BACCEPT", "BACK"}) {
-      Message m;
-      m.reg = BatchShard::kBatchProto;
-      m.type = type;
-      m.sn = 1;
-      m.payload = std::string("not-a-batch");
-      space.shard(0).network().broadcast(m);
+    for (const obs::MsgTag tag : {obs::MsgTag::kBWrite, obs::MsgTag::kBEcho,
+                                  obs::MsgTag::kBAccept, obs::MsgTag::kBack}) {
+      for (const Payload& p : garbage) {
+        Message m;
+        m.reg = BatchShard::kBatchProto;
+        m.tag = tag;
+        m.sn = 1;
+        m.payload = p;
+        space.shard(0).network().broadcast(m);
+      }
     }
-    for (const char* type : {"READ", "STATE"}) {
-      Message m;
-      m.reg = 0;
-      m.type = type;
-      m.sn = 1;
-      m.payload = std::string("not-an-int");
-      space.shard(0).network().broadcast(m);
+    for (const obs::MsgTag tag : {obs::MsgTag::kRead, obs::MsgTag::kState}) {
+      for (const Payload& p : {Payload::of(std::string("not-an-int")),
+                               Payload{}}) {
+        Message m;
+        m.reg = 0;
+        m.tag = tag;
+        m.sn = 1;
+        m.payload = p;
+        space.shard(0).network().broadcast(m);
+      }
     }
   }
   {
@@ -435,9 +456,9 @@ TEST(BatchedByzantine, UnknownRegisterIdIgnored) {
     ThisProcess::Binder bind(2);
     Message m;
     m.reg = BatchShard::kBatchProto;
-    m.type = "BWRITE";
+    m.tag = obs::MsgTag::kBWrite;
     m.sn = 1;
-    m.payload = Batch{{/*reg=*/999, /*sn=*/1, std::any(5)}};
+    m.payload = Payload::of(Batch{{/*reg=*/999, /*sn=*/1, Payload::of(5)}});
     space.shard(0).network().broadcast(m);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(5));

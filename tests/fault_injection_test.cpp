@@ -20,10 +20,10 @@ namespace {
 using msgpass::Message;
 using runtime::ThisProcess;
 
-Message make_message(const std::string& type, int from, int to,
-                     std::uint64_t sn, int reg) {
+Message make_message(obs::MsgTag tag, int from, int to, std::uint64_t sn,
+                     int reg) {
   Message m;
-  m.type = type;
+  m.tag = tag;
   m.from = from;
   m.to = to;
   m.sn = sn;
@@ -45,13 +45,16 @@ TEST(FaultSchedule, SameSeedSameDecisions) {
                                   .delay_permille = 300};
   FaultSchedule a(config);
   FaultSchedule b(config);
-  const char* kTypes[] = {"WRITE", "ECHO", "ACCEPT", "ACK", "READ", "STATE"};
+  const obs::MsgTag kTags[] = {obs::MsgTag::kWrite, obs::MsgTag::kEcho,
+                               obs::MsgTag::kAccept, obs::MsgTag::kAck,
+                               obs::MsgTag::kRead, obs::MsgTag::kState};
   std::uint64_t drops = 0, delays = 0;
   for (std::uint64_t t = 0; t < 1200; t += 7) {
     EXPECT_EQ(a.victim_of(a.window_at(t)), b.victim_of(b.window_at(t)));
-    for (const char* type : kTypes) {
+    for (const obs::MsgTag tag : kTags) {
+      const char* type = obs::tag_name(tag);
       for (int from = 1; from <= 4; ++from) {
-        const Message m = make_message(type, from, 5 - from, t % 9, 2);
+        const Message m = make_message(tag, from, 5 - from, t % 9, 2);
         const auto da = a.decide(t, m);
         const auto db = b.decide(t, m);
         EXPECT_EQ(da.drop, db.drop) << type << " from " << from << " t " << t;
@@ -82,7 +85,7 @@ TEST(FaultSchedule, DifferentSeedsDiffer) {
   FaultSchedule b(config);
   bool differ = false;
   for (std::uint64_t t = 0; t < 500 && !differ; ++t) {
-    const Message m = make_message("ECHO", 4, 1, t, 0);
+    const Message m = make_message(obs::MsgTag::kEcho, 4, 1, t, 0);
     const auto da = a.decide(t, m);
     const auto db = b.decide(t, m);
     differ = da.drop != db.drop || da.delay != db.delay;
@@ -125,7 +128,7 @@ TEST(FaultSchedule, DropsRequireTheEngagedGate) {
                    .active_ms = 100,
                    .drop_permille = 1000});
   s.set_clock([] { return std::uint64_t{10}; });
-  const Message m = make_message("STATE", 4, 1, 1, 0);
+  const Message m = make_message(obs::MsgTag::kState, 4, 1, 1, 0);
   ASSERT_TRUE(s.decide(10, m).drop);  // time says drop...
   EXPECT_FALSE(s.on_deliver(m).drop);  // ...but the gate is not engaged
   s.engage(true);
@@ -180,14 +183,14 @@ TEST(FaultSchedule, PartitionCutsFollowTheSeededMode) {
     const PartitionMode mode = s.partition_mode(w);
     saw[static_cast<int>(mode)] = true;
     const std::uint64_t t = w * 100 + 10;
-    EXPECT_EQ(s.decide(t, make_message("ECHO", 2, 4, 1, 0)).drop,
+    EXPECT_EQ(s.decide(t, make_message(obs::MsgTag::kEcho, 2, 4, 1, 0)).drop,
               mode != PartitionMode::kOutbound)
         << "window " << w;
-    EXPECT_EQ(s.decide(t, make_message("ECHO", 4, 2, 1, 0)).drop,
+    EXPECT_EQ(s.decide(t, make_message(obs::MsgTag::kEcho, 4, 2, 1, 0)).drop,
               mode != PartitionMode::kInbound)
         << "window " << w;
-    EXPECT_FALSE(s.decide(t, make_message("ECHO", 2, 3, 1, 0)).drop);
-    EXPECT_FALSE(s.decide(t, make_message("ECHO", 4, 4, 1, 0)).drop)
+    EXPECT_FALSE(s.decide(t, make_message(obs::MsgTag::kEcho, 2, 3, 1, 0)).drop);
+    EXPECT_FALSE(s.decide(t, make_message(obs::MsgTag::kEcho, 4, 4, 1, 0)).drop)
         << "self-delivery must never be cut";
   }
   EXPECT_TRUE(saw[0] && saw[1] && saw[2]);

@@ -39,13 +39,13 @@ TEST(Network, PointToPointDelivery) {
     ThisProcess::Binder bind(1);
     Message m;
     m.to = 2;
-    m.type = "PING";
+    m.tag = obs::MsgTag::kRead;
     net.send(m);
   }
   ThisProcess::Binder bind(2);
   const auto m = net.try_recv();
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->type, "PING");
+  EXPECT_EQ(m->tag, obs::MsgTag::kRead);
   EXPECT_EQ(m->from, 1);  // stamped, not spoofable
 }
 
@@ -74,7 +74,7 @@ TEST(Network, BroadcastReachesEveryoneIncludingSelf) {
   {
     ThisProcess::Binder bind(1);
     Message m;
-    m.type = "ALL";
+    m.tag = obs::MsgTag::kInit;
     net.broadcast(m);
   }
   for (int pid = 1; pid <= 3; ++pid) {
@@ -170,6 +170,7 @@ struct Payload {
   Payload& operator=(const Payload&) = default;
   Payload& operator=(Payload&&) = default;
   bool operator==(const Payload& o) const { return s == o.s; }
+  bool operator<(const Payload& o) const { return s < o.s; }
 
   static void maybe_block() {
     if (!armed.load(std::memory_order_acquire)) return;
@@ -501,9 +502,9 @@ TEST(WitnessBroadcastTest, EquivocationYieldsAgreement) {
       for (int to = 1; to <= 4; ++to) {
         Message m;
         m.to = to;
-        m.type = "INIT";
+        m.tag = obs::MsgTag::kInit;
         m.sn = 1;
-        m.payload = std::uint64_t{to <= 2 ? 5u : 6u};
+        m.payload = Payload::of(std::uint64_t{to <= 2 ? 5u : 6u});
         wb.network().send(m);
       }
     }

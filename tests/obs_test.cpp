@@ -64,15 +64,15 @@ TEST(ObsEvent, PackUnpackRoundTrip) {
   EXPECT_EQ(back.aux, e.aux);
 }
 
-TEST(ObsEvent, TagInterningCoversProtocolVocabulary) {
-  for (std::size_t t = 1; t < static_cast<std::size_t>(MsgTag::kCount); ++t) {
-    const MsgTag tag = static_cast<MsgTag>(t);
-    if (tag == MsgTag::kWbEcho) continue;  // shares "ECHO" with the ladder
-    EXPECT_EQ(obs::tag_of(obs::tag_name(tag)), tag)
-        << "tag " << obs::tag_name(tag);
+TEST(ObsEvent, TagNamesAreDistinct) {
+  // Counter names ("net.send.<TAG>") and dumps key on tag_name: every tag
+  // must name itself uniquely.
+  std::set<std::string> names;
+  for (std::size_t t = 0; t < static_cast<std::size_t>(MsgTag::kCount); ++t) {
+    const std::string name = obs::tag_name(static_cast<MsgTag>(t));
+    EXPECT_NE(name, "?");
+    EXPECT_TRUE(names.insert(name).second) << "duplicate tag " << name;
   }
-  EXPECT_EQ(obs::tag_of("GARBAGE"), MsgTag::kOther);
-  EXPECT_EQ(obs::tag_of(""), MsgTag::kOther);
 }
 
 // The ring and wedge tests drive obs::record(), which a SWSIG_OBS=OFF
@@ -292,7 +292,8 @@ TEST(ObsRegistry, RegisterMetricsPublishAsGauges) {
 class LadderWedger : public msgpass::FaultInjector {
  public:
   msgpass::FaultDecision on_deliver(const msgpass::Message& m) override {
-    if (m.type == "ECHO" || m.type == "ACCEPT") return {.drop = true};
+    if (m.tag == MsgTag::kEcho || m.tag == MsgTag::kAccept)
+      return {.drop = true};
     return {};
   }
   bool reorder(runtime::ProcessId) override { return false; }
@@ -322,9 +323,9 @@ TEST(ObsWedge, ForcedWedgeDumpNamesStalledLadderAndPhase) {
     obs::record(start);
     msgpass::Message m;
     m.reg = 0;
-    m.type = "WRITE";
+    m.tag = obs::MsgTag::kWrite;
     m.sn = 1;
-    m.payload = std::string("doomed");
+    m.payload = msgpass::Payload::of(std::string("doomed"));
     space.network().broadcast(m);
   }
 

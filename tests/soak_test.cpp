@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -88,7 +91,7 @@ TEST(SoakConfigRepro, LineIsComplete) {
   EXPECT_NE(line.find("--seed 8"), std::string::npos);
 }
 
-TEST(SoakMetricsReport, SloGatesOnTheThreeCounters) {
+TEST(SoakMetricsReport, SloGatesOnItsCounters) {
   SoakMetrics m;
   m.substrate = "emulated";
   m.duration_ms = 1000;
@@ -105,6 +108,45 @@ TEST(SoakMetricsReport, SloGatesOnTheThreeCounters) {
   m.liveness_violations = 0;
   m.op_errors = 1;
   EXPECT_FALSE(m.slo_ok());
+  m.op_errors = 0;
+  m.byz_failures = 1;
+  EXPECT_FALSE(m.slo_ok());
+  m.byz_failures = 0;
+  EXPECT_TRUE(m.slo_ok());
+  // A window the checker gave up on proves nothing: a run whose every
+  // window exhausted the budget must not pass.
+  m.windows_checked = 3;
+  m.windows_undecided = 3;
+  EXPECT_FALSE(m.slo_ok());
+}
+
+// The JSON report carries the undecided-window count next to the other
+// SLO counters, and names the window count for what it counts.
+TEST(SoakMetricsReport, EmitsUndecidedWindows) {
+  SoakMetrics m;
+  m.substrate = "batched";
+  m.windows_checked = 7;
+  m.windows_undecided = 2;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "soak_report_test.json")
+          .string();
+  {
+    std::string prog = "soak_test", flag = "--json", out = path;
+    char* argv[] = {prog.data(), flag.data(), out.data()};
+    bench::Reporter rep(3, argv, "soak");
+    m.emit(rep);
+  }
+  std::ifstream in(path);
+  std::stringstream json;
+  json << in.rdbuf();
+  std::filesystem::remove(path);
+  EXPECT_NE(json.str().find("\"soak.batched.slo.windows_undecided\": 2"),
+            std::string::npos)
+      << json.str();
+  EXPECT_NE(json.str().find("\"soak.batched.windows_checked\": 7"),
+            std::string::npos)
+      << json.str();
+  EXPECT_EQ(json.str().find("windows_checked_ops"), std::string::npos);
 }
 
 // End-to-end, scaled for sanitizer builds: a short run with crash/rejoin
