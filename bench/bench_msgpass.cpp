@@ -1,9 +1,8 @@
 // T9 — The closing corollary, measured: emulated SWMR registers over
 // Byzantine message passing (write/read latency, messages per op), the
 // full stack — a verifiable register running on those emulated registers —
-// and the batched/sharded substrate (T9c/T9d): amortized messages per
-// write with one ECHO/ACCEPT/ACK ladder per round, and throughput scaling
-// when registers shard across independent networks.
+// the per-write message cost at larger n (T9c), and the async engine:
+// pipelined owner writes and same-pid read coalescing (T9e).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -13,7 +12,6 @@
 #include "bench/baseline.hpp"
 #include "bench/common.hpp"
 #include "core/verifiable_register.hpp"
-#include "msgpass/batched_space.hpp"
 #include "msgpass/emulated_swmr.hpp"
 #include "runtime/process.hpp"
 
@@ -97,99 +95,34 @@ double full_stack_verify(int n, int f) {
   return median;
 }
 
-// T9c — amortized messages per write: the unbatched per-write ladder vs
-// the batched space driving bursts of async writes through shared rounds.
-struct AmortRow {
-  double unbatched_mpw = 0;
-  double batched_mpw = 0;
-  double batched_write_us = 0;
-  double amortization = 0;  // unbatched_mpw / batched_mpw
-};
-
-AmortRow amortization(int n, int f, int writes, int batch, int burst) {
-  AmortRow row{};
-  {
-    msgpass::EmulatedSpace space({.n = n, .f = f});
-    auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
-    runtime::ThisProcess::Binder bind(1);
-    const auto count = [&] { return space.network().messages_sent(); };
-    const auto before = drained(count);
-    for (int i = 0; i < writes; ++i) reg.write(static_cast<std::uint64_t>(i + 1));
-    row.unbatched_mpw = static_cast<double>(drained(count) - before) / writes;
-  }
-  {
-    msgpass::BatchedEmulatedSpace space(
-        {.n = n, .f = f, .shards = 1, .batch_max = batch});
-    auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
-    runtime::ThisProcess::Binder bind(1);
-    const auto count = [&] { return space.messages_sent(); };
-    const auto before = drained(count);
-    std::uint64_t v = 0;
-    const double us = bench::time_us([&] {
-      for (int b = 0; b < writes / burst; ++b) {
-        std::uint64_t last = 0;
-        for (int i = 0; i < burst; ++i) last = reg.write_async(++v);
-        reg.await(last);
-      }
-    });
-    row.batched_mpw = static_cast<double>(drained(count) - before) / writes;
-    row.batched_write_us = us / writes;
-  }
-  row.amortization =
-      row.batched_mpw > 0 ? row.unbatched_mpw / row.batched_mpw : 0;
-  return row;
-}
-
-// T9d — register sharding: k owners pipeline async bursts into k
-// independent registers; with one shard every message funnels through one
-// per-pid inbox and one server thread per process, with k shards each
-// register's traffic has its own network and server threads. Sharding
-// removes queue serialization, so it needs real cores to pay off — the
-// hardware_concurrency figure is reported next to the numbers (on a
-// 1-core CI box the extra threads are pure scheduling overhead).
-double sharded_throughput(int n, int f, int shards, int owners, int writes,
-                          int burst) {
-  msgpass::BatchedEmulatedSpace space(
-      {.n = n, .f = f, .shards = shards, .batch_max = 8});
-  std::vector<msgpass::BatchedSwmr<std::uint64_t>*> regs;
-  for (int o = 1; o <= owners; ++o)
-    regs.push_back(&space.make_swmr<std::uint64_t>(
-        o, 0, "r" + std::to_string(o)));
-  const double us = bench::time_us([&] {
-    std::vector<std::thread> ts;
-    for (int o = 1; o <= owners; ++o) {
-      ts.emplace_back([&, o] {
-        runtime::ThisProcess::Binder bind(o);
-        auto& reg = *regs[static_cast<std::size_t>(o - 1)];
-        std::uint64_t v = 0;
-        for (int b = 0; b < writes / burst; ++b) {
-          std::uint64_t last = 0;
-          for (int i = 0; i < burst; ++i) last = reg.write_async(++v);
-          reg.await(last);
-        }
-      });
-    }
-    for (auto& t : ts) t.join();
-  });
-  return static_cast<double>(owners) * writes / (us / 1e6);  // writes per s
+// T9c — messages per blocking write at larger n: one full
+// WRITE/ECHO/ACCEPT/ACK ladder per write, 2n² + 2n messages (design
+// note 6).
+double msgs_per_write(int n, int f, int writes) {
+  msgpass::EmulatedSpace space({.n = n, .f = f});
+  auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
+  runtime::ThisProcess::Binder bind(1);
+  const auto count = [&] { return space.network().messages_sent(); };
+  const auto before = drained(count);
+  for (int i = 0; i < writes; ++i) reg.write(static_cast<std::uint64_t>(i + 1));
+  return static_cast<double>(drained(count) - before) / writes;
 }
 
 // T9e — the async protocol engine (design note 15): depth-k pipelined
 // owner writes as a sliding window (issue k, then await the oldest before
 // each new issue — k ops continuously in flight), and same-pid read
-// coalescing (one quorum round serving k overlapping readers). On the
-// batched substrate the group-commit gate rides a full depth-k window on
-// one ECHO/ACCEPT/ACK round, so pipelining pays in messages, not just
-// overlap; on the per-write substrate each sn keeps its own ladder and
-// pipelining only hides the per-write ACK wait.
+// coalescing (one quorum round serving k overlapping readers). Each sn
+// keeps its own ladder, so pipelining hides the per-write ACK wait but
+// does not save messages.
 struct PipeRow {
   double write_us = 0;
   double msgs_per_write = 0;
 };
 
-template <typename Space, typename Reg, typename CountFn>
-PipeRow pipelined_writes(Space& space, Reg& reg, CountFn&& count, int depth,
-                         int writes) {
+PipeRow pipelined_writes(int n, int f, int depth, int writes) {
+  msgpass::EmulatedSpace space({.n = n, .f = f, .pipeline_depth = depth});
+  auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
+  const auto count = [&] { return space.network().messages_sent(); };
   PipeRow row{};
   runtime::ThisProcess::Binder bind(1);
   std::uint64_t v = 0;
@@ -275,87 +208,35 @@ int main(int argc, char** argv) {
   report.metric("msgpass.fullstack.n4.verify_us", us);
 
   bench::heading(
-      "T9c — batched rounds: amortized msgs/write, one ECHO/ACCEPT/ACK "
-      "ladder per round of <= B ops (bursts of async owner writes)");
-  util::Table amort({"n", "f", "B", "msgs/write plain", "msgs/write batched",
-                     "amortization", "write us (amortized)"});
+      "T9c — messages per blocking write at larger n (one "
+      "WRITE/ECHO/ACCEPT/ACK ladder per write; 2n^2 + 2n)");
+  util::Table cost({"n", "f", "msgs/write"});
   for (int n : {10, 16}) {
     const int f = max_f(n);
-    const AmortRow r = amortization(n, f, /*writes=*/128, /*batch=*/8,
-                                    /*burst=*/32);
-    amort.add_row({util::Table::num(n), util::Table::num(f), "8",
-                   util::Table::num(r.unbatched_mpw, 1),
-                   util::Table::num(r.batched_mpw, 1),
-                   util::Table::num(r.amortization, 2),
-                   util::Table::num(r.batched_write_us)});
-    const std::string tag = "msgpass.n" + std::to_string(n);
-    report.metric(tag + ".unbatched_msgs_per_write", r.unbatched_mpw);
-    report.metric(tag + ".batched_msgs_per_write", r.batched_mpw);
-    report.metric(tag + ".batch_amortization_speedup", r.amortization);
-    report.metric(tag + ".batched_write_us", r.batched_write_us);
+    const double mpw = msgs_per_write(n, f, /*writes=*/128);
+    cost.add_row({util::Table::num(n), util::Table::num(f),
+                  util::Table::num(mpw, 1)});
+    report.metric("msgpass.n" + std::to_string(n) + ".unbatched_msgs_per_write",
+                  mpw);
   }
-  amort.print();
+  cost.print();
 
   bench::heading(
-      "T9d — register sharding: 4 owners pipelining async bursts into 4 "
-      "registers, 1 shard vs 4 shards (total writes/s; hw threads: " +
-      std::to_string(std::thread::hardware_concurrency()) + ")");
-  util::Table shard({"n", "f", "shards", "writes/s"});
-  {
-    const int n = 8, f = max_f(8);
-    const double one = sharded_throughput(n, f, /*shards=*/1, /*owners=*/4,
-                                          /*writes=*/256, /*burst=*/32);
-    const double four = sharded_throughput(n, f, /*shards=*/4, /*owners=*/4,
-                                           /*writes=*/256, /*burst=*/32);
-    shard.add_row({util::Table::num(n), util::Table::num(f), "1",
-                   util::Table::num(one, 0)});
-    shard.add_row({util::Table::num(n), util::Table::num(f), "4",
-                   util::Table::num(four, 0)});
-    shard.print();
-    report.metric("msgpass.shard1.n8.writes_per_s", one);
-    report.metric("msgpass.shard4.n8.writes_per_s", four);
-    report.metric("msgpass.shard.n8.scaling_speedup", four / one);
-  }
-
-  bench::heading(
-      "T9e — async engine: depth-4 sliding-window pipelined writes on both "
-      "substrates, and 8-way same-pid read coalescing (n=10)");
-  util::Table pipe({"substrate", "depth", "write us (pipelined)",
-                    "msgs/write"});
+      "T9e — async engine: depth-4 sliding-window pipelined writes, and "
+      "8-way same-pid read coalescing (n=10)");
   {
     const int n = 10, f = max_f(10), depth = 4, writes = 128;
-    PipeRow batched;
-    {
-      msgpass::BatchedEmulatedSpace space({.n = n, .f = f, .shards = 1,
-                                           .batch_max = 8,
-                                           .pipeline_depth = depth});
-      auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
-      batched = pipelined_writes(
-          space, reg, [&] { return space.messages_sent(); }, depth, writes);
-    }
-    PipeRow emulated;
-    {
-      msgpass::EmulatedSpace space({.n = n, .f = f,
-                                    .pipeline_depth = depth});
-      auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
-      emulated = pipelined_writes(
-          space, reg, [&] { return space.network().messages_sent(); }, depth,
-          writes);
-    }
-    pipe.add_row({"batched", "4", util::Table::num(batched.write_us),
-                  util::Table::num(batched.msgs_per_write, 1)});
-    pipe.add_row({"emulated", "4", util::Table::num(emulated.write_us),
-                  util::Table::num(emulated.msgs_per_write, 1)});
+    const PipeRow pipelined = pipelined_writes(n, f, depth, writes);
+    util::Table pipe({"depth", "write us (pipelined)", "msgs/write"});
+    pipe.add_row({"4", util::Table::num(pipelined.write_us),
+                  util::Table::num(pipelined.msgs_per_write, 1)});
     pipe.print();
     const double amort = read_coalescing(n, f, /*readers=*/8,
                                          /*reads_each=*/kIters);
     bench::heading("      read coalescing amortization (k=8): " +
                    util::Table::num(amort, 2) + "x fewer msgs/read");
-    report.metric("msgpass.n10.pipelined_write_us", batched.write_us);
-    report.metric("msgpass.n10.pipelined_msgs_per_write",
-                  batched.msgs_per_write);
     report.metric("msgpass.n10.pipelined_write_us_emulated",
-                  emulated.write_us);
+                  pipelined.write_us);
     report.metric("msgpass.n10.read_batch_amortization", amort);
   }
   return 0;

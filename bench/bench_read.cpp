@@ -7,8 +7,7 @@
 // section isolates the substrate: the free-mode read fast path (seqlock
 // storage + devirtualized step gate + sharded metering) against the
 // pre-optimization baseline (mutex storage + virtual StepController::step),
-// which Space::Dispatch::kVirtual and registers::MutexStorage reproduce
-// exactly.
+// which the self-contained SeedSwmr replica below reproduces exactly.
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -133,7 +132,7 @@ int main(int argc, char** argv) {
   double fast_single, fast_mt, legacy_single, legacy_mt;
   {
     runtime::FreeStepController ctrl;
-    registers::Space space(ctrl);  // Dispatch::kAuto: devirtualized gate
+    registers::Space space(ctrl);  // free-mode: devirtualized gate
     auto& reg = space.make_swmr<std::uint64_t>(1, 7, "fast");
     fast_single = single_thread_read_ns(reg);
     fast_mt = concurrent_read_ns(reg);

@@ -1,64 +1,46 @@
-// The one Bracha reliable-broadcast ladder behind both message-passing
-// substrates (design note 15 in docs/ARCHITECTURE.md).
+// The Bracha reliable-broadcast ladder behind the message-passing SWMR
+// emulation (design note 15 in docs/ARCHITECTURE.md).
 //
-// EmulatedSwmr (one ladder run per write sn) and BatchShard (one run per
-// (origin, round) batch) used to carry their own copies of the
-// echo/accept/amplify/deliver state machine, so every protocol fix — the
-// PR-4 delivered-set replay guard, the cross-round echo dedup, the PR-8
-// abort fences — had to land twice by hand. This header is the single
-// copy. A BrachaLadder<Key, OpKey> instance holds ONE process's server-side
-// protocol state for one register (or one shard) and answers, for each
-// incoming message, what the process is allowed to do:
+// A BrachaLadder instance holds ONE process's server-side protocol state
+// for one register, keyed by write sn, and answers, for each incoming
+// message, what the process is allowed to do:
 //
-//   on_write(key)        WRITE/BWRITE arrived: re-ACK (already delivered),
-//                        stay inert (abort-fenced / refused-as-malformed),
-//                        or echo — re-issuing the ORIGINAL vote on a
+//   on_write(sn)         WRITE arrived: re-ACK (already delivered), stay
+//                        inert (abort-fenced / refused-as-malformed), or
+//                        echo — re-issuing the ORIGINAL vote on a
 //                        duplicate, never support for an equivocated value.
-//   on_vote(key, v, p)   ECHO/ACCEPT tally for candidate v by voter p:
+//   on_vote(sn, v, p)    ECHO/ACCEPT tally for candidate v by voter p:
 //                        n−f echoes or f+1 accepts => send ACCEPT once
 //                        (the latter is Bracha's amplification rung);
 //                        n−f accepts => deliver.
-//   fence(key)           PR-8 abort fence: promise never to echo / accept /
-//                        deliver key unless a completion re-issue lifts the
+//   fence(sn)            PR-8 abort fence: promise never to echo / accept /
+//                        deliver sn unless a completion re-issue lifts the
 //                        fence; reports unsafe if this process delivered or
-//                        ever sent ACCEPT for key.
+//                        ever sent ACCEPT for sn.
 //   crash()              lose the volatile tallies; the dedup and fence
 //                        sets persist (stable storage, see below).
 //
-// The caller keeps everything substrate-specific: message I/O, value /
-// digest interning, sn-monotone apply of delivered payloads, and the
-// owner-side wait machinery. The ladder is not thread-safe — callers hold
-// their own protocol mutex across every call (both substrates already
-// serialize server state under one).
+// The caller keeps everything else: message I/O, value interning,
+// sn-monotone apply of delivered payloads, and the owner-side wait
+// machinery. The ladder is not thread-safe — the caller holds its protocol
+// mutex across every call.
 //
-// Persistence model (unchanged from the two originals): `echoed`,
-// `delivered`, `blocked`, and `claimed` survive a crash — each is a
-// write-ahead bit flipped before the corresponding broadcast. Without them
-// a rejoined server could echo a second value for a key it already echoed
-// (equivocation support), re-deliver and re-ACK old keys (the replay storm
-// the delivered set exists to stop), or forget a fence it granted the
-// recovering owner. The candidate tallies are volatile: crash() wipes them.
-//
-// Why one guard suffices for both substrates: the candidate key is the
-// unit of echo-once (sn for per-write ladders, (origin, round) for batched
-// ones), and `claimed` extends the same rule to the batched case's inner
-// ops — a server echo-supports each (reg, sn) at most once ACROSS rounds,
-// closing the two-rounds-same-sn equivocation vector that round-level
-// echo-once alone would reopen. tests/bracha_ladder_test.cpp pins both
-// properties, once, for both substrates.
+// Persistence model: `echoed`, `delivered` and `blocked` survive a crash —
+// each is a write-ahead bit flipped before the corresponding broadcast.
+// Without them a rejoined server could echo a second value for an sn it
+// already echoed (equivocation support), re-deliver and re-ACK old sns (the
+// replay storm the delivered set exists to stop), or forget a fence it
+// granted the recovering owner. The candidate tallies are volatile:
+// crash() wipes them.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
-#include <utility>
 #include <vector>
 
 namespace swsig::msgpass::detail {
 
-// Key: the candidate key of one ladder run (uint64_t sn, or
-// (origin, round)). OpKey: the cross-run dedup key for payload ops —
-// defaults to Key; the batched substrate uses (reg, sn).
-template <typename Key, typename OpKey = Key>
 class BrachaLadder {
  public:
   BrachaLadder() = default;
@@ -66,39 +48,39 @@ class BrachaLadder {
 
   enum class WriteAction {
     kReAck,    // already delivered: the only effect left is refreshing the
-               // (possibly lost) ACK/BACK — receivers dedup by sender
+               // (possibly lost) ACK — receivers dedup by sender
     kFenced,   // abort-fenced and not a completion re-issue: stay inert
-    kRefused,  // echoed slot holds a refusal (malformed batch): stays refused
+    kRefused,  // echoed slot holds a refusal (malformed value): stays refused
     kEcho,     // echo value_id (first == false: re-issue of the original)
   };
   struct WriteStep {
     WriteAction action;
     int value_id = -1;
-    bool first = false;  // first echo for this key (drives the echo event)
+    bool first = false;  // first echo for this sn (drives the echo event)
   };
 
-  // WRITE/BWRITE (or the CWRITE/recovery completion re-issue when
-  // `complete`). `intern` runs only for the FIRST write seen for `key` and
-  // returns the value id to echo — or a negative id to refuse the payload
-  // as malformed (the refusal persists in the echoed slot, so a retried
-  // copy cannot be re-judged into support). A duplicate write re-issues
-  // the ORIGINAL vote: idempotent refresh of a lost message, never support
-  // for an equivocated second value. `complete` additionally lifts an
-  // abort fence — the one message allowed to (see fence()).
+  // WRITE (or the CWRITE recovery completion re-issue when `complete`).
+  // `intern` runs only for the FIRST write seen for `sn` and returns the
+  // value id to echo — or a negative id to refuse the payload as malformed
+  // (the refusal persists in the echoed slot, so a retried copy cannot be
+  // re-judged into support). A duplicate write re-issues the ORIGINAL
+  // vote: idempotent refresh of a lost message, never support for an
+  // equivocated second value. `complete` additionally lifts an abort
+  // fence — the one message allowed to (see fence()).
   template <typename Intern>
-  WriteStep on_write(const Key& key, bool complete, Intern&& intern) {
-    if (delivered_.contains(key)) return {WriteAction::kReAck, -1, false};
-    if (blocked_.contains(key)) {
+  WriteStep on_write(std::uint64_t sn, bool complete, Intern&& intern) {
+    if (delivered_.contains(sn)) return {WriteAction::kReAck, -1, false};
+    if (blocked_.contains(sn)) {
       if (!complete) return {WriteAction::kFenced, -1, false};
-      blocked_.erase(key);
+      blocked_.erase(sn);
     }
-    const auto it = echoed_.find(key);
+    const auto it = echoed_.find(sn);
     if (it != echoed_.end()) {
       if (it->second < 0) return {WriteAction::kRefused, it->second, false};
       return {WriteAction::kEcho, it->second, false};
     }
     const int vid = intern();  // may throw: echoed_ stays untouched
-    echoed_.emplace(key, vid);
+    echoed_.emplace(sn, vid);
     if (vid < 0) return {WriteAction::kRefused, vid, true};
     return {WriteAction::kEcho, vid, true};
   }
@@ -112,16 +94,16 @@ class BrachaLadder {
   };
 
   // One ECHO or ACCEPT vote for candidate `value_id` by `voter`. Votes for
-  // delivered keys are inert — the PR-4 replay guard: a Byzantine ACCEPT
+  // delivered sns are inert — the PR-4 replay guard: a Byzantine ACCEPT
   // replay landing after the candidate map is pruned cannot pool with a
   // correct straggler's vote into a fresh f+1 and re-trigger the whole
-  // amplification + ACK storm. Votes for fenced keys are inert too (the
-  // fence is a promise to never support the key again). On deliver the
+  // amplification + ACK storm. Votes for fenced sns are inert too (the
+  // fence is a promise to never support the sn again). On deliver the
   // candidate map is pruned; the delivered set keeps it pruned.
-  VoteStep on_vote(const Key& key, int value_id, int voter, bool is_echo) {
+  VoteStep on_vote(std::uint64_t sn, int value_id, int voter, bool is_echo) {
     VoteStep out;
-    if (delivered_.contains(key) || blocked_.contains(key)) return out;
-    Candidate& c = candidate(key, value_id);
+    if (delivered_.contains(sn) || blocked_.contains(sn)) return out;
+    Candidate& c = candidate(sn, value_id);
     (is_echo ? c.echoes : c.accepts).insert(voter);
     if (!c.sent_accept &&
         (static_cast<int>(c.echoes.size()) >= n_ - f_ ||
@@ -132,14 +114,14 @@ class BrachaLadder {
     }
     if (static_cast<int>(c.accepts.size()) >= n_ - f_) {
       out.deliver = true;
-      delivered_.insert(key);
-      cands_.erase(key);  // prune: c is dangling beyond this point
+      delivered_.insert(sn);
+      cands_.erase(sn);  // prune: c is dangling beyond this point
     }
     return out;
   }
 
   // PR-8 abort fence, server side. Returns the unsafe-to-abort bit: true
-  // if this process DELIVERED key — or merely SENT ACCEPT for it. The
+  // if this process DELIVERED sn — or merely SENT ACCEPT for it. The
   // accepted case matters for finality: fencing is not retroactive for
   // ACCEPTs already in flight, so if an accept-sender could grant a
   // "clean" fence, n−f clean replies might coexist with enough pre-fence
@@ -147,13 +129,13 @@ class BrachaLadder {
   // Counting accept-senders as unsafe restores the bound: when every one
   // of n−f repliers has neither delivered nor accepted, total
   // accept-senders are at most f non-repliers + f lying Byzantine
-  // repliers = 2f < n−f, forever. An undelivered key is blocked either
+  // repliers = 2f < n−f, forever. An undelivered sn is blocked either
   // way (a persistent promise to never echo/accept/deliver it); if the
   // owner ends up completing, its completion re-issue lifts the block.
-  bool fence(const Key& key) {
-    if (delivered_.contains(key)) return true;
+  bool fence(std::uint64_t sn) {
+    if (delivered_.contains(sn)) return true;
     bool unsafe = false;
-    const auto cit = cands_.find(key);
+    const auto cit = cands_.find(sn);
     if (cit != cands_.end()) {
       for (const Candidate& c : cit->second) {
         if (c.sent_accept) {
@@ -162,25 +144,18 @@ class BrachaLadder {
         }
       }
     }
-    blocked_.insert(key);
-    cands_.erase(key);  // in-progress tallies for key die with it
+    blocked_.insert(sn);
+    cands_.erase(sn);  // in-progress tallies for sn die with it
     return unsafe;
   }
 
   // Crash: in-progress tallies are volatile and die; echoed / delivered /
-  // blocked / claimed persist (stable storage — see the header comment).
+  // blocked persist (stable storage — see the header comment).
   void crash() { cands_.clear(); }
 
-  // Cross-run op dedup (the batched substrate's echoed_ops): has this
-  // process already echo-supported `op` in any run?
-  bool op_claimed(const OpKey& op) const { return claimed_.contains(op); }
-  // Claims `op`, exactly once, forever. Call only after the enclosing
-  // write was judged valid (claims are what make the judgment stick).
-  void claim_op(OpKey op) { claimed_.insert(std::move(op)); }
-
   // Inspection (tests, forensics).
-  bool has_delivered(const Key& key) const { return delivered_.contains(key); }
-  bool is_fenced(const Key& key) const { return blocked_.contains(key); }
+  bool has_delivered(std::uint64_t sn) const { return delivered_.contains(sn); }
+  bool is_fenced(std::uint64_t sn) const { return blocked_.contains(sn); }
 
  private:
   struct Candidate {
@@ -190,8 +165,8 @@ class BrachaLadder {
     bool sent_accept = false;
   };
 
-  Candidate& candidate(const Key& key, int value_id) {
-    std::vector<Candidate>& cands = cands_[key];
+  Candidate& candidate(std::uint64_t sn, int value_id) {
+    std::vector<Candidate>& cands = cands_[sn];
     for (Candidate& c : cands)
       if (c.value_id == value_id) return c;
     cands.push_back(Candidate{value_id, {}, {}, false});
@@ -200,19 +175,17 @@ class BrachaLadder {
 
   int n_ = 0;
   int f_ = 0;
-  // Echo-once-per-key, key -> echoed value id (persists). Storing the id
+  // Echo-once-per-sn, sn -> echoed value id (persists). Storing the id
   // rather than bare membership lets a duplicate write re-issue the
   // ORIGINAL echo; negative ids persist refusals.
-  std::map<Key, int> echoed_;
-  // Delivered keys (persists): the replay guard.
-  std::set<Key> delivered_;
-  // Abort-fenced keys (persists): the PR-8 promise.
-  std::set<Key> blocked_;
-  // Cross-run op claims (persists): the batched echo-once-per-(reg, sn).
-  std::set<OpKey> claimed_;
-  // Per key: candidate values (usually 1; >1 only under equivocation).
+  std::map<std::uint64_t, int> echoed_;
+  // Delivered sns (persists): the replay guard.
+  std::set<std::uint64_t> delivered_;
+  // Abort-fenced sns (persists): the PR-8 promise.
+  std::set<std::uint64_t> blocked_;
+  // Per sn: candidate values (usually 1; >1 only under equivocation).
   // Volatile — crash() wipes it.
-  std::map<Key, std::vector<Candidate>> cands_;
+  std::map<std::uint64_t, std::vector<Candidate>> cands_;
 };
 
 }  // namespace swsig::msgpass::detail

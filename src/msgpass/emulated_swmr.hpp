@@ -38,11 +38,11 @@
 //
 // The server-side state machine itself — echo-once / accept-once /
 // amplify / deliver tallies, the delivered-set replay guard, and the
-// abort-fence state — is detail::BrachaLadder<sn> (bracha_ladder.hpp),
-// shared verbatim with the batched substrate; this file keeps only the
-// message I/O policy around it. The owner's client-side state (writer
-// mutex, sn-monotone local view) and the READ/STATE quorum machinery are
-// shared too: detail::SwmrCore in msgpass/swmr_core.hpp.
+// abort-fence state — is detail::BrachaLadder (bracha_ladder.hpp); this
+// file keeps only the message I/O policy around it. The owner's
+// client-side state (writer mutex, sn-monotone local view) and the
+// READ/STATE quorum machinery live in detail::SwmrCore
+// (msgpass/swmr_core.hpp).
 //
 // Pipelined writes (design note 15): the owner may keep up to
 // pipeline_depth ladders in flight at once. write_async(v) allocates the
@@ -114,7 +114,7 @@ struct HandlerBase {
 template <typename T>
 class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   using Core = detail::SwmrCore<T>;
-  using Ladder = detail::BrachaLadder<std::uint64_t>;
+  using Ladder = detail::BrachaLadder;
   using Ref = typename Core::Ref;
 
  public:
@@ -817,6 +817,7 @@ class EmulatedSpace {
   // until the window heals.
 
   void crash(runtime::ProcessId pid) {
+    check_pid(pid, "crash");
     detail::record_phase(obs::EventKind::kCrash, pid, -1, pid, 0);
     std::vector<detail::HandlerBase*> regs = handlers();
     net_.set_squelched(pid, true);
@@ -834,6 +835,7 @@ class EmulatedSpace {
   // the regression test demonstrates — and interrupted writes just resume
   // their retry timers.
   void restart(runtime::ProcessId pid) {
+    check_pid(pid, "restart");
     detail::record_phase(obs::EventKind::kRestart, pid, -1, pid, 0);
     net_.set_squelched(pid, false);
     crashed_[static_cast<std::size_t>(pid)].store(false,
@@ -847,6 +849,7 @@ class EmulatedSpace {
   // Quorum resync of every register's state for pid, callable on its own —
   // the soak driver also uses it to heal drop-window staleness.
   void resync(runtime::ProcessId pid) {
+    check_pid(pid, "resync");
     detail::record_phase(obs::EventKind::kResync, pid, -1, pid, 0);
     runtime::ThisProcess::Binder bind(pid);
     for (auto* reg : handlers()) reg->resync_process(pid);
@@ -855,6 +858,7 @@ class EmulatedSpace {
   template <typename T>
   EmulatedSwmr<T>& make_swmr(runtime::ProcessId owner, T initial,
                              std::string name) {
+    check_pid(owner, "owner", name);
     std::scoped_lock lock(mu_);
     const int id = static_cast<int>(registry_.size());
     auto reg = std::make_unique<EmulatedSwmr<T>>(
@@ -870,6 +874,8 @@ class EmulatedSpace {
   EmulatedSwsr<T>& make_swsr(runtime::ProcessId owner,
                              runtime::ProcessId reader, T initial,
                              std::string name) {
+    check_pid(owner, "owner", name);
+    check_pid(reader, "reader", name);
     std::scoped_lock lock(mu_);
     const int id = static_cast<int>(registry_.size());
     auto reg = std::make_unique<EmulatedSwsr<T>>(
@@ -884,6 +890,18 @@ class EmulatedSpace {
   const Options& options() const { return options_; }
 
  private:
+  // crashed_ and every register's per-process state are indexed by pid, so
+  // a pid outside 1..n is a caller error, not a process to act on. `reg`
+  // names the register being created, if any.
+  void check_pid(runtime::ProcessId pid, const char* role,
+                 const std::string& reg = "") const {
+    if (pid >= 1 && pid <= options_.n) return;
+    throw std::invalid_argument(
+        "EmulatedSpace " + std::string(role) +
+        (reg.empty() ? "" : " of '" + reg + "'") + ": p" +
+        std::to_string(pid) + " outside 1.." + std::to_string(options_.n));
+  }
+
   void dispatch(int pid, const Message& m) {
     // Crashed process: neither receives nor reacts (and since all its
     // protocol sends happen from this handler, it does not send either).

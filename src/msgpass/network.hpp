@@ -81,7 +81,7 @@ class Network {
 
   // Per-message-type counters ("net.send.WRITE", "net.recv.ECHO",
   // "net.drop.ACK", ...) in the global obs::MetricsRegistry, shared by
-  // every Network in the process so sharded substrates aggregate for free.
+  // every Network in the process.
   // Resolved once, here; the per-message cost is one sharded relaxed add.
   struct TypeCounters {
     util::ShardedCounter* send[static_cast<std::size_t>(obs::MsgTag::kCount)];

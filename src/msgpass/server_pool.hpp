@@ -1,10 +1,9 @@
 // Per-process server threads for message-passing protocol objects.
 //
-// Every msgpass protocol (EmulatedSpace, BatchedEmulatedSpace shards,
-// WitnessBroadcast) runs the same skeleton: one thread per process p1..pn,
-// bound to its pid, pulling from the shared Network and dispatching to a
-// handler. ServerPool owns that skeleton so the protocols only supply the
-// handler body.
+// Every msgpass protocol (EmulatedSpace, WitnessBroadcast) runs the same
+// skeleton: one thread per process p1..pn, bound to its pid, pulling from
+// the shared Network and dispatching to a handler. ServerPool owns that
+// skeleton so the protocols only supply the handler body.
 #pragma once
 
 #include <functional>

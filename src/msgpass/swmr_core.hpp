@@ -1,11 +1,7 @@
-// Shared register core for the message-passing SWMR emulations.
-//
-// EmulatedSwmr (per-write ladder) and BatchedSwmr (per-round ladder) differ
-// only in how a write reaches the servers; everything else — the owner's
-// writer-mutex discipline and sn-monotone local view, value interning, the
-// per-process stored (sn, value) state, and the READ/STATE quorum read —
-// is identical and lives here so a protocol fix lands in both substrates
-// at once (the same reason detail::ServerPool owns the server loops).
+// Register core for the message-passing SWMR emulation: everything of
+// EmulatedSwmr except the write ladder — the owner's writer-mutex
+// discipline and sn-monotone local view, value interning, the per-process
+// stored (sn, value) state, and the READ/STATE quorum read.
 //
 // Values are held as immutable shared handles (Ref): a written value is
 // built once and the same bytes back the WRITE broadcast, every ECHO /
@@ -40,14 +36,14 @@
 
 namespace swsig::msgpass {
 
-// Client-operation deadline/retry policy, shared by both substrates. A
-// blocked quorum wait re-issues its request after a bounded-exponential
-// backoff slice — safe because every re-issue is idempotent at the servers
-// (sn-keyed dedup: a retried WRITE/READ/BWRITE can refresh lost messages
-// but never re-certify or split a quorum; design note 14). op_timeout_ms
-// bounds the whole operation: 0 means retry forever (the soak default —
-// fault windows heal, so liveness comes from the schedule, and an
-// acknowledged-write guarantee must never be traded for a deadline).
+// Client-operation deadline/retry policy. A blocked quorum wait re-issues
+// its request after a bounded-exponential backoff slice — safe because
+// every re-issue is idempotent at the servers (sn-keyed dedup: a retried
+// WRITE/READ can refresh lost messages but never re-certify or split a
+// quorum; design note 14). op_timeout_ms bounds the whole operation: 0
+// means retry forever (the soak default — fault windows heal, so liveness
+// comes from the schedule, and an acknowledged-write guarantee must never
+// be traded for a deadline).
 struct RetryPolicy {
   bool enabled = true;
   std::uint64_t base_ms = 40;      // first backoff slice
@@ -143,7 +139,7 @@ class SwmrCore {
     // (sn, value_id) -> supporting processes
     std::map<std::pair<std::uint64_t, int>, std::set<int>> support;
   };
-  // Per-(register, reader-pid) coalescing state for batched READ quorum
+  // Per-(register, reader-pid) coalescing state for shared READ quorum
   // rounds (design note 15): overlapping reads by the same process share
   // quorum rounds instead of each broadcasting their own.
   struct ReadRound {
@@ -213,13 +209,12 @@ class SwmrCore {
     return {sn, vid};
   }
 
-  // Owner read-modify-write, shared by both substrates (they differ only in
-  // how the new value reaches the servers — the `commit` step). Holds
-  // writer_mu_ across the whole read-compute-commit: without it, two owner
-  // threads both read the same owner_view_, each apply their fn, and the
-  // second commit erases the first's modification (lost update). `commit`
-  // receives the new value's one shared handle, runs with writer_mu_ held
-  // and must block until the write is durable.
+  // Owner read-modify-write; `commit` is how the new value reaches the
+  // servers. Holds writer_mu_ across the whole read-compute-commit: without
+  // it, two owner threads both read the same owner_view_, each apply their
+  // fn, and the second commit erases the first's modification (lost
+  // update). `commit` receives the new value's one shared handle, runs with
+  // writer_mu_ held and must block until the write is durable.
   template <typename F, typename Commit>
   T update_with(F&& fn, Commit&& commit) {
     std::scoped_lock wl(writer_mu_);
@@ -267,7 +262,7 @@ class SwmrCore {
     return *v;  // the read's one copy, made outside the protocol mutex
   }
 
-  // Batched READ quorum rounds (design note 15): k reads of this register
+  // Coalesced READ quorum rounds (design note 15): k reads of this register
   // by the same process that overlap in time share quorum rounds instead of
   // broadcasting k of them. At most one round per (register, reader) is in
   // flight: the thread that finds none becomes the leader and runs the

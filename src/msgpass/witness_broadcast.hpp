@@ -28,7 +28,7 @@
 namespace swsig::msgpass {
 
 // Flight-recorder register id for witness-broadcast ladders (they have no
-// register; -1 is taken by the batch round protocol).
+// register; -1 marks process-level crash/restart/resync events).
 inline constexpr int kWitnessObsReg = -2;
 
 // One instance serves the whole system: any process may broadcast any

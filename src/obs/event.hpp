@@ -4,7 +4,7 @@
 // crossing the network, a Bracha-ladder phase transition, a quorum wait, a
 // crash/restart/resync. Ladder events carry the correlation key
 // (reg, origin, sn) — register id, ladder origin (the owner leading the
-// write or round), and the sequence/round number — so one write's full
+// write), and the sequence number — so one write's full
 // echo/accept/amplify/deliver lifecycle can be reconstructed across all n
 // processes from a dumped trace (obs/export.hpp groups by this key).
 //
@@ -25,21 +25,18 @@ enum class EventKind : std::uint8_t {
   kMsgDrop,   // fault injector dropped it (aux unused)
   kMsgDelay,  // fault injector held it back (aux = delay in ms)
   // Client operations (pid = invoking process).
-  kWriteStart,  // owner broadcast WRITE/BWRITE; sn = write sn or round
-  kWriteDone,   // ACK/BACK quorum landed (aux = latency in ns)
+  kWriteStart,  // owner broadcast WRITE; sn = write sn
+  kWriteDone,   // ACK quorum landed (aux = latency in ns)
   kReadStart,   // quorum read round opened; sn = rid
   kReadRetry,   // no sufficiently-supported pair; retrying with fresh rid
   kReadDone,    // quorum pair adopted (sn = rid, aux = adopted write sn)
   kQuorumWait,  // about to block for a quorum (aux = replies still needed)
   // Bracha ladder, per process (pid = the process moving phase).
-  kPhaseEcho,     // echoed (WRITE seen first time / round interned)
+  kPhaseEcho,     // echoed (WRITE seen first time)
   kPhaseAccept,   // sent ACCEPT via the n-f echo quorum (aux = echoes)
   kPhaseAmplify,  // sent ACCEPT via the f+1 accept amplification rule
-  kPhaseDeliver,  // delivered: applied (sn, value) / round op to the store
-  kPhaseAck,      // sent ACK/BACK to the ladder origin
-  // Batched round protocol (reg = kBatchProto sentinel, sn = round).
-  kRoundLead,      // origin broadcast BWRITE (aux = ops in the batch)
-  kRoundComplete,  // origin's BACK quorum landed (aux = last ticket)
+  kPhaseDeliver,  // delivered: applied (sn, value) to the store
+  kPhaseAck,      // sent ACK to the ladder origin
   // Fault plane (pid = the affected process).
   kCrash,
   kRestart,
@@ -80,8 +77,6 @@ inline const char* kind_name(EventKind k) {
     case EventKind::kPhaseAmplify: return "amplify";
     case EventKind::kPhaseDeliver: return "deliver";
     case EventKind::kPhaseAck: return "ack";
-    case EventKind::kRoundLead: return "round_lead";
-    case EventKind::kRoundComplete: return "round_complete";
     case EventKind::kCrash: return "crash";
     case EventKind::kRestart: return "restart";
     case EventKind::kResync: return "resync";
@@ -103,7 +98,6 @@ inline const char* kind_name(EventKind k) {
 enum class MsgTag : std::uint8_t {
   kOther = 0,
   kWrite, kEcho, kAccept, kAck, kRead, kState,          // per-write ladder
-  kBWrite, kBEcho, kBAccept, kBack,                     // batched rounds
   kInit, kReady,                                        // witness broadcast
   kAbort, kAbAck, kCWrite,                              // write-abort fence
   kCount
@@ -118,10 +112,6 @@ inline const char* tag_name(MsgTag t) {
     case MsgTag::kAck: return "ACK";
     case MsgTag::kRead: return "READ";
     case MsgTag::kState: return "STATE";
-    case MsgTag::kBWrite: return "BWRITE";
-    case MsgTag::kBEcho: return "BECHO";
-    case MsgTag::kBAccept: return "BACCEPT";
-    case MsgTag::kBack: return "BACK";
     case MsgTag::kInit: return "INIT";
     case MsgTag::kReady: return "READY";
     case MsgTag::kAbort: return "ABORT";

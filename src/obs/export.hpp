@@ -8,13 +8,13 @@
 //   # swsig-trace v1
 //   EV <ts_us> <pid> <kind> <tag> <reg> <origin> <sn> <aux> <peer>
 //
-// Ladder correlation groups phase events by (reg, origin, sn) — one
-// group is one write's (or one batched round's) life across all n
-// processes. A ladder that opened (write_start / round_lead / echo) but
-// never completed (no write_done / round_complete, and fewer delivers
-// than echoes) is STALLED; the wedge report names its key and the last
-// phase any process completed, which localizes a wedge to a protocol rung
-// instead of a printf hunt (the PR-6 delay-pump bug took exactly that).
+// Ladder correlation groups phase events by (reg, origin, sn) — one group
+// is one write's life across all n processes. A ladder that opened
+// (write_start / echo) but never completed (no write_done, and fewer
+// delivers than echoes) is STALLED; the wedge report names its key and the
+// last phase any process completed, which localizes a wedge to a protocol
+// rung instead of a printf hunt (the PR-6 delay-pump bug took exactly
+// that).
 #pragma once
 
 #include <algorithm>
@@ -37,8 +37,6 @@ inline bool is_phase(EventKind k) {
   switch (k) {
     case EventKind::kWriteStart:
     case EventKind::kWriteDone:
-    case EventKind::kRoundLead:
-    case EventKind::kRoundComplete:
     case EventKind::kPhaseEcho:
     case EventKind::kPhaseAccept:
     case EventKind::kPhaseAmplify:
@@ -69,8 +67,8 @@ struct LadderSummary {
   std::uint64_t first_ts_ns = 0, last_ts_ns = 0;
   // Distinct processes that reached each rung.
   std::set<std::int16_t> echoed, accepted, delivered, acked;
-  bool started = false;    // write_start / round_lead seen
-  bool completed = false;  // write_done / round_complete seen
+  bool started = false;    // write_start seen
+  bool completed = false;  // write_done seen
 
   // Highest rung ANY process completed, as a phase name.
   const char* last_phase() const {
@@ -106,11 +104,9 @@ inline std::vector<LadderSummary> correlate_ladders(
     l.last_ts_ns = e.ts_ns;
     switch (e.kind) {
       case EventKind::kWriteStart:
-      case EventKind::kRoundLead:
         l.started = true;
         break;
       case EventKind::kWriteDone:
-      case EventKind::kRoundComplete:
         l.completed = true;
         break;
       case EventKind::kPhaseEcho:

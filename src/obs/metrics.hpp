@@ -105,9 +105,9 @@ class LogHistogram {
     return std::clamp(idx, 0, kBuckets - 1);
   }
 
-  // Quiescent-only rewind (soak runs reset their histograms between
-  // substrates; concurrent add()s during a reset are not torn, just
-  // attributed to whichever side of the reset they land on).
+  // Quiescent-only rewind (soak runs reset their histograms at run start;
+  // concurrent add()s during a reset are not torn, just attributed to
+  // whichever side of the reset they land on).
   void reset() {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   }
@@ -211,8 +211,8 @@ class MetricsRegistry {
   }
 
   // Quiescent-only rewind of every histogram under `prefix` — soak runs
-  // reset their latency namespaces between substrates so one process can
-  // host several runs without cross-contamination.
+  // reset their latency namespaces at run start so one process can host
+  // several runs without cross-contamination.
   void reset_histograms(const std::string& prefix = "") {
     std::scoped_lock lock(mu_);
     for (auto& [name, h] : histograms_)

@@ -2,17 +2,13 @@
 
 namespace swsig::registers {
 
-Space::Space(runtime::StepController& controller, Enforcement mode,
-             Dispatch dispatch)
-    : controller_(&controller), mode_(mode) {
-  if (dispatch == Dispatch::kAuto) {
-    free_ = controller.as_free();
-    if (free_) {
-      // Free mode: a metered access *is* a step — the controller pulls the
-      // meters on steps(), so the hot path pays exactly one fetch-add.
-      free_->add_access_source(&metrics_.read_counter());
-      free_->add_access_source(&metrics_.write_counter());
-    }
+Space::Space(runtime::StepController& controller, Enforcement mode)
+    : controller_(&controller), free_(controller.as_free()), mode_(mode) {
+  if (free_) {
+    // Free mode: a metered access *is* a step — the controller pulls the
+    // meters on steps(), so the hot path pays exactly one fetch-add.
+    free_->add_access_source(&metrics_.read_counter());
+    free_->add_access_source(&metrics_.write_counter());
   }
 }
 

@@ -44,15 +44,10 @@ class Space {
     kEnforcing,   // port violations throw PortViolation
     kPermissive,  // port checks disabled (micro-benchmarks only)
   };
-  enum class Dispatch {
-    kAuto,     // devirtualize the gate when the controller is free-mode
-    kVirtual,  // always dispatch through StepController::step() (the
-               // pre-optimization baseline; kept for benchmarks)
-  };
 
+  // The step gate is devirtualized when the controller is free-mode.
   explicit Space(runtime::StepController& controller,
-                 Enforcement mode = Enforcement::kEnforcing,
-                 Dispatch dispatch = Dispatch::kAuto);
+                 Enforcement mode = Enforcement::kEnforcing);
   ~Space();
 
   // Register-type aliases so algorithms can be parameterized over the

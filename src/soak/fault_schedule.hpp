@@ -28,14 +28,12 @@
 //              cut from itself (self-delivery models local computation).
 // "none" (or "") disables everything.
 //
-// The engaged gate: without a retry layer, a drop or cut against a process
-// with an in-flight blocking operation of its own would stall that
-// operation forever (its quorum replies never re-arrive). Time decides
-// WHEN a loss window is due; the driver decides IF it applies, by calling
-// engage(true) — after parking the victim's client threads (parked mode),
-// or permanently at start once the retry layer makes loss survivable
-// (unparked mode; design note 14). Delay and reorder are loss-free and
-// ignore the gate.
+// The engaged gate: time decides WHEN a loss window is due; the driver
+// decides IF it applies, by calling engage(true). A client without a retry
+// layer would stall forever behind a drop or cut (its quorum replies never
+// re-arrive), so drops stay off until the driver engages them — the soak
+// does so at start, because the retry layer makes loss survivable (design
+// note 14). Delay and reorder are loss-free and ignore the gate.
 #pragma once
 
 #include <atomic>
@@ -259,8 +257,8 @@ class FaultSchedule final : public msgpass::FaultInjector {
     return d;
   }
 
-  // Drops apply only while engaged (victim clients parked — see file
-  // comment); loss-free faults always apply.
+  // Drops apply only while engaged (see file comment); loss-free faults
+  // always apply.
   void engage(bool on) { engaged_.store(on, std::memory_order_release); }
   bool engaged() const { return engaged_.load(std::memory_order_acquire); }
 

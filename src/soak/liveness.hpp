@@ -1,8 +1,8 @@
 // Liveness gating for the soak harness, modeled on the liveness checker
 // of YTsaurus's hydra stress tool: every client reports each completed
 // operation; a monitor thread periodically scans time-since-last-success
-// and flags any client stalled beyond its budget. Clients the driver
-// parks on purpose (fault windows) detach first — a parked client is
+// and flags any client stalled beyond its budget. Clients the harness
+// parks on purpose (checkpoint cuts) detach first — a parked client is
 // exempt, so only *unexpected* stalls count as violations.
 #pragma once
 

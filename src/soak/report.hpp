@@ -27,7 +27,6 @@ inline double percentile_us(std::vector<double> sample, double p) {
 }
 
 struct SoakMetrics {
-  std::string substrate;  // "emulated" | "batched"
   std::uint64_t duration_ms = 0;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -90,7 +89,9 @@ struct SoakMetrics {
   }
 
   void emit(bench::Reporter& rep) const {
-    const std::string p = "soak." + substrate + ".";
+    // The "emulated" segment names the msgpass substrate; it is kept so
+    // the keys still compare against older baselines.
+    const std::string p = "soak.emulated.";
     rep.metric(p + "ops_per_s", ops_per_s());
     rep.metric(p + "total_ops", static_cast<double>(total_ops()));
     rep.metric(p + "read_p50_us", read_p50_us);
@@ -124,7 +125,7 @@ struct SoakMetrics {
   }
 
   void print(std::ostream& os) const {
-    os << "[" << substrate << "] " << total_ops() << " ops in "
+    os << total_ops() << " ops in "
        << duration_ms << " ms (" << static_cast<std::uint64_t>(ops_per_s())
        << " ops/s; " << writes << " writes, " << reads << " reads, "
        << op_errors << " errors)\n"

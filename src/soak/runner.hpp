@@ -1,13 +1,14 @@
-// The soak run itself: a wall-clock-budgeted adversarial workload over one
-// msgpass substrate (EmulatedSpace or BatchedEmulatedSpace), combining
+// The soak run itself: a wall-clock-budgeted adversarial workload over the
+// msgpass substrate (EmulatedSpace), combining
 //
 //   * client churn: worker threads bound to honest processes, each op
 //     picking a register out of thousands (hot-set biased so registers see
 //     real cross-window contention),
-//   * a FaultSchedule attached to every Network (drop/delay/reorder),
-//   * crash windows: the victim's clients are parked, the process crashes
-//     mid-protocol, and on restart the recovery subsystem resyncs its
-//     state from f+1 live peers,
+//   * a FaultSchedule attached to the Network (drop/delay/reorder/partition),
+//   * crash windows: the victim crashes mid-protocol — its own clients
+//     included, mid-write — and on restart the recovery subsystem resyncs
+//     its state from f+1 live peers and completes or fence-aborts every
+//     write it had in flight,
 //   * Byzantine agents toggled on and off at runtime, spraying forged
 //     protocol traffic at decoy registers (equivocating WRITEs, bogus
 //     votes) from their own authenticated identity,
@@ -16,12 +17,12 @@
 //     linearizability checker.
 //
 // Fault-budget coordination (the reason the driver, not the schedule, owns
-// impairment): the impaired set — crashed ∪ drop-targeted ∪ Byzantine —
-// must stay within f at every instant, and a drop victim must have no
-// in-flight blocking operation of its own (no retransmission layer). So
-// with --byzantine K the Byzantine pids ARE the victim pool, exactly one
-// victim is impaired per window, and the driver parks the victim's workers
-// before engaging drops or crashing, resyncing and releasing them after.
+// impairment): the impaired set — crashed ∪ drop-targeted ∪ cut ∪
+// Byzantine — must stay within f at every instant. Every process is in the
+// victim pool, exactly one victim is impaired per window, and Byzantine
+// agents stay quiet while an honest victim is impaired. Fault windows hit
+// ACTIVE clients; the retry/abort layer, not a park gate, carries them
+// through (design note 14).
 #pragma once
 
 #include <algorithm>
@@ -42,7 +43,6 @@
 #include "lincheck/byzantine_completion.hpp"
 #include "lincheck/history.hpp"
 #include "lincheck/window.hpp"
-#include "msgpass/batched_space.hpp"
 #include "msgpass/emulated_swmr.hpp"
 #include "registers/errors.hpp"
 #include "obs/export.hpp"
@@ -65,9 +65,8 @@ struct SoakConfig {
   std::uint64_t seed = 1;
   FaultKinds faults;
   int byzantine = 0;  // Byzantine processes (<= f): pids n, n-1, ...
-  std::string substrate = "emulated";  // label for reports/repro
-  std::size_t window_ops = 512;        // min ops per checked window
-  std::uint64_t checkpoint_ms = 250;   // forced quiescent-cut cadence
+  std::size_t window_ops = 512;       // min ops per checked window
+  std::uint64_t checkpoint_ms = 250;  // forced quiescent-cut cadence
   std::uint64_t stall_budget_ms = 10000;
   int hot_registers = 16;  // per owner; half of all traffic lands here
   int value_pool = 1024;   // distinct values per register (bounds interning)
@@ -76,73 +75,23 @@ struct SoakConfig {
   // each write turn issues up to this many overlapping write_async ops on
   // ONE register and awaits the tickets in issue order, so owner crashes
   // land mid-pipeline with several in-flight sns. The driver constructs
-  // the emulated space with a matching Options::pipeline_depth cap.
+  // the space with a matching Options::pipeline_depth cap.
   int pipeline_depth = 1;
-
-  // Un-parked fault windows: impairment hits ACTIVE clients — including
-  // the owner itself mid-write — and the retry/abort layer, not the park
-  // gate, is what carries them through (design note 14). The victim pool
-  // widens to every process so honest owners crash mid-ladder; the
-  // impaired-set ≤ f invariant is kept per instant by quieting Byzantine
-  // agents during windows that impair an honest victim.
-  bool unparked = false;
 
   // Everything needed to replay this run, in soak_driver flag syntax —
   // printed on every failure so a failure is one command away from replay.
   std::string repro_line() const {
     std::ostringstream os;
-    os << "soak_driver --substrate " << substrate << " --n " << n << " --f "
-       << f << " --registers " << registers << " --clients " << clients
-       << " --duration " << (duration_ms + 999) / 1000 << " --faults "
-       << faults.to_string() << " --byzantine " << byzantine << " --seed "
-       << seed;
+    os << "soak_driver --n " << n << " --f " << f << " --registers "
+       << registers << " --clients " << clients << " --duration "
+       << (duration_ms + 999) / 1000 << " --faults " << faults.to_string()
+       << " --byzantine " << byzantine << " --seed " << seed;
     if (pipeline_depth != 1) os << " --pipeline-depth " << pipeline_depth;
-    if (unparked) os << " --unparked";
     return os.str();
   }
 };
 
 namespace detail {
-
-// ------------------------------------------------- per-substrate seams
-
-inline void set_injector(msgpass::EmulatedSpace& space,
-                         msgpass::FaultInjector* fi) {
-  space.network().set_fault_injector(fi);
-}
-inline void set_injector(msgpass::BatchedEmulatedSpace& space,
-                         msgpass::FaultInjector* fi) {
-  for (int s = 0; s < space.shard_count(); ++s)
-    space.shard(s).network().set_fault_injector(fi);
-}
-
-inline std::pair<std::uint64_t, std::uint64_t> fault_counts(
-    msgpass::EmulatedSpace& space) {
-  return {space.network().messages_dropped(),
-          space.network().messages_delayed()};
-}
-inline std::pair<std::uint64_t, std::uint64_t> fault_counts(
-    msgpass::BatchedEmulatedSpace& space) {
-  std::uint64_t dropped = 0, delayed = 0;
-  for (int s = 0; s < space.shard_count(); ++s) {
-    dropped += space.shard(s).network().messages_dropped();
-    delayed += space.shard(s).network().messages_delayed();
-  }
-  return {dropped, delayed};
-}
-
-// In-flight backlog (inboxes + delay pump). With pipelined writers a wedge
-// can hide behind a deep backlog rather than a silent network, so the
-// wedge forensics report it next to the stuck-operation list.
-inline std::uint64_t queued_backlog(msgpass::EmulatedSpace& space) {
-  return space.network().queued_messages();
-}
-inline std::uint64_t queued_backlog(msgpass::BatchedEmulatedSpace& space) {
-  std::uint64_t queued = 0;
-  for (int s = 0; s < space.shard_count(); ++s)
-    queued += space.shard(s).network().queued_messages();
-  return queued;
-}
 
 // One burst of forged protocol traffic from a Byzantine process (the
 // calling thread is bound as it). Equivocating WRITEs — two values for the
@@ -166,41 +115,10 @@ inline void spray_garbage(msgpass::EmulatedSpace& space, int decoy_reg,
     net.broadcast(std::move(m));
   }
 }
-inline void spray_garbage(msgpass::BatchedEmulatedSpace& space, int decoy_reg,
-                          util::Rng& rng) {
-  msgpass::BatchShard& shard =
-      space.shard(decoy_reg % space.shard_count());
-  const std::uint64_t round = rng.uniform(1, 64);
-  // Equivocating rounds: same (origin, round), different batches.
-  for (int i = 0; i < 2; ++i) {
-    msgpass::Batch batch;
-    batch.push_back(msgpass::BatchOp{
-        decoy_reg, rng.uniform(1, 64),
-        msgpass::Payload::of(std::string("byz#") +
-                             std::to_string(rng.uniform(0, 7)))});
-    msgpass::Message m;
-    m.reg = msgpass::BatchShard::kBatchProto;
-    m.tag = obs::MsgTag::kBWrite;
-    m.sn = round;
-    m.payload = msgpass::Payload::of(std::move(batch));
-    shard.network().broadcast(std::move(m));
-  }
-  // Bogus votes: digest ids picked blind (out-of-range ones are refused).
-  msgpass::Message v;
-  v.reg = msgpass::BatchShard::kBatchProto;
-  v.tag = rng.chance(1, 2) ? obs::MsgTag::kBEcho : obs::MsgTag::kBAccept;
-  v.sn = round;
-  v.payload = msgpass::Payload::of(
-      std::pair<int, int>(static_cast<int>(rng.uniform(1, 4)),
-                          static_cast<int>(rng.uniform(0, 9))));
-  shard.network().broadcast(std::move(v));
-}
 
-// Park gate: the fault driver asks a victim's workers to quiesce before
-// impairing it (see file comment), and the checker loop parks EVERY
-// worker for its quiescent-cut checkpoints — `park` is a request COUNT so
-// the two park/release pairs compose (workers run only while no request
-// is outstanding).
+// Park gate: the checker loop parks EVERY worker for its quiescent-cut
+// checkpoints. `park` is a request COUNT, so overlapping park/release
+// pairs compose (workers run only while no request is outstanding).
 struct ParkGate {
   std::mutex mu;
   std::condition_variable cv;
@@ -222,8 +140,8 @@ struct ParkGate {
     return true;
   }
 
-  // Driver side: returns false if the workers failed to quiesce in time
-  // (a stall the liveness monitor will flag; the window is skipped).
+  // Checker side: returns false if the workers failed to quiesce in time
+  // (a stall the liveness monitor will flag; the cut is skipped).
   bool engage_park(std::chrono::milliseconds timeout) {
     std::unique_lock lock(mu);
     ++park;
@@ -261,14 +179,13 @@ struct SoakOutcome {
 
 // Runs the soak workload against `space` (constructed by the caller with
 // matching n/f) for cfg.duration_ms. Registers of type std::string.
-template <typename Space>
-SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
+inline SoakOutcome run_soak(msgpass::EmulatedSpace& space,
+                            const SoakConfig& cfg) {
   using Clock = std::chrono::steady_clock;
   SoakOutcome out;
-  out.metrics.substrate = cfg.substrate;
 
-  // ----- processes: byzantine pids are the top `byzantine` ids and form
-  // the victim pool; the rest are honest owners.
+  // ----- processes: byzantine pids are the top `byzantine` ids; the rest
+  // are honest owners.
   std::vector<runtime::ProcessId> honest, byz;
   for (int pid = 1; pid <= cfg.n; ++pid) {
     if (pid > cfg.n - cfg.byzantine)
@@ -280,12 +197,12 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
   // ----- registers: honest ones round-robin over honest owners; one decoy
   // per Byzantine pid (never recorded, never touched by honest clients —
   // a Byzantine owner's writes are unverifiable by construction).
+  using Reg = msgpass::EmulatedSwmr<std::string>;
   struct RegEntry {
     std::string name;
     runtime::ProcessId owner;
-    void* reg;  // EmulatedSwmr<std::string>* or BatchedSwmr<std::string>*
+    Reg* reg;
   };
-  using Reg = typename Space::template SwmrFor<std::string>;
   std::vector<RegEntry> regs;
   std::map<runtime::ProcessId, std::vector<int>> owned;  // pid -> reg index
   regs.reserve(static_cast<std::size_t>(cfg.registers));
@@ -293,7 +210,7 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
     const runtime::ProcessId owner =
         honest[static_cast<std::size_t>(i) % honest.size()];
     const std::string name = "r" + std::to_string(i);
-    Reg& r = space.template make_swmr<std::string>(owner, "0", name);
+    Reg& r = space.make_swmr<std::string>(owner, "0", name);
     regs.push_back(RegEntry{name, owner, &r});
     owned[owner].push_back(i);
   }
@@ -308,10 +225,10 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
     Reg* reg;
   };
   std::vector<DecoyEntry> decoy_regs;
-  int next_reg_id = cfg.registers;  // spaces assign ids in creation order
+  int next_reg_id = cfg.registers;  // the space assigns ids in creation order
   for (const runtime::ProcessId pid : byz) {
     const std::string name = "decoy-p" + std::to_string(pid);
-    Reg& d = space.template make_swmr<std::string>(pid, "0", name);
+    Reg& d = space.make_swmr<std::string>(pid, "0", name);
     decoys[pid] = next_reg_id++;
     decoy_regs.push_back(DecoyEntry{name, &d});
   }
@@ -327,17 +244,12 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
   FaultScheduleConfig fcfg;
   fcfg.seed = cfg.seed;
   fcfg.kinds = cfg.faults;
-  if (cfg.unparked) {
-    // Un-parked mode: any process — honest owners included — can be the
-    // window's victim, so crashes and cuts land on processes with live,
-    // mid-operation clients. Still one victim per window (≤ f impaired).
-    for (int pid = 1; pid <= cfg.n; ++pid)
-      fcfg.victims.push_back(pid);
-  } else {
-    fcfg.victims = byz.empty() ? std::vector<runtime::ProcessId>{cfg.n} : byz;
-  }
+  // Any process — honest owners included — can be the window's victim, so
+  // crashes and cuts land on processes with live, mid-operation clients.
+  // Still one victim per window (≤ f impaired).
+  for (int pid = 1; pid <= cfg.n; ++pid) fcfg.victims.push_back(pid);
   FaultSchedule schedule(fcfg);
-  detail::set_injector(space, &schedule);
+  space.network().set_fault_injector(&schedule);
 
   std::map<runtime::ProcessId, detail::ParkGate> gates;
   for (int pid = 1; pid <= cfg.n; ++pid) gates[pid];
@@ -351,8 +263,8 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
   lincheck::HistoryRecorder byz_rec;  // decoy-register samples (reads only)
 
   // Run-scoped registry telemetry: latency histograms rewound at run start
-  // (one process hosts several runs — soak_test, the driver's substrate
-  // sweep), traffic counters handled as start-snapshot deltas since
+  // (one process may host several runs, as soak_test does), traffic
+  // counters handled as start-snapshot deltas since
   // counters are shared process-wide and never reset.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   registry.reset_histograms("soak.");
@@ -410,15 +322,14 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
                                        0, static_cast<std::uint64_t>(
                                               cfg.registers - 1)));
         RegEntry& entry = regs[static_cast<std::size_t>(idx)];
-        Reg& reg = *static_cast<Reg*>(entry.reg);
+        Reg& reg = *entry.reg;
         if (do_write && cfg.pipeline_depth > 1) {
           // Pipelined burst: issue up to depth overlapping write_asyncs on
           // ONE register, then await the tickets in issue order. Owner
           // crashes now land with several in-flight sns on a single ladder
           // and recovery must settle each deterministically (complete or
-          // abort) — exactly what the online checker verifies. The emulated
-          // substrate's capacity gate blocks the (depth+1)-th issue; batched
-          // tickets are unbounded, so there depth just widens the burst.
+          // abort) — exactly what the online checker verifies. The space's
+          // capacity gate blocks the (depth+1)-th issue.
           struct InFlight {
             int token;
             std::uint64_t ticket;
@@ -572,20 +483,15 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
     });
   }
 
-  // ----- fault driver: walks the schedule's windows. Parked mode
-  // sequences park → impair → heal → release (see file comment); unparked
-  // mode skips the gate entirely — impairment lands on live clients and
-  // the retry/abort layer carries them (design note 14). Byzantine
-  // behavior toggles window by window in both modes.
+  // ----- fault driver: walks the schedule's windows. Impairment lands on
+  // live clients and the retry/abort layer carries them (design note 14);
+  // Byzantine behavior toggles window by window.
   std::uint64_t crashes = 0, resyncs = 0, partitions = 0;
   std::jthread fault_driver([&](std::stop_token st) {
     if (!cfg.faults.any() && byz.empty()) return;
-    // Loss faults are survivable without parking once retries exist, so
-    // the gate goes up at start and stays up; checkpoint parking still
-    // provides the checker's quiescent cuts.
-    if (cfg.unparked) schedule.engage(true);
-    const std::chrono::milliseconds park_timeout(
-        std::max<std::uint64_t>(cfg.stall_budget_ms / 2, 1000));
+    // Loss faults are survivable once retries exist, so the schedule's
+    // drop gate goes up at start and stays up.
+    schedule.engage(true);
     while (!st.stop_requested()) {
       const std::uint64_t now = schedule.now_ms();
       const std::uint64_t w = schedule.window_at(now);
@@ -596,14 +502,14 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
       const bool impair = victim != runtime::kNoProcess &&
                           (want_crash || want_part || want_drop);
       // Byzantine agents act on odd windows — toggled at runtime, as the
-      // schedule requires, and verified off again between windows. In
-      // unparked mode they stay quiet while an HONEST victim is impaired,
-      // keeping the impaired set (crashed ∪ cut ∪ Byzantine) within f.
+      // schedule requires, and verified off again between windows. They
+      // stay quiet while an HONEST victim is impaired, keeping the impaired
+      // set (crashed ∪ cut ∪ Byzantine) within f.
       const bool victim_is_byz =
           std::find(byz.begin(), byz.end(), victim) != byz.end();
-      byz_on.store(!byz.empty() && (w % 2 == 1) &&
-                       !(cfg.unparked && impair && !victim_is_byz),
-                   std::memory_order_relaxed);
+      byz_on.store(
+          !byz.empty() && (w % 2 == 1) && !(impair && !victim_is_byz),
+          std::memory_order_relaxed);
       if (impair && schedule.active_at(now)) {
         const std::uint64_t active_end = w * fcfg.period_ms + fcfg.active_ms;
         const auto hold = [&] {
@@ -615,54 +521,26 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
               kind, victim, -1, victim, w,
               static_cast<std::uint64_t>(schedule.partition_mode(w)));
         };
-        if (cfg.unparked) {
-          if (want_crash) {
-            space.crash(victim);  // its clients' in-flight ops ride retries
-            ++crashes;
-          } else if (want_part) {
-            cut_event(obs::EventKind::kPartitionCut);
-            ++partitions;
-          }
-          hold();
-          if (want_crash) {
-            // restart() resyncs AND runs owner recovery: every write the
-            // crash left in flight is completed or fence-aborted, waking
-            // its (still blocked) client with a definite outcome.
-            space.restart(victim);
-            ++resyncs;
-          } else {
-            if (want_part) cut_event(obs::EventKind::kPartitionHeal);
-            space.resync(victim);
-            ++resyncs;
-          }
-        } else {
-          detail::ParkGate& gate = gates[victim];
-          if (gate.engage_park(park_timeout)) {
-            if (want_crash) {
-              space.crash(victim);
-              ++crashes;
-            } else {
-              schedule.engage(true);
-              if (want_part) {
-                cut_event(obs::EventKind::kPartitionCut);
-                ++partitions;
-              }
-            }
-            hold();
-            if (want_crash) {
-              space.restart(victim);  // runs the quorum resync
-              ++resyncs;
-            } else {
-              schedule.engage(false);
-              if (want_part) cut_event(obs::EventKind::kPartitionHeal);
-              // Heal drop-window staleness with the same recovery path, so
-              // rotating victims never accumulate into >f stale servers.
-              space.resync(victim);
-              ++resyncs;
-            }
-            gate.release();
-          }
+        if (want_crash) {
+          space.crash(victim);  // its clients' in-flight ops ride retries
+          ++crashes;
+        } else if (want_part) {
+          cut_event(obs::EventKind::kPartitionCut);
+          ++partitions;
         }
+        hold();
+        if (want_crash) {
+          // restart() resyncs AND runs owner recovery: every write the
+          // crash left in flight is completed or fence-aborted, waking its
+          // (still blocked) client with a definite outcome.
+          space.restart(victim);
+        } else {
+          if (want_part) cut_event(obs::EventKind::kPartitionHeal);
+          // Heal drop-window staleness with the same recovery path, so
+          // rotating victims never accumulate into >f stale servers.
+          space.resync(victim);
+        }
+        ++resyncs;
       }
       // Sleep to the next window boundary.
       const std::uint64_t next = (schedule.window_at(schedule.now_ms()) + 1) *
@@ -670,7 +548,7 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
       while (schedule.now_ms() < next && !st.stop_requested())
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    if (cfg.unparked) schedule.engage(false);
+    schedule.engage(false);
     byz_on.store(false, std::memory_order_relaxed);
   });
 
@@ -754,9 +632,8 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
 
   // ----- shutdown: the fault driver first — joining it guarantees any
   // in-progress window is wound down (crashed victim restarted, drops
-  // disengaged, gates released; its hold loops poll the stop token), so
-  // workers are never left parked or mid-impairment. Then the workers,
-  // then the final checker pass.
+  // disengaged; its hold loops poll the stop token), so workers are never
+  // left mid-impairment. Then the workers, then the final checker pass.
   fault_driver.request_stop();
   fault_driver = {};
   stop.store(true, std::memory_order_relaxed);
@@ -774,8 +651,8 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
          Clock::now() < grace)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   if (live_workers.load(std::memory_order_acquire) > 0) {
-    std::cerr << "SOAK WEDGED (" << cfg.substrate << "): "
-              << live_workers.load() << " worker(s) stuck in an operation:\n";
+    std::cerr << "SOAK WEDGED: " << live_workers.load()
+              << " worker(s) stuck in an operation:\n";
     for (const auto& op : rec.pending_snapshot())
       std::cerr << "  p" << op.pid << " " << op.name << "(" << op.object
                 << (op.arg.empty() ? "" : ", " + op.arg) << ") invoked at ts "
@@ -786,13 +663,13 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
                 << ", never responded\n";
     // A deep in-flight backlog means the network is still churning and the
     // stall is starvation; a zero backlog means the protocol went silent.
-    std::cerr << "  in-flight backlog: " << detail::queued_backlog(space)
+    std::cerr << "  in-flight backlog: " << space.network().queued_messages()
               << " message(s) queued\n";
     // Flight-recorder forensics: which ladder stalled, and on which rung.
     const std::vector<obs::Event> events =
         obs::FlightRecorder::instance().snapshot();
     obs::wedge_report(std::cerr, events);
-    const std::string trace_path = "soak_trace_" + cfg.substrate + ".txt";
+    const std::string trace_path = "soak_trace.txt";
     if (obs::write_trace_file(trace_path, events))
       std::cerr << "trace written to " << trace_path << "\n";
     std::cerr << "REPRO: " << cfg.repro_line() << std::endl;
@@ -807,7 +684,7 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
   handle_verdicts(checker.finish());
   byz_check(/*flush=*/true);
   const LivenessMonitor::Report live = liveness.check();
-  detail::set_injector(space, nullptr);
+  space.network().set_fault_injector(nullptr);
 
   // ----- metrics
   SoakMetrics& m = out.metrics;
@@ -821,9 +698,8 @@ SoakOutcome run_soak(Space& space, const SoakConfig& cfg) {
   m.windows_checked = checker.windows_checked();
   m.liveness_violations = live.violations;
   m.max_stall_ms = live.max_stall_ms;
-  const auto [dropped, delayed] = detail::fault_counts(space);
-  m.messages_dropped = dropped;
-  m.messages_delayed = delayed;
+  m.messages_dropped = space.network().messages_dropped();
+  m.messages_delayed = space.network().messages_delayed();
   m.crashes = crashes;
   m.resyncs = resyncs;
   m.partitions = partitions;

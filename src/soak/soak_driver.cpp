@@ -1,21 +1,19 @@
-// soak_driver: fault-injecting soak harness over the msgpass substrates.
+// soak_driver: fault-injecting soak harness over the msgpass substrate.
 //
 //   soak_driver --duration 60 --faults drop+delay+crash --byzantine 1
 //
 // Runs the adversarial workload of soak/runner.hpp for the given budget on
-// EmulatedSpace, BatchedEmulatedSpace, or both; prints the throughput /
-// latency / SLO report and, with --json, dumps it in bench format for
-// tools/bench_compare.py. Exit status 1 if any substrate missed its SLO —
-// with the full reproduction line, so a failure is one command away from
-// replay. docs/ARCHITECTURE.md design note 12 explains the architecture
-// and how to read the numbers.
+// an EmulatedSpace; prints the throughput / latency / SLO report and, with
+// --json, dumps it in bench format for tools/bench_compare.py. Exit status
+// 1 if the run missed its SLO — with the full reproduction line, so a
+// failure is one command away from replay. docs/ARCHITECTURE.md design
+// note 12 explains the architecture and how to read the numbers.
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "bench/baseline.hpp"
-#include "msgpass/batched_space.hpp"
 #include "msgpass/emulated_swmr.hpp"
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
@@ -32,7 +30,7 @@ using swsig::soak::SoakOutcome;
 [[noreturn]] void usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
-      << "  --duration SECONDS   wall-clock budget per substrate (default 60)\n"
+      << "  --duration SECONDS   wall-clock budget (default 60)\n"
       << "  --faults SPEC        '+'-separated fault schedule (default\n"
       << "                       drop+delay; 'none' disables). Kinds:\n"
       << "                         drop       victim-targeted message loss\n"
@@ -47,10 +45,6 @@ using swsig::soak::SoakOutcome;
       << "                                    window — healed at window end\n"
       << "                       Unknown kinds are rejected with the valid\n"
       << "                       list (no silent typos).\n"
-      << "  --unparked           fault windows hit ACTIVE clients (owner\n"
-      << "                       crashes mid-write included); the\n"
-      << "                       retry/abort layer must carry them.\n"
-      << "                       Default parks a victim's clients first.\n"
       << "  --byzantine K        Byzantine processes, <= f (default 0);\n"
       << "                       their decoy registers are sampled through\n"
       << "                       the byzantine_completion checker\n"
@@ -59,7 +53,6 @@ using swsig::soak::SoakOutcome;
       << "                       each write turn issue D write_asyncs on one\n"
       << "                       register and await them in order, so owner\n"
       << "                       crashes land mid-pipeline). Must be >= 1.\n"
-      << "  --substrate S        emulated | batched | both (default both)\n"
       << "  --n N --f F          system size (default 4/1, n > 3f)\n"
       << "  --registers R        honest registers (default 2048)\n"
       << "  --clients C          worker threads (default 8)\n"
@@ -69,7 +62,7 @@ using swsig::soak::SoakOutcome;
 }
 
 SoakOutcome run_one(const SoakConfig& cfg, swsig::bench::Reporter& rep) {
-  std::cout << "soak: " << cfg.substrate << " n=" << cfg.n << " f=" << cfg.f
+  std::cout << "soak: n=" << cfg.n << " f=" << cfg.f
             << " registers=" << cfg.registers << " clients=" << cfg.clients
             << " faults=" << cfg.faults.to_string()
             << " byzantine=" << cfg.byzantine << " seed=" << cfg.seed
@@ -77,42 +70,28 @@ SoakOutcome run_one(const SoakConfig& cfg, swsig::bench::Reporter& rep) {
             << (cfg.pipeline_depth > 1
                     ? " pipeline-depth=" + std::to_string(cfg.pipeline_depth)
                     : "")
-            << (cfg.unparked ? " unparked" : "") << std::endl;
-  SoakOutcome out;
-  if (cfg.substrate == "emulated") {
-    swsig::msgpass::EmulatedSpace::Options eopt;
-    eopt.n = cfg.n;
-    eopt.f = cfg.f;
-    eopt.recover_on_restart = true;
-    // The space's capacity gate must match the workload's burst depth, or
-    // the (depth+1)-th write_async would just block behind the gate.
-    eopt.pipeline_depth = cfg.pipeline_depth;
-    swsig::msgpass::EmulatedSpace space(eopt);
-    out = swsig::soak::run_soak(space, cfg);
-    space.stop();
-  } else {
-    swsig::msgpass::BatchedEmulatedSpace::Options opt;
-    opt.n = cfg.n;
-    opt.f = cfg.f;
-    opt.shards = 4;
-    // Group-commit gate matches the workload's burst depth (see the
-    // emulated branch above).
-    opt.pipeline_depth = cfg.pipeline_depth;
-    swsig::msgpass::BatchedEmulatedSpace space(opt);
-    out = swsig::soak::run_soak(space, cfg);
-    space.stop();
-  }
+            << std::endl;
+  swsig::msgpass::EmulatedSpace::Options opt;
+  opt.n = cfg.n;
+  opt.f = cfg.f;
+  opt.recover_on_restart = true;
+  // The space's capacity gate must match the workload's burst depth, or
+  // the (depth+1)-th write_async would just block behind the gate.
+  opt.pipeline_depth = cfg.pipeline_depth;
+  swsig::msgpass::EmulatedSpace space(opt);
+  SoakOutcome out = swsig::soak::run_soak(space, cfg);
+  space.stop();
   out.metrics.print(std::cout);
   out.metrics.emit(rep);
   if (!out.ok()) {
-    std::cout << "SOAK FAILURE (" << cfg.substrate << "):\n";
+    std::cout << "SOAK FAILURE:\n";
     for (const auto& f : out.failures) std::cout << "  " << f << "\n";
     // SLO breach forensics: ladder correlation + last events to stderr,
     // full machine trace to a file CI uploads as a failure artifact.
     const std::vector<swsig::obs::Event> events =
         swsig::obs::FlightRecorder::instance().snapshot();
     swsig::obs::wedge_report(std::cerr, events);
-    const std::string trace_path = "soak_trace_" + cfg.substrate + ".txt";
+    const std::string trace_path = "soak_trace.txt";
     if (swsig::obs::write_trace_file(trace_path, events))
       std::cerr << "trace written to " << trace_path << "\n";
     std::cout << "REPRO: " << cfg.repro_line() << std::endl;
@@ -125,7 +104,6 @@ SoakOutcome run_one(const SoakConfig& cfg, swsig::bench::Reporter& rep) {
 int main(int argc, char** argv) {
   SoakConfig cfg;
   cfg.faults = FaultKinds::parse("drop+delay");
-  std::string substrate = "both";
   swsig::bench::Reporter rep(argc, argv, "soak");
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -138,12 +116,8 @@ int main(int argc, char** argv) {
         cfg.duration_ms = std::stoull(value()) * 1000;
       } else if (arg == "--faults") {
         cfg.faults = FaultKinds::parse(value());
-      } else if (arg == "--unparked") {
-        cfg.unparked = true;
       } else if (arg == "--byzantine") {
         cfg.byzantine = std::stoi(value());
-      } else if (arg == "--substrate") {
-        substrate = value();
       } else if (arg == "--n") {
         cfg.n = std::stoi(value());
       } else if (arg == "--f") {
@@ -182,21 +156,5 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bool ok = true;
-  if (substrate == "emulated" || substrate == "both") {
-    SoakConfig c = cfg;
-    c.substrate = "emulated";
-    ok = run_one(c, rep).ok() && ok;
-  }
-  if (substrate == "batched" || substrate == "both") {
-    SoakConfig c = cfg;
-    c.substrate = "batched";
-    ok = run_one(c, rep).ok() && ok;
-  }
-  if (substrate != "emulated" && substrate != "batched" &&
-      substrate != "both") {
-    std::cerr << "unknown substrate " << substrate << "\n";
-    return 2;
-  }
-  return ok ? 0 : 1;
+  return run_one(cfg, rep).ok() ? 0 : 1;
 }

@@ -1,22 +1,18 @@
-// The extracted Bracha ladder (msgpass/detail/bracha_ladder.hpp) is the
-// ONE copy of the echo/accept/amplify/deliver state machine behind both
-// message-passing substrates (design note 15). The unit tests pin each
-// guard once — echo-once, the PR-4 delivered-set replay guard, the PR-8
-// abort fence, crash persistence, the cross-run op claims — and the
-// substrate tests then inject the two classic Byzantine replays into real
-// networks and watch BOTH substrates stay inert: a post-delivery ACCEPT
-// storm (emulated and batched) and a cross-round register-sn reuse
-// (batched). Message-count deltas are exact: with no faults attached every
-// injected broadcast fans out to n processes and, if the guards hold,
-// provokes nothing beyond at most a per-server re-ACK.
+// The Bracha ladder (msgpass/detail/bracha_ladder.hpp) is the one copy of
+// the echo/accept/amplify/deliver state machine behind the message-passing
+// SWMR emulation (design note 15). The unit tests pin each guard once —
+// echo-once, the PR-4 delivered-set replay guard, the PR-8 abort fence,
+// crash persistence — and the substrate test then injects the classic
+// Byzantine replays into a real network and watches the servers stay
+// inert: an equivocated WRITE replay and a post-delivery ACCEPT storm.
+// Message-count deltas are exact: with no faults attached every injected
+// broadcast fans out to n processes and, if the guards hold, provokes
+// nothing beyond at most a per-server re-ACK.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cstdint>
 #include <string>
-#include <utility>
 
-#include "msgpass/batched_space.hpp"
 #include "msgpass/detail/bracha_ladder.hpp"
 #include "msgpass/emulated_swmr.hpp"
 #include "runtime/process.hpp"
@@ -25,7 +21,7 @@ namespace swsig::msgpass {
 namespace {
 
 using runtime::ThisProcess;
-using Ladder = detail::BrachaLadder<std::uint64_t>;
+using Ladder = detail::BrachaLadder;
 
 // n = 4, f = 1 throughout: echo quorum n−f = 3, amplification rung f+1 = 2.
 
@@ -193,20 +189,6 @@ TEST(BrachaLadder, FenceReportsUnsafeAfterAcceptOrDelivery) {
   EXPECT_FALSE(echoed_only.fence(5));
 }
 
-TEST(BrachaLadder, CrossRunOpClaimsSurviveCrash) {
-  using RoundKey = std::pair<int, std::uint64_t>;
-  detail::BrachaLadder<RoundKey, RoundKey> lad(4, 1);
-  const RoundKey op{2, 9};  // (reg, sn) — the batched substrate's OpKey
-  EXPECT_FALSE(lad.op_claimed(op));
-  lad.claim_op(op);
-  EXPECT_TRUE(lad.op_claimed(op));
-  lad.crash();
-  // Claims are the write-ahead judgment that made a batch valid; losing
-  // them at a crash would let a Byzantine origin re-certify the same
-  // register sn with a different value through a rejoined server.
-  EXPECT_TRUE(lad.op_claimed(op));
-}
-
 // ------------------------------------------------------- substrate tests
 
 // Per-write substrate: after a write fully delivers everywhere, (a) a
@@ -255,65 +237,6 @@ TEST(LadderOnEmulated, ReplayedWriteAndAcceptStormAreInert) {
   }
   ThisProcess::Binder bind(4);
   EXPECT_EQ(reg.read(), "v1");
-}
-
-// Batched substrate: (a) a Byzantine origin reusing an already-certified
-// (reg, sn) op in a fresh round is refused by every server (cross-round
-// claim — without it two rounds could certify two values for one register
-// sn), and (b) a forged BACCEPT storm for a delivered round is inert. The
-// honest owner's round chain is unaffected afterwards.
-TEST(LadderOnBatched, CrossRoundSnReuseAndReplayedAcceptAreInert) {
-  BatchedEmulatedSpace space({.n = 4, .f = 1, .shards = 1, .batch_max = 4});
-  auto& reg = space.make_swmr<int>(1, 7, "r");
-  {
-    ThisProcess::Binder bind(1);
-    reg.write(11);  // (reg 0, sn 1) rides round 1 and delivers everywhere
-  }
-  Network& net = space.shard(0).network();
-  const auto count = [&] { return net.messages_sent(); };
-  drain_message_count(count);
-
-  {
-    // Round 99 re-batches the certified (reg 0, sn 1) with value 99.
-    const std::uint64_t base = count();
-    ThisProcess::Binder bind(1);
-    Message m;
-    m.reg = BatchShard::kBatchProto;
-    m.tag = obs::MsgTag::kBWrite;
-    m.sn = 99;
-    m.payload = Payload::of(Batch{BatchOp{0, 1, Payload::of(99)}});
-    net.broadcast(m);
-    // Fan-out only: every server's claim check refuses the batch, so no
-    // BECHO is ever sent and the second value cannot gather any support.
-    EXPECT_EQ(drain_message_count(count) - base, 4u);
-  }
-  {
-    // Forged BACCEPT storm for delivered round 1 (digest id 0: the first
-    // interned batch) from f+1 distinct senders.
-    const std::uint64_t base = count();
-    for (const int pid : {2, 3}) {
-      ThisProcess::Binder bind(pid);
-      Message m;
-      m.reg = BatchShard::kBatchProto;
-      m.tag = obs::MsgTag::kBAccept;
-      m.sn = 1;
-      m.payload = Payload::of(std::pair<int, int>(1, 0));
-      net.broadcast(m);
-    }
-    EXPECT_EQ(drain_message_count(count) - base, 8u);
-  }
-  {
-    ThisProcess::Binder bind(3);
-    EXPECT_EQ(reg.read(), 11);
-  }
-  // The refused round did not wedge the honest chain: the next write leads
-  // round 2 with a fresh (reg 0, sn 2) and completes normally.
-  {
-    ThisProcess::Binder bind(1);
-    reg.write(12);
-  }
-  ThisProcess::Binder bind(2);
-  EXPECT_EQ(reg.read(), 12);
 }
 
 }  // namespace

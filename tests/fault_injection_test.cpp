@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "msgpass/batched_space.hpp"
 #include "msgpass/emulated_swmr.hpp"
 #include "runtime/process.hpp"
 #include "soak/fault_schedule.hpp"
@@ -242,7 +241,7 @@ TEST(FaultInjection, PartitionHealsAndVictimCatchesUp) {
   space.stop();
 }
 
-// The f-budget contract, emulated substrate: with EVERY message touching
+// The f-budget contract: with EVERY message touching
 // the single victim dropped (permille 1000, always active), operations of
 // the n-1 honest processes still complete — their quorums (n-f echoes,
 // accepts, ACKs, STATE replies) never require the victim. Afterwards a
@@ -284,47 +283,6 @@ TEST(FaultInjection, DropsBelowFNeverBlockQuorum) {
   EXPECT_EQ(r1.stored_state(4).first, r1.stored_state(1).first);
   EXPECT_EQ(r1.stored_state(4).second, 20);
   space.network().set_fault_injector(nullptr);
-  space.stop();
-}
-
-// Same contract on the batched substrate, injector attached to every shard.
-TEST(FaultInjection, DropsBelowFNeverBlockQuorumBatched) {
-  msgpass::BatchedEmulatedSpace space(
-      {.n = 4, .f = 1, .shards = 2, .batch_max = 4});
-  auto& r1 = space.make_swmr<int>(1, 0, "r1");
-  auto& r2 = space.make_swmr<int>(3, 0, "r2");
-  FaultSchedule sched({.seed = 11,
-                       .kinds = FaultKinds::parse("drop"),
-                       .victims = {4},
-                       .period_ms = 1000,
-                       .active_ms = 1000,
-                       .drop_permille = 1000});
-  for (int s = 0; s < space.shard_count(); ++s)
-    space.shard(s).network().set_fault_injector(&sched);
-  sched.engage(true);
-
-  for (int i = 1; i <= 20; ++i) {
-    {
-      ThisProcess::Binder bind(1);
-      r1.write(i);
-    }
-    {
-      ThisProcess::Binder bind(3);
-      r2.write(100 + i);
-      EXPECT_EQ(r1.read(), i);
-    }
-    {
-      ThisProcess::Binder bind(2);
-      EXPECT_EQ(r2.read(), 100 + i);
-    }
-  }
-  std::uint64_t dropped = 0;
-  for (int s = 0; s < space.shard_count(); ++s)
-    dropped += space.shard(s).network().messages_dropped();
-  EXPECT_GT(dropped, 0u);
-  sched.engage(false);
-  for (int s = 0; s < space.shard_count(); ++s)
-    space.shard(s).network().set_fault_injector(nullptr);
   space.stop();
 }
 

@@ -1,7 +1,7 @@
 // Full-history linearizability checks at stress scale — the suites the
 // 64-operation cap used to truncate. Histories of 256+ operations across
 // 4+ registers, recorded from BOTH substrates (shared-memory registers::
-// Space and the batched message-passing emulation), are checked complete:
+// Space and the message-passing emulation), are checked complete:
 // no sampling, no truncation. CTest label "lincheck-long" lets local runs
 // exclude them (ctest -LE lincheck-long); Release CI runs everything.
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include "lincheck/checker.hpp"
 #include "lincheck/history.hpp"
 #include "lincheck/register_specs.hpp"
-#include "msgpass/batched_space.hpp"
+#include "msgpass/emulated_swmr.hpp"
 #include "registers/space.hpp"
 #include "runtime/harness.hpp"
 #include "runtime/step_controller.hpp"
@@ -97,19 +97,19 @@ TEST(LincheckLong, SharedMemoryFullHistoryChecked) {
 #endif
 }
 
-// Same bar on the batched message-passing substrate (PR 4): four owners on
-// two shards, sync writes + cross-owner quorum reads + an async burst per
-// owner whose operations genuinely overlap (invoke at write_async, respond
-// at await). The recorded history is checked complete.
-TEST(LincheckLong, BatchedMsgpassFullHistoryChecked) {
+// Same bar on the message-passing substrate: four owners, sync writes +
+// cross-owner quorum reads + a pipelined async burst per owner whose
+// operations genuinely overlap (invoke at write_async, respond at await).
+// The recorded history is checked complete.
+TEST(LincheckLong, MsgpassFullHistoryChecked) {
   constexpr int kOwners = 4;
   constexpr int kSyncWrites = 30;
   constexpr int kReads = 30;
   constexpr int kBurst = 4;
 
-  msgpass::BatchedEmulatedSpace space(
-      {.n = kOwners, .f = 1, .reorder_seed = 0, .shards = 2, .batch_max = 4});
-  std::vector<msgpass::BatchedSwmr<int>*> regs;
+  msgpass::EmulatedSpace space(
+      {.n = kOwners, .f = 1, .pipeline_depth = kBurst});
+  std::vector<msgpass::EmulatedSwmr<int>*> regs;
   for (int r = 0; r < kOwners; ++r)
     regs.push_back(&space.make_swmr<int>(r + 1, 0, "r" + std::to_string(r)));
 
@@ -135,16 +135,16 @@ TEST(LincheckLong, BatchedMsgpassFullHistoryChecked) {
         }
       }
 
-      // Async burst: the writes ride shared batch rounds and their recorded
-      // intervals genuinely overlap one another.
+      // Async burst: up to kBurst ladders in flight at once, so the
+      // recorded write intervals genuinely overlap one another.
       std::vector<std::pair<int, std::uint64_t>> in_flight;
       for (int i = 1; i <= kBurst; ++i) {
         const int value = 1000 * pid + i;
         const int token = rec.invoke(own, "write", std::to_string(value));
         in_flight.emplace_back(token, own_reg.write_async(value));
       }
-      for (const auto& [token, ticket] : in_flight) {
-        own_reg.await(ticket);
+      for (const auto& [token, sn] : in_flight) {
+        own_reg.await(sn);
         rec.respond(token, "done");
       }
       // Owner-local read observes the final burst value.

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,6 +130,89 @@ TEST_F(EmulatedTest, NonOwnerWriteRejected) {
   auto& reg = space.make_swmr<int>(1, 0, "r");
   ThisProcess::Binder bind(2);
   EXPECT_THROW(reg.write(5), registers::PortViolation);
+  EXPECT_THROW(reg.write_async(5), registers::PortViolation);
+}
+
+// Per-process protocol state is indexed by pid: an out-of-range owner or
+// reader must be a clean configuration error, not out-of-bounds UB at the
+// first message. A rejected register takes no id, so the next one works.
+TEST_F(EmulatedTest, OutOfRangeOwnerRejectedAtCreation) {
+  EXPECT_THROW(space.make_swmr<int>(5, 0, "bad"), std::invalid_argument);
+  EXPECT_THROW(space.make_swmr<int>(0, 0, "bad"), std::invalid_argument);
+  EXPECT_THROW(space.make_swsr<int>(-1, 2, 0, "bad"), std::invalid_argument);
+  EXPECT_THROW(space.make_swsr<int>(1, 5, 0, "bad"), std::invalid_argument);
+  auto& reg = space.make_swmr<int>(4, 0, "ok");
+  {
+    ThisProcess::Binder bind(4);
+    reg.write(3);
+  }
+  ThisProcess::Binder bind(1);
+  EXPECT_EQ(reg.read(), 3);
+}
+
+// crash/restart/resync index crashed_ and every register's per-process
+// state by pid: out-of-range pids are rejected before anything is touched.
+TEST_F(EmulatedTest, OutOfRangePidRejectedByCrashRestartResync) {
+  auto& reg = space.make_swmr<int>(1, 0, "r");
+  for (const runtime::ProcessId pid : {0, 5, -1}) {
+    EXPECT_THROW(space.crash(pid), std::invalid_argument) << "p" << pid;
+    EXPECT_THROW(space.restart(pid), std::invalid_argument) << "p" << pid;
+    EXPECT_THROW(space.resync(pid), std::invalid_argument) << "p" << pid;
+  }
+  {
+    ThisProcess::Binder bind(1);
+    reg.write(8);
+  }
+  ThisProcess::Binder bind(4);
+  EXPECT_EQ(reg.read(), 8);
+}
+
+// Design note 6's message cost, pinned once traffic drains: one blocking
+// write costs WRITE (n) + ECHO (n²) + ACCEPT (n²) + ACK (n) = 2n² + 2n
+// messages, and one uncontended read costs READ (n) + STATE (n) = 2n.
+// Retries are off, so no re-broadcast adds to the count. Every message but
+// WRITE is held back briefly so each server sees the WRITE before any
+// vote; otherwise a server whose WRITE copy lagged a whole ladder would
+// deliver first and then re-ACK instead of echoing.
+class HoldAllButWrite : public FaultInjector {
+ public:
+  FaultDecision on_deliver(const Message& m) override {
+    if (m.tag == obs::MsgTag::kWrite) return {};
+    return {.delay = std::chrono::milliseconds(10)};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+};
+
+TEST(EmulatedCost, WriteAndReadMessageCountsMatchDesignNote6) {
+  for (const int n : {4, 7}) {
+    HoldAllButWrite hold;
+    EmulatedSpace space(
+        {.n = n, .f = (n - 1) / 3, .retry = {.enabled = false}});
+    Network& net = space.network();
+    net.set_fault_injector(&hold);
+    auto& reg = space.make_swmr<int>(1, 0, "r");
+    // Ten stable 5 ms polls outlast the 10 ms hold.
+    const auto quiesce = [&] {
+      return drain_message_count([&] { return net.messages_sent(); },
+                                 std::chrono::milliseconds(5),
+                                 /*stable_polls=*/10);
+    };
+    const auto nn = static_cast<std::uint64_t>(n);
+    std::uint64_t base = quiesce();
+    {
+      ThisProcess::Binder bind(1);
+      reg.write(7);
+    }
+    EXPECT_EQ(quiesce() - base, 2 * nn * nn + 2 * nn) << "write, n=" << n;
+    base = quiesce();
+    {
+      ThisProcess::Binder bind(2);
+      EXPECT_EQ(reg.read(), 7);
+    }
+    EXPECT_EQ(quiesce() - base, 2 * nn) << "read, n=" << n;
+    net.set_fault_injector(nullptr);
+    space.stop();
+  }
 }
 
 TEST_F(EmulatedTest, UpdateIsOwnerRmw) {
@@ -399,9 +483,9 @@ TEST(EmulatedPipeline, AsyncBurstSettlesEverySnExactlyOnce) {
 
 // Depth 1 (the default) must behave like the blocking protocol: a second
 // write_async blocks in the capacity gate until the first is settled, so
-// issuing + awaiting one at a time is just write() — and traces stay
-// byte-identical (tests/batched_msgpass_test.cpp pins the trace; here we
-// pin the client-visible semantics).
+// issuing + awaiting one at a time is just write(). EmulatedCost pins the
+// blocking write's message count; here we pin the client-visible
+// semantics.
 TEST(EmulatedPipeline, DepthOneIsTheBlockingProtocol) {
   EmulatedSpace space({.n = 4, .f = 1});  // pipeline_depth defaults to 1
   auto& reg = space.make_swmr<int>(1, 0, "r");

@@ -43,7 +43,7 @@ TEST(ObsEvent, PackUnpackRoundTrip) {
   Event e;
   e.ts_ns = 0x123456789abcdefull;
   e.kind = EventKind::kPhaseDeliver;
-  e.tag = MsgTag::kBAccept;
+  e.tag = MsgTag::kCWrite;
   e.pid = 7;
   e.peer = -3;
   e.reg = -2;  // witness sentinel: negative regs must survive packing

@@ -1,5 +1,5 @@
-// Shared immutable payloads on both message-passing substrates (design
-// note 17 in docs/ARCHITECTURE.md): a written value is built once and
+// Shared immutable payloads on the message-passing substrate (design note
+// 17 in docs/ARCHITECTURE.md): a written value is built once and
 // every message, server store and intern-table slot shares it, so the
 // number of value copies per operation does not grow with n. Interning is
 // by content, so a Byzantine copy of an honest value tallies with it, while
@@ -10,7 +10,6 @@
 #include <functional>
 #include <thread>
 
-#include "msgpass/batched_space.hpp"
 #include "msgpass/emulated_swmr.hpp"
 #include "runtime/process.hpp"
 
@@ -49,10 +48,9 @@ std::uint64_t quiesce(const std::function<std::uint64_t()>& sent) {
 
 // Copies made by one write by p1 plus one read by p2, trailing protocol
 // traffic included.
-template <typename Space>
-int copies_per_write_and_read(Space& space,
-                              const std::function<std::uint64_t()>& sent) {
-  auto& reg = space.template make_swmr<Counted>(1, Counted(0), "r");
+int copies_per_write_and_read(EmulatedSpace& space) {
+  const auto sent = [&] { return space.network().messages_sent(); };
+  auto& reg = space.make_swmr<Counted>(1, Counted(0), "r");
   quiesce(sent);
   Counted::copies = 0;
   {
@@ -75,20 +73,7 @@ TEST(PayloadSharing, EmulatedCopiesDoNotGrowWithN) {
   int i = 0;
   for (const int n : {4, 7}) {
     EmulatedSpace space({.n = n, .f = (n - 1) / 3});
-    copies[i++] = copies_per_write_and_read(
-        space, [&] { return space.network().messages_sent(); });
-  }
-  EXPECT_LE(copies[0], kMaxCopies);
-  EXPECT_EQ(copies[0], copies[1]) << "n=4 vs n=7";
-}
-
-TEST(PayloadSharing, BatchedCopiesDoNotGrowWithN) {
-  int copies[2];
-  int i = 0;
-  for (const int n : {4, 7}) {
-    BatchedEmulatedSpace space({.n = n, .f = (n - 1) / 3, .shards = 1});
-    copies[i++] = copies_per_write_and_read(
-        space, [&] { return space.messages_sent(); });
+    copies[i++] = copies_per_write_and_read(space);
   }
   EXPECT_LE(copies[0], kMaxCopies);
   EXPECT_EQ(copies[0], copies[1]) << "n=4 vs n=7";

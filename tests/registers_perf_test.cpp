@@ -176,19 +176,6 @@ TEST_F(PerfSpaceTest, FreeModeStillCountsAccessesAsSteps) {
   EXPECT_EQ(ctrl.steps(), before + 4);
 }
 
-TEST(SpaceDispatch, ForcedVirtualDisablesFastPath) {
-  FreeStepController ctrl;
-  Space legacy(ctrl, Space::Enforcement::kEnforcing,
-               Space::Dispatch::kVirtual);
-  EXPECT_FALSE(legacy.free_mode());
-  auto& reg = legacy.make_swmr<int>(1, 0, "r");
-  ThisProcess::Binder bind(1);
-  const auto before = ctrl.steps();
-  reg.write(1);
-  reg.read();
-  EXPECT_EQ(ctrl.steps(), before + 2);  // gated through step(), still counted
-}
-
 // --------------------------------------------------- write epoch / parking
 
 TEST_F(PerfSpaceTest, WriteEpochAdvancesOnWritesOnly) {

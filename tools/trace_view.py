@@ -25,21 +25,17 @@ import argparse
 import sys
 import tempfile
 
-# Ladder phase kinds, in rung order (obs/event.hpp). write_start/round_lead
-# open a ladder; write_done/round_complete close it.
+# Ladder phase kinds, in rung order (obs/event.hpp). write_start opens a
+# ladder; write_done closes it.
 PHASE_ORDER = [
     "write_start",
-    "round_lead",
     "echo",
     "accept",
     "amplify",
     "deliver",
     "ack",
     "write_done",
-    "round_complete",
 ]
-OPEN_KINDS = ("write_start", "round_lead")
-CLOSE_KINDS = ("write_done", "round_complete")
 PHASE_KINDS = set(PHASE_ORDER)
 # Retry-layer events ride their op's (reg, origin, sn) key and are shown
 # inside the ladder timeline, but are not protocol rungs. read_coalesced
@@ -118,8 +114,8 @@ def is_aborted(ladder_events):
 
 def is_stalled(ladder_events):
     kinds = {e["kind"] for e in ladder_events}
-    opened = bool(kinds & set(OPEN_KINDS)) or "echo" in kinds
-    closed = bool(kinds & set(CLOSE_KINDS))
+    opened = "write_start" in kinds or "echo" in kinds
+    closed = "write_done" in kinds
     delivered = "deliver" in kinds
     aborted = "write_abort" in kinds
     return opened and not closed and not delivered and not aborted
@@ -131,7 +127,7 @@ def inflight_span(ladder_events):
     ts = sorted(e["ts_us"] for e in ladder_events)
     settle = None
     for e in ladder_events:
-        if e["kind"] in CLOSE_KINDS or e["kind"] in ("deliver", "write_abort"):
+        if e["kind"] in ("write_done", "deliver", "write_abort"):
             settle = e["ts_us"] if settle is None else max(settle, e["ts_us"])
     return ts[0], ts[-1] if settle is None else settle
 
