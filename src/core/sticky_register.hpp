@@ -18,7 +18,6 @@
 // design notes 1-5).
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -28,10 +27,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/detail/helping.hpp"
 #include "core/types.hpp"
-#include "core/version_gate.hpp"
 #include "registers/space.hpp"
-#include "runtime/process.hpp"
 
 namespace swsig::core {
 
@@ -42,24 +40,14 @@ class StickyRegister {
   // msgpass::EmulatedSpace) — the algorithm is substrate-generic.
   template <typename T>
   using SwmrT = typename SpaceT::template SwmrFor<T>;
-  template <typename T>
-  using SwsrT = typename SpaceT::template SwsrFor<T>;
 
   using Value = V;
   using Slot = std::optional<V>;  // ⊥ is std::nullopt
   using HelpTuple = std::pair<Slot, RoundCounter>;  // ⟨u_j, c_j⟩
-  using ChannelCache = detail::VersionedCache<HelpTuple>;
 
-  // See VerifiableRegister::kVersionGate — free-mode fast paths, compiled
-  // out for substrates without versions.
-  static constexpr bool kVersionGate =
-      requires(SpaceT& s, SwsrT<HelpTuple>& c, SwmrT<Slot>& e,
-               SwmrT<RoundCounter>& r) {
-        { s.free_mode() } -> std::convertible_to<bool>;
-        { c.version() } -> std::convertible_to<std::uint64_t>;
-        { e.version() } -> std::convertible_to<std::uint64_t>;
-        { r.version() } -> std::convertible_to<std::uint64_t>;
-      };
+  // Free-mode fast paths; see core/detail/helping.hpp.
+  using Help = detail::Helping<HelpTuple, SpaceT>;
+  static constexpr bool kVersionGate = Help::kVersionGate;
 
   struct Config {
     int n = 4;
@@ -68,27 +56,18 @@ class StickyRegister {
   };
 
   StickyRegister(SpaceT& space, Config config)
-      : space_(&space), cfg_(std::move(config)) {
-    check_resilience(cfg_.n, cfg_.f, cfg_.allow_suboptimal);
+      : cfg_(std::move(config)), help_(space, cfg_) {
     const int n = cfg_.n;
     echo_.resize(n + 1, nullptr);
     witness_.resize(n + 1, nullptr);
-    channel_.assign(n + 1, std::vector<SwsrT<HelpTuple>*>(n + 1));
-    round_.resize(n + 1, nullptr);
-    help_state_.resize(n + 1);
     for (int i = 1; i <= n; ++i) {
       echo_[i] = &space.template make_swmr<Slot>(i, std::nullopt,
                                         "E" + std::to_string(i));
       witness_[i] = &space.template make_swmr<Slot>(i, std::nullopt,
                                            "R" + std::to_string(i));
-      for (int j = 2; j <= n; ++j)
-        channel_[i][j] = &space.template make_swsr<HelpTuple>(
-            i, j, {std::nullopt, 0},
-            "R" + std::to_string(i) + "," + std::to_string(j));
+      help_.make_channels(i, {std::nullopt, 0});  // R_ij
     }
-    for (int k = 2; k <= n; ++k)
-      round_[k] =
-          &space.template make_swmr<RoundCounter>(k, 0, "C" + std::to_string(k));
+    help_.make_rounds();  // C_k
   }
 
   const Config& config() const { return cfg_; }
@@ -99,12 +78,12 @@ class StickyRegister {
   // processes are witnesses of v (see §9.1 for why the wait is necessary).
   // Termination relies on helpers running for all correct processes.
   void write(const V& v) {
-    require_self(1, "Write");
+    help_.require_self(1, "Write");
     if (echo_[1]->read().has_value()) return;  // L1: already wrote once
     echo_[1]->write(Slot{v});                  // L2: E1 <- v
     // Free mode: re-read only witness slots whose version moved while
     // awaiting the quorum (observationally equivalent, fewer metered reads).
-    detail::VersionedCache<Slot> cache(fast_path() ? cfg_.n : 0);
+    detail::VersionedCache<Slot> cache(help_.fast_path() ? cfg_.n : 0);
     for (;;) {                                 // L3-5: await n−f witnesses
       int count = 0;
       for (int i = 1; i <= cfg_.n; ++i) {
@@ -122,7 +101,7 @@ class StickyRegister {
   // Read() — L7-22. Caller must be bound as a reader p2..pn. Returns the
   // unique written value, or std::nullopt for ⊥.
   Slot read() {
-    const int k = require_reader("Read");
+    const int k = help_.require_reader("Read");
     // Free-mode fast path: scan the witness registers directly. If some v
     // holds >= n−f witness slots, return it without entering the round
     // protocol (no counter bump, no helper wakeup). Sound because at most
@@ -135,52 +114,31 @@ class StickyRegister {
     // MUST still use the full protocol: concluding "no write" requires
     // f+1 distinct processes asserting ⊥ *after* the read began (L22),
     // which only the round counter provides.
-    if (fast_path()) {
+    if (help_.fast_path()) {
       if (Slot v = witness_scan(); v.has_value()) return v;
     }
     std::set<int> set_bot;       // set⊥  — L7
     std::map<int, V> setval;     // setval as pj -> value
-    // Free-mode cached channel collection — see VerifiableRegister::verify.
-    ChannelCache cache(fast_path() ? cfg_.n : 0);
+    Slot found;                  // free-mode quorum scan result
+    auto ask = help_.ask(k);
     for (;;) {                   // L8
-      const RoundCounter ck =
-          round_[k]->update([](RoundCounter& c) { ++c; });  // L9
-      // L10: S = processes in neither set.
-      // L11-14: repeat reading R_jk of every p_j ∈ S until some c_j >= Ck.
-      int chosen = 0;
-      HelpTuple chosen_tuple;
-      while (chosen == 0) {
-        for (int j = 1; j <= cfg_.n; ++j) {
-          if (set_bot.contains(j) || setval.contains(j)) continue;
-          if (cache.enabled()) {
-            const HelpTuple& t = cache.fetch(j, *channel_[j][k]);
-            if (t.second >= ck) {
-              chosen = j;
-              chosen_tuple = t;
-              break;
-            }
-            continue;
-          }
-          HelpTuple t = channel_[j][k]->read();  // L13
-          if (t.second >= ck && chosen == 0) {   // L14
-            chosen = j;
-            chosen_tuple = std::move(t);
-          }
-        }
-        if (chosen == 0) {
-          // While waiting on helpers, the witness quorum may complete —
-          // the scan's soundness argument is position-independent.
-          if (fast_path()) {
-            if (Slot v = witness_scan(); v.has_value()) return v;
-          }
-          std::this_thread::yield();
-        }
-      }
-      if (chosen_tuple.first.has_value()) {          // L15: u_j != ⊥
-        setval.emplace(chosen, *chosen_tuple.first); // L16
-        set_bot.clear();                             // L17
-      } else {                                       // L18
-        set_bot.insert(chosen);                      // L19
+      // L9-14: ask, then wait for an answer from some p_j in S, the
+      // processes in neither set (L10). While waiting on helpers, the
+      // witness quorum may complete — the scan's soundness argument is
+      // position-independent.
+      const auto answer = ask.round(
+          [&](int j) { return set_bot.contains(j) || setval.contains(j); },
+          [&] {
+            found = witness_scan();
+            return found.has_value();
+          });
+      if (!answer) return found;
+      const auto& [chosen, tuple] = *answer;
+      if (tuple.first.has_value()) {           // L15: u_j != ⊥
+        setval.emplace(chosen, *tuple.first);  // L16
+        set_bot.clear();                       // L17
+      } else {                                 // L18
+        set_bot.insert(chosen);                // L19
       }
       // L20-21: some value witnessed by n−f processes in setval?
       std::map<V, int> tally;
@@ -194,50 +152,56 @@ class StickyRegister {
 
   // ------------------------------------------------------------- helping
 
-  // One iteration of the while-loop body of Help() — L24-40.
+  // One iteration of the while-loop body of Help() — L24-40; the asker
+  // detection and answers (L31-33, L38-40) are the shared helping protocol.
+  //
+  // Version-gated wakeup (free mode). Unlike Algorithms 1-2, the sticky
+  // helper does echo/witness work (L25-30) even without askers, so the gate
+  // also watches every echo and witness slot. Once this helper has both
+  // echoed and witnessed, L25-30 and L34-36 are permanent no-ops (its slots
+  // are write-once and already set), so the only inputs that can still
+  // demand work are the round counters — the aggregate shrinks from 3n−1
+  // version reads to n−1. The helper keeps serving askers forever; settling
+  // only prunes the wakeup scan.
   bool help_round() {
-    const int j = runtime::ThisProcess::id();
-    if (j < 1 || j > cfg_.n)
-      throw std::logic_error("Help requires a thread bound to p1..pn");
-    HelpState& hs = help_state_[static_cast<std::size_t>(j)];
+    return help_.help_round(
+        [&](int j) {
+          // L34-36: second chance to witness, via f+1 matching witnesses.
+          witness_on(j, witness_, cfg_.f + 1);
+          return witness_[j]->read();  // L37
+        },
+        [&](int j) -> std::optional<std::uint64_t> {
+          if (echo_[j]->read().has_value() && witness_[j]->read().has_value())
+            return std::nullopt;  // settled
+          std::uint64_t agg = 0;
+          for (int i = 1; i <= cfg_.n; ++i)
+            agg += detail::version_of(*echo_[i]) +
+                   detail::version_of(*witness_[i]);
+          return agg;
+        },
+        [&](int j) { echo_and_witness(j); });
+  }
 
-    // Version-gated wakeup (free mode). Unlike Algorithms 1-2, the sticky
-    // helper does echo/witness work (L25-30) even without askers, so the
-    // aggregate covers every input register of the round: echoes, witness
-    // slots, and round counters. If none changed since our last completed
-    // round, re-running the round would repeat the identical decisions and
-    // writes we already made — skip it. Our own writes during a round bump
-    // the aggregate, which costs at most one extra (idle) round before the
-    // state quiesces.
-    //
-    // Once this helper has both echoed and witnessed, L25-30 and L34-36
-    // are permanent no-ops (its slots are write-once and already set), so
-    // the only inputs that can still demand work are the round counters —
-    // the aggregate shrinks from 3n−1 version reads to n−1. The helper
-    // keeps serving askers forever; settling only prunes the wakeup scan.
-    const bool gate = fast_path();
-    std::uint64_t agg = 0;
-    if (gate) {
-      const bool settled_now =
-          hs.settled ||
-          (echo_[j]->read().has_value() && witness_[j]->read().has_value());
-      if (settled_now != hs.settled) {
-        hs.settled = settled_now;
-        hs.agg_valid = false;  // aggregate composition changed
-      }
-      if (!hs.settled)
-        for (int i = 1; i <= cfg_.n; ++i)
-          agg += slot_version(echo_, i) + slot_version(witness_, i);
-      for (int k = 2; k <= cfg_.n; ++k) agg += round_version(k);
-      if (hs.agg_valid && agg == hs.round_agg) return false;
-    }
+  // --------------------------------------------------- fault injection API
+  struct Raw {
+    std::vector<SwmrT<Slot>*>* echo;     // E_i
+    std::vector<SwmrT<Slot>*>* witness;  // R_i
+    typename Help::Channels* channel;    // R_ij
+    typename Help::Rounds* round;        // C_k
+  };
+  Raw raw() {
+    return Raw{&echo_, &witness_, help_.channels(), help_.rounds()};
+  }
 
-    // L25-27: echo the first value seen in E1. The conditional update keeps
-    // this race-free against p1's own Write (see Swmr::update). Writing ⊥
-    // over ⊥ would be a semantic no-op but still bumps the register version
-    // and space epoch, waking every helper of every register in the space —
-    // with E1 still ⊥ that feedback loop makes idle helpers churn forever.
-    // Skip the store until there is a value to echo.
+ private:
+  // L25-30 of Help(), run every round before looking for askers.
+  void echo_and_witness(int j) {
+    // L25-27: echo the first value seen in E1. The conditional update
+    // keeps this race-free against p1's own Write (see Swmr::update).
+    // Writing ⊥ over ⊥ would be a semantic no-op but still bumps the
+    // register version and space epoch, waking every helper of every
+    // register in the space — with E1 still ⊥ that feedback loop makes idle
+    // helpers churn forever. Skip the store until there is a value to echo.
     if (!echo_[j]->read().has_value()) {
       const Slot e1 = echo_[1]->read();  // L26
       if (e1.has_value()) {
@@ -248,80 +212,28 @@ class StickyRegister {
     }
 
     // L28-30: become a witness of v on n−f matching echoes.
-    if (!witness_[j]->read().has_value()) {
-      std::map<V, int> tally;
-      for (int i = 1; i <= cfg_.n; ++i) {
-        const Slot ei = echo_[i]->read();  // L29
-        if (ei.has_value()) ++tally[*ei];
-      }
-      for (const auto& [v, cnt] : tally) {
-        if (cnt >= cfg_.n - cfg_.f) {      // L30
-          witness_[j]->update([&](Slot& rj) {
-            if (!rj.has_value()) rj = v;
-          });
-          break;
-        }
-      }
-    }
-
-    // L31-32: find askers.
-    std::map<int, RoundCounter> ck;
-    for (int k = 2; k <= cfg_.n; ++k) ck[k] = round_[k]->read();
-    std::vector<int> askers;
-    for (int k = 2; k <= cfg_.n; ++k)
-      if (ck[k] > hs.prev_ck[k]) askers.push_back(k);
-    if (askers.empty()) {  // L33
-      if (gate) hs.record_agg(agg);
-      return false;
-    }
-
-    // L34-36: second chance to witness, via f+1 matching witnesses.
-    if (!witness_[j]->read().has_value()) {
-      std::map<V, int> tally;
-      for (int i = 1; i <= cfg_.n; ++i) {
-        const Slot ri = witness_[i]->read();  // L35
-        if (ri.has_value()) ++tally[*ri];
-      }
-      for (const auto& [v, cnt] : tally) {
-        if (cnt >= cfg_.f + 1) {              // L36
-          witness_[j]->update([&](Slot& rj) {
-            if (!rj.has_value()) rj = v;
-          });
-          break;
-        }
-      }
-    }
-
-    const Slot rj = witness_[j]->read();  // L37
-    // L38-40: answer each asker.
-    for (int k : askers) {
-      channel_[j][k]->write({rj, ck[k]});  // L39
-      hs.prev_ck[k] = ck[k];               // L40
-    }
-    if (gate) hs.record_agg(agg);
-    return true;
+    witness_on(j, echo_, cfg_.n - cfg_.f);
   }
 
-  // --------------------------------------------------- fault injection API
-  struct Raw {
-    std::vector<SwmrT<Slot>*>* echo;     // E_i
-    std::vector<SwmrT<Slot>*>* witness;  // R_i
-    std::vector<std::vector<SwsrT<HelpTuple>*>>* channel;  // R_ij
-    std::vector<SwmrT<RoundCounter>*>* round;  // C_k
-  };
-  Raw raw() { return Raw{&echo_, &witness_, &channel_, &round_}; }
-
- private:
-  struct HelpState {
-    std::map<int, RoundCounter> prev_ck;  // L23
-    std::uint64_t round_agg = 0;  // aggregate version at last completed round
-    bool agg_valid = false;
-    bool settled = false;  // own echo+witness set; agg is round counters only
-    void record_agg(std::uint64_t agg) {
-      round_agg = agg;
-      agg_valid = true;
+  // L28-30 / L34-36: unless p_j already is a witness, make it a witness of
+  // the smallest value held by >= `quorum` of the slots E_i (L29-30) or
+  // R_i (L35-36).
+  void witness_on(int j, const std::vector<SwmrT<Slot>*>& slots, int quorum) {
+    if (witness_[j]->read().has_value()) return;
+    std::map<V, int> tally;
+    for (int i = 1; i <= cfg_.n; ++i) {
+      const Slot si = slots[static_cast<std::size_t>(i)]->read();  // L29/L35
+      if (si.has_value()) ++tally[*si];
     }
-  };
+    for (const auto& [v, cnt] : tally) {
+      if (cnt >= quorum) {  // L30 / L36
+        witness_[j]->update([&](Slot& rj) {
+          if (!rj.has_value()) rj = v;
+        });
+        return;
+      }
+    }
+  }
 
   // Free-mode quorum scan over the witness registers; Slot{v} iff some v
   // holds >= n−f slots right now (see read() for the soundness argument).
@@ -334,50 +246,11 @@ class StickyRegister {
     return std::nullopt;
   }
 
-  bool fast_path() const {
-    if constexpr (kVersionGate)
-      return space_->free_mode();
-    else
-      return false;
-  }
-
-  std::uint64_t round_version(int k) const {
-    if constexpr (kVersionGate)
-      return round_[static_cast<std::size_t>(k)]->version();
-    else
-      return 0;
-  }
-
-  std::uint64_t slot_version(const std::vector<SwmrT<Slot>*>& regs,
-                             int i) const {
-    if constexpr (kVersionGate)
-      return regs[static_cast<std::size_t>(i)]->version();
-    else
-      return 0;
-  }
-
-  void require_self(int pid, const char* op) const {
-    if (runtime::ThisProcess::id() != pid)
-      throw std::logic_error(std::string(op) + " may only be called by p" +
-                             std::to_string(pid));
-  }
-  int require_reader(const char* op) const {
-    const int k = runtime::ThisProcess::id();
-    if (k < 2 || k > cfg_.n)
-      throw std::logic_error(std::string(op) +
-                             " may only be called by a reader p2..pn");
-    return k;
-  }
-
-  SpaceT* space_;
   Config cfg_;
+  Help help_;  // R_ij, C_k and Help() state
 
   std::vector<SwmrT<Slot>*> echo_;     // E_i
   std::vector<SwmrT<Slot>*> witness_;  // R_i
-  std::vector<std::vector<SwsrT<HelpTuple>*>> channel_;  // R_ij
-  std::vector<SwmrT<RoundCounter>*> round_;  // C_k
-
-  std::vector<HelpState> help_state_;
 };
 
 }  // namespace swsig::core

@@ -1,71 +1,20 @@
-// Free-mode fast-path helpers shared by the register algorithms (Algorithms
-// 1–3): version-gated polling.
+// Free-mode fast path shared by the composite objects above the register
+// algorithms: the space-wide write-epoch gate.
 //
-// Substrate registers may expose a monotone version() ("completed writes");
-// the shared-memory registers::Space does, the message-passing emulation
-// does not. When available AND the space runs in free mode, pollers use two
-// optimizations that are observationally equivalent to the paper-literal
-// loops (an unchanged version implies an unchanged value) but skip metered
-// register re-reads:
-//
-//  * VersionedCache — per-register ⟨value, version⟩ cache for the Verify/
-//    Read wait loops: a retry pass re-reads only registers whose version
-//    changed instead of re-collecting all n from scratch.
-//  * aggregate version sums in help_round() — a helper first sums the
-//    versions of the registers that could create work for it and returns
-//    immediately when the sum is unchanged since its last completed round.
-//
-// Deterministic mode never takes these paths: skipping a read changes the
-// step sequence, and deterministic traces must stay byte-identical
-// (pinned by deterministic_schedule_test).
+// In free mode a helper whose work can only arise from some register write
+// first samples the space's write epoch and returns immediately when it is
+// unchanged since its last completed round. This is observationally
+// equivalent to the paper-literal loop (no write, no new work) but skips
+// metered register reads, so deterministic mode never takes it: its step
+// sequence must stay byte-identical (pinned by deterministic_schedule_test).
+// The register algorithms' own per-register version gate and cached channel
+// collection live with their helping protocol, core/detail/helping.hpp.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <vector>
 
 namespace swsig::core::detail {
-
-// Cache of the last ⟨value, version⟩ read from registers 1..n. Disabled
-// (never consulted) when constructed with n = 0.
-template <typename Value>
-class VersionedCache {
- public:
-  explicit VersionedCache(int n)
-      : entries_(n > 0 ? static_cast<std::size_t>(n) + 1 : 0) {}
-
-  bool enabled() const { return !entries_.empty(); }
-
-  // Returns register j's current value, re-reading it only if its version
-  // moved since the cached read. The version is sampled *before* the read,
-  // so a write racing the read at worst marks the cached value stale one
-  // pass early — never hides a newer value forever.
-  template <typename Reg>
-  const Value& fetch(int j, Reg& reg) {
-    Entry& e = entries_[static_cast<std::size_t>(j)];
-    if constexpr (requires {
-                    { reg.version() } -> std::convertible_to<std::uint64_t>;
-                  }) {
-      const std::uint64_t ver = reg.version();
-      if (!e.valid || ver != e.version) {
-        e.version = ver;
-        e.value = reg.read();
-        e.valid = true;
-      }
-    } else {
-      e.value = reg.read();  // substrate without versions: plain read
-    }
-    return e.value;
-  }
-
- private:
-  struct Entry {
-    Value value{};
-    std::uint64_t version = 0;
-    bool valid = false;
-  };
-  std::vector<Entry> entries_;
-};
 
 // Space-wide write-epoch gate for composite objects whose helping work can
 // only arise from *some* register write in their space (AtomicSnapshot,

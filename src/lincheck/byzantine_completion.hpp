@@ -13,8 +13,9 @@
 //     inside the interval (tv0, tv1), where tv0 is the latest invocation
 //     of a Verify(v)->false and tv1 the earliest response of a
 //     Verify(v)->true (non-empty by the relay property, Lemma 48);
-//   * for every Read returning v and for every inserted Sign(v), insert a
-//     Write(v) immediately before it;
+//   * for every inserted Sign(v), insert a Write(v) immediately before it,
+//     and for every Read returning v a Write(v) immediately before the
+//     Read's response (the Read linearizes right after it);
 //   * keep all inserted writer operations sequential.
 //
 // This header performs exactly that construction on a recorded history and
@@ -137,10 +138,16 @@ inline ByzantineCheckResult check_byzantine_faulty_writer(
   // ---- Step 3: justify Reads with a Write immediately before each — for
   // EVERY returned value, including v0 (the Byzantine writer may have
   // re-written the initial value after other writes; Definition 78/143
-  // insert a Write before every Read). Only sticky-⊥ needs no write.
+  // insert a Write before every Read). Only sticky-⊥ needs no write. The
+  // Write goes at the end of the Read's interval, where the Read then
+  // linearizes: a Verify(v)->false that overlaps a Read->v may precede the
+  // Write, so only a Verify(v)->false invoked after the Read returned
+  // conflicts with it (Observation 19). A Write before the invocation
+  // would also reject the overlapping case, which Algorithm 2 allows.
   for (const Operation& op : recorded) {
     if (op.name != "read") continue;
     if (op.result == "⊥") continue;
+    const std::uint64_t at = op.pending() ? op.invoke_ts : op.response_ts;
     Operation write;
     write.id = next_id--;
     write.pid = 1;
@@ -148,9 +155,9 @@ inline ByzantineCheckResult check_byzantine_faulty_writer(
     write.name = "write";
     write.arg = op.result;
     write.result = "done";
-    // Immediately before the read's invocation (scaled => room exists).
-    write.invoke_ts = op.invoke_ts * kScale - 1;
-    write.response_ts = op.invoke_ts * kScale - 1;
+    // Immediately before the read's response (scaled => room exists).
+    write.invoke_ts = at * kScale - 1;
+    write.response_ts = at * kScale - 1;
     ops.push_back(write);
     ++result.inserted_ops;
   }

@@ -79,7 +79,7 @@ class Space {
   // True when accesses take the devirtualized free-mode fast path. The
   // version-gated skip paths in the algorithms key off this: they are
   // observationally equivalent but change the exact step sequence, so they
-  // must never run under a deterministic (or forced-virtual) controller.
+  // must never run under a deterministic controller.
   bool free_mode() const { return free_ != nullptr; }
 
   // Gate + meter, called by registers on every access. In free mode this

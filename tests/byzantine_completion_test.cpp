@@ -72,6 +72,30 @@ TEST(ByzantineCompletion, ReadsJustifiedBySyntheticWrites) {
   EXPECT_TRUE(res.byzantine_linearizable) << res.reason;
 }
 
+TEST(ByzantineCompletion, VerifyFalseOverlappingReadOfSameValue) {
+  // Algorithm 2's Read->1 re-verifies 1 before returning, and a concurrent
+  // Verify(1) may still return false: the Byzantine writer's Write(1) can
+  // come after that Verify and before the Read's end. (Seen in
+  // RealChurningAuthenticatedWriterCompletes, seed 2.)
+  std::vector<Operation> h{
+      op(0, 4, "read", "", "1", 1, 4),
+      op(1, 3, "verify", "1", "false", 2, 3),
+  };
+  const auto res = check_byzantine_authenticated(h, "0");
+  EXPECT_TRUE(res.byzantine_linearizable) << res.reason;
+}
+
+TEST(ByzantineCompletion, VerifyFalseAfterReadOfSameValueHasNoCompletion) {
+  // Once Read->1 returned, Write(1) happened before: a later Verify(1)
+  // must be true (Observation 19).
+  std::vector<Operation> h{
+      op(0, 4, "read", "", "1", 1, 2),
+      op(1, 3, "verify", "1", "false", 3, 4),
+  };
+  const auto res = check_byzantine_authenticated(h, "0");
+  EXPECT_FALSE(res.byzantine_linearizable);
+}
+
 TEST(ByzantineCompletion, AuthenticatedInitialValueAlwaysVerifies) {
   std::vector<Operation> h{
       op(0, 2, "verify", "0", "true", 1, 2),

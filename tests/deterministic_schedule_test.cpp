@@ -235,30 +235,31 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 // StepController::step() and helpers re-read registers exactly as the
 // paper writes them, so the granted (token, pid) sequence — and hence the
 // hash — is byte-identical to the pre-optimization build. If this test
-// fails, a fast path leaked into deterministic mode.
-std::uint64_t pinned_trace(std::uint64_t seed) {
+// fails, a fast path leaked into deterministic mode, or a refactor of the
+// shared helping protocol changed the step sequence of Algorithms 1–3.
+//
+// One run: p1..p3 each execute their op sequence on `reg` while p1..p4 run
+// Help() until all three are done.
+template <typename Reg, typename P1, typename P2, typename P3>
+std::uint64_t trace_of(std::uint64_t seed, typename Reg::Config cfg,
+                       P1 p1_ops, P2 p2_ops, P3 p3_ops) {
   runtime::Harness h(
       {.deterministic = true,
        .policy = std::make_shared<runtime::RandomPolicy>(seed)});
   registers::Space space(h.controller());
-  core::VerifiableRegister<int> reg(space, {.n = 4, .f = 1, .v0 = 0});
+  Reg reg(space, std::move(cfg));
   std::atomic<int> ops_done{0};
 
   h.spawn(1, "op", [&](std::stop_token) {
-    reg.write(1);
-    reg.sign(1);
-    reg.write(2);
-    reg.sign(2);
+    p1_ops(reg);
     ops_done.fetch_add(1);
   });
   h.spawn(2, "op", [&](std::stop_token) {
-    reg.verify(1);
-    reg.read();
+    p2_ops(reg);
     ops_done.fetch_add(1);
   });
   h.spawn(3, "op", [&](std::stop_token) {
-    reg.verify(2);
-    reg.verify(1);
+    p3_ops(reg);
     ops_done.fetch_add(1);
   });
   for (int pid = 1; pid <= 4; ++pid) {
@@ -271,10 +272,65 @@ std::uint64_t pinned_trace(std::uint64_t seed) {
   return h.trace_hash();
 }
 
+std::uint64_t pinned_trace(std::uint64_t seed) {
+  using Reg = core::VerifiableRegister<int>;
+  return trace_of<Reg>(
+      seed, {.n = 4, .f = 1, .v0 = 0},
+      [](Reg& reg) {
+        reg.write(1);
+        reg.sign(1);
+        reg.write(2);
+        reg.sign(2);
+      },
+      [](Reg& reg) {
+        reg.verify(1);
+        reg.read();
+      },
+      [](Reg& reg) {
+        reg.verify(2);
+        reg.verify(1);
+      });
+}
+
+std::uint64_t pinned_authenticated_trace(std::uint64_t seed) {
+  using Reg = core::AuthenticatedRegister<int>;
+  return trace_of<Reg>(
+      seed, {.n = 4, .f = 1, .v0 = 0},
+      [](Reg& reg) {
+        reg.write(1);
+        reg.write(2);
+      },
+      [](Reg& reg) {
+        reg.verify(1);
+        reg.read();
+      },
+      [](Reg& reg) {
+        reg.read();
+        reg.verify(2);
+      });
+}
+
+std::uint64_t pinned_sticky_trace(std::uint64_t seed) {
+  using Reg = core::StickyRegister<int>;
+  return trace_of<Reg>(
+      seed, {.n = 4, .f = 1}, [](Reg& reg) { reg.write(5); },
+      [](Reg& reg) {
+        reg.read();
+        reg.read();
+      },
+      [](Reg& reg) { reg.read(); });
+}
+
 TEST(DeterminismRegression, TraceHashPinnedAcrossFastPathChanges) {
   EXPECT_EQ(pinned_trace(1), 17356776577621113944ULL);
   EXPECT_EQ(pinned_trace(7), 4670788948032501584ULL);
   EXPECT_EQ(pinned_trace(42), 7002199874767147162ULL);
+  EXPECT_EQ(pinned_authenticated_trace(1), 18151876809832378939ULL);
+  EXPECT_EQ(pinned_authenticated_trace(7), 16427998797662134901ULL);
+  EXPECT_EQ(pinned_authenticated_trace(42), 17802772661884238723ULL);
+  EXPECT_EQ(pinned_sticky_trace(1), 15058292564296981526ULL);
+  EXPECT_EQ(pinned_sticky_trace(7), 3184710519671783698ULL);
+  EXPECT_EQ(pinned_sticky_trace(42), 9361770663786089095ULL);
 }
 
 // Deterministic mode must never take the free-mode fast path.

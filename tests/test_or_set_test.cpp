@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/system.hpp"
@@ -131,8 +132,13 @@ TEST_P(TestOrSetAllBackends, ConcurrentRelayConsistency) {
   TestOrSetSystem sys(GetParam(), 4, 1);
   std::atomic<bool> one_seen{false};
   std::atomic<bool> violation{false};
+  std::atomic<bool> set_done{false};
+  std::atomic<int> late_zero{0};
   runtime::Harness h;
-  h.spawn(1, "op", [&](std::stop_token) { sys.tos().set(); });
+  h.spawn(1, "op", [&](std::stop_token) {
+    sys.tos().set();
+    set_done = true;
+  });
   for (int k = 2; k <= 4; ++k) {
     h.spawn(k, "op", [&](std::stop_token) {
       for (int i = 0; i < 25; ++i) {
@@ -141,12 +147,16 @@ TEST_P(TestOrSetAllBackends, ConcurrentRelayConsistency) {
         if (r == 1) one_seen = true;
         if (before && r == 0) violation = true;
       }
+      // Set returned before this Test is invoked, so Definition 26 requires
+      // it to return 1.
+      while (!set_done.load()) std::this_thread::yield();
+      if (sys.tos().test() != 1) ++late_zero;
     });
   }
   h.start();
   h.join();
   EXPECT_FALSE(violation.load());
-  EXPECT_TRUE(one_seen.load());  // Set completed, final tests must see it
+  EXPECT_EQ(late_zero.load(), 0);  // Test after a completed Set returned 0
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TestOrSetAllBackends,

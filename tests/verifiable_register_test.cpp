@@ -4,6 +4,7 @@
 #include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/system.hpp"
@@ -166,10 +167,13 @@ TEST(Verifiable, ConcurrentVerifyRelayConsistency) {
   Sys sys(cfg(4, 1));
   std::atomic<bool> any_true{false};
   std::atomic<bool> violation{false};
+  std::atomic<bool> signed_7{false};
+  std::atomic<int> late_false{0};
   runtime::Harness h;
   h.spawn(1, "op", [&](std::stop_token) {
     sys.alg().write(7);
     sys.alg().sign(7);
+    signed_7 = true;
   });
   for (int k = 2; k <= 4; ++k) {
     h.spawn(k, "op", [&](std::stop_token) {
@@ -179,12 +183,16 @@ TEST(Verifiable, ConcurrentVerifyRelayConsistency) {
         if (ok) any_true = true;
         if (seen_before && !ok) violation = true;  // relay broken
       }
+      // Sign(7) returned before this Verify(7) is invoked, so Definition 10
+      // requires it to return true.
+      while (!signed_7.load()) std::this_thread::yield();
+      if (!sys.alg().verify(7)) ++late_false;
     });
   }
   h.start();
   h.join();
   EXPECT_FALSE(violation.load());
-  EXPECT_TRUE(any_true.load());  // sign completed, so last verifies succeed
+  EXPECT_EQ(late_false.load(), 0);  // Verify after a completed Sign failed
 }
 
 // Property sweep: random write/sign/verify workloads across (n, f) and

@@ -18,11 +18,20 @@ values are skipped with a warning, and a zero baseline (which would make
 the relative ratio meaningless) skips that metric with a warning instead
 of printing an infinite ratio. --self-test runs the built-in unit checks
 (wired into CTest as bench_compare_selftest).
+
+Stale baselines: when BASELINE is a committed bench/baselines/BENCH_<name>.json
+whose last commit is older than the last commit touching
+bench/bench_<name>.cpp, a warning says the baseline predates its bench and
+should be regenerated. Outside a git checkout (or without git) the check
+stays silent.
 """
 
 import argparse
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 
 HIGHER_IS_BETTER_SUFFIXES = ("_per_s", "_ops", "_speedup")
@@ -54,6 +63,45 @@ def load_metrics(path: str) -> dict:
     return out
 
 
+def last_commit_time(path: str):
+    """Committer timestamp of the last commit touching path, or None."""
+    try:
+        out = subprocess.run(
+            ["git", "-C", os.path.dirname(os.path.abspath(path)), "log", "-1",
+             "--format=%ct", "--", os.path.basename(path)],
+            capture_output=True, text=True, timeout=30, check=False)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    stamp = out.stdout.strip()
+    return int(stamp) if out.returncode == 0 and stamp.isdigit() else None
+
+
+def stale_warning(name: str, baseline_time, source_time):
+    """The warning for a baseline committed before its bench source's last
+    change, or None (also when either timestamp is unknown)."""
+    if baseline_time is None or source_time is None:
+        return None
+    if baseline_time >= source_time:
+        return None
+    return (f"bench_compare: WARNING: baseline BENCH_{name}.json was last "
+            f"committed before the last change to bench/bench_{name}.cpp "
+            f"({baseline_time} < {source_time}, unix time); regenerate it")
+
+
+def baseline_staleness(baseline_path: str):
+    """stale_warning() for a baseline file, read from git history."""
+    m = re.fullmatch(r"BENCH_(\w+)\.json", os.path.basename(baseline_path))
+    if not m:
+        return None
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(baseline_path))))  # <root>/bench/baselines/BENCH_x
+    source = os.path.join(root, "bench", f"bench_{m.group(1)}.cpp")
+    if not os.path.exists(source):
+        return None
+    return stale_warning(m.group(1), last_commit_time(baseline_path),
+                         last_commit_time(source))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
@@ -64,6 +112,9 @@ def main(argv=None) -> int:
                     help="report regressions but always exit 0")
     args = ap.parse_args(argv)
 
+    stale = baseline_staleness(args.baseline)
+    if stale:
+        print(stale)
     base = load_metrics(args.baseline)
     cur = load_metrics(args.current)
     shared = sorted(set(base) & set(cur))
@@ -159,6 +210,24 @@ def run_self_test() -> int:
         check("no shared metrics exits 1", main([base, disjoint]) == 1)
         check("no shared metrics with --warn-only exits 0",
               main([base, disjoint, "--warn-only"]) == 0)
+
+        check("baseline committed before its bench source warns",
+              stale_warning("read", 100, 200) is not None)
+        check("baseline committed after its bench source is quiet",
+              stale_warning("read", 200, 100) is None)
+        check("baseline and source from one commit is quiet",
+              stale_warning("read", 150, 150) is None)
+        check("unknown commit time (no git history) is quiet",
+              stale_warning("read", None, 200) is None and
+              stale_warning("read", 100, None) is None)
+        os.makedirs(os.path.join(td, "bench", "baselines"))
+        with open(os.path.join(td, "bench", "bench_x.cpp"), "w") as f:
+            f.write("// bench source\n")
+        outside = os.path.join(td, "bench", "baselines", "BENCH_x.json")
+        with open(outside, "w") as f:
+            json.dump({"bench": "x", "metrics": {"a_us": 1.0}}, f)
+        check("staleness check is silent outside a git checkout",
+              baseline_staleness(outside) is None)
 
     if failures:
         print(f"self-test: {len(failures)} check(s) failed")
