@@ -1,14 +1,16 @@
 // The Bracha reliable-broadcast ladder behind the message-passing SWMR
 // emulation (design note 15 in docs/ARCHITECTURE.md).
 //
-// A BrachaLadder instance holds ONE process's server-side protocol state
+// A BrachaLadder<T> instance holds ONE process's server-side protocol state
 // for one register, keyed by write sn, and answers, for each incoming
-// message, what the process is allowed to do:
+// message, what the process is allowed to do. Values are immutable shared
+// handles (Ref); two handles name the same candidate iff they are the same
+// pointer or their values compare equal (design note 17).
 //
-//   on_write(sn)         WRITE arrived: re-ACK (already delivered), stay
-//                        inert (abort-fenced / refused-as-malformed), or
-//                        echo — re-issuing the ORIGINAL vote on a
-//                        duplicate, never support for an equivocated value.
+//   on_write(sn, v)      WRITE arrived: re-ACK (already delivered), stay
+//                        inert (abort-fenced), or echo — re-issuing the
+//                        ORIGINAL vote on a duplicate, never support for an
+//                        equivocated value.
 //   on_vote(sn, v, p)    ECHO/ACCEPT tally for candidate v by voter p:
 //                        n−f echoes or f+1 accepts => send ACCEPT once
 //                        (the latter is Bracha's amplification rung);
@@ -20,8 +22,8 @@
 //   crash()              lose the volatile tallies; the dedup and fence
 //                        sets persist (stable storage, see below).
 //
-// The caller keeps everything else: message I/O, value interning,
-// sn-monotone apply of delivered payloads, and the owner-side wait
+// The caller keeps everything else: message I/O, dropping malformed
+// payloads, sn-monotone apply of delivered values, and the owner-side wait
 // machinery. The ladder is not thread-safe — the caller holds its protocol
 // mutex across every call.
 //
@@ -32,57 +34,56 @@
 // replay storm the delivered set exists to stop), or forget a fence it
 // granted the recovering owner. The candidate tallies are volatile:
 // crash() wipes them.
+//
+// Memory: nothing here outlives delivery. At deliver the sn's candidates
+// and its echoed handle are released; only the sn itself stays, in the
+// delivered set. Releasing the echoed handle is safe because on_write,
+// on_vote and fence all consult `delivered` before `echoed`, so a
+// delivered sn's echo slot is never read again.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
 namespace swsig::msgpass::detail {
 
+template <typename T>
 class BrachaLadder {
  public:
+  using Ref = std::shared_ptr<const T>;
+
   BrachaLadder() = default;
   BrachaLadder(int n, int f) : n_(n), f_(f) {}
 
   enum class WriteAction {
-    kReAck,    // already delivered: the only effect left is refreshing the
-               // (possibly lost) ACK — receivers dedup by sender
-    kFenced,   // abort-fenced and not a completion re-issue: stay inert
-    kRefused,  // echoed slot holds a refusal (malformed value): stays refused
-    kEcho,     // echo value_id (first == false: re-issue of the original)
+    kReAck,   // already delivered: the only effect left is refreshing the
+              // (possibly lost) ACK — receivers dedup by sender
+    kFenced,  // abort-fenced and not a completion re-issue: stay inert
+    kEcho,    // echo `value` (first == false: re-issue of the original)
   };
   struct WriteStep {
     WriteAction action;
-    int value_id = -1;
+    Ref value;
     bool first = false;  // first echo for this sn (drives the echo event)
   };
 
-  // WRITE (or the CWRITE recovery completion re-issue when `complete`).
-  // `intern` runs only for the FIRST write seen for `sn` and returns the
-  // value id to echo — or a negative id to refuse the payload as malformed
-  // (the refusal persists in the echoed slot, so a retried copy cannot be
-  // re-judged into support). A duplicate write re-issues the ORIGINAL
+  // WRITE (or the CWRITE recovery completion re-issue when `complete`)
+  // carrying the well-formed value `v`. The FIRST write seen for `sn` fixes
+  // the value this process echoes; a duplicate write re-issues the ORIGINAL
   // vote: idempotent refresh of a lost message, never support for an
   // equivocated second value. `complete` additionally lifts an abort
   // fence — the one message allowed to (see fence()).
-  template <typename Intern>
-  WriteStep on_write(std::uint64_t sn, bool complete, Intern&& intern) {
-    if (delivered_.contains(sn)) return {WriteAction::kReAck, -1, false};
+  WriteStep on_write(std::uint64_t sn, bool complete, const Ref& v) {
+    if (delivered_.contains(sn)) return {WriteAction::kReAck, nullptr, false};
     if (blocked_.contains(sn)) {
-      if (!complete) return {WriteAction::kFenced, -1, false};
+      if (!complete) return {WriteAction::kFenced, nullptr, false};
       blocked_.erase(sn);
     }
-    const auto it = echoed_.find(sn);
-    if (it != echoed_.end()) {
-      if (it->second < 0) return {WriteAction::kRefused, it->second, false};
-      return {WriteAction::kEcho, it->second, false};
-    }
-    const int vid = intern();  // may throw: echoed_ stays untouched
-    echoed_.emplace(sn, vid);
-    if (vid < 0) return {WriteAction::kRefused, vid, true};
-    return {WriteAction::kEcho, vid, true};
+    const auto [it, first] = echoed_.try_emplace(sn, v);
+    return {WriteAction::kEcho, it->second, first};
   }
 
   struct VoteStep {
@@ -91,19 +92,23 @@ class BrachaLadder {
     // accepts (Bracha's amplification).
     bool amplified = false;
     bool deliver = false;
+    // The candidate's handle when send_accept or deliver fired: the value
+    // to ACCEPT and to apply.
+    Ref value;
   };
 
-  // One ECHO or ACCEPT vote for candidate `value_id` by `voter`. Votes for
+  // One ECHO or ACCEPT vote for candidate `v` by `voter`. Votes for
   // delivered sns are inert — the PR-4 replay guard: a Byzantine ACCEPT
   // replay landing after the candidate map is pruned cannot pool with a
   // correct straggler's vote into a fresh f+1 and re-trigger the whole
   // amplification + ACK storm. Votes for fenced sns are inert too (the
   // fence is a promise to never support the sn again). On deliver the
-  // candidate map is pruned; the delivered set keeps it pruned.
-  VoteStep on_vote(std::uint64_t sn, int value_id, int voter, bool is_echo) {
+  // candidate map and the echoed handle are released; the delivered set
+  // keeps the sn closed.
+  VoteStep on_vote(std::uint64_t sn, const Ref& v, int voter, bool is_echo) {
     VoteStep out;
     if (delivered_.contains(sn) || blocked_.contains(sn)) return out;
-    Candidate& c = candidate(sn, value_id);
+    Candidate& c = candidate(sn, v);
     (is_echo ? c.echoes : c.accepts).insert(voter);
     if (!c.sent_accept &&
         (static_cast<int>(c.echoes.size()) >= n_ - f_ ||
@@ -111,11 +116,14 @@ class BrachaLadder {
       c.sent_accept = true;
       out.send_accept = true;
       out.amplified = static_cast<int>(c.echoes.size()) < n_ - f_;
+      out.value = c.value;
     }
     if (static_cast<int>(c.accepts.size()) >= n_ - f_) {
       out.deliver = true;
+      out.value = c.value;
       delivered_.insert(sn);
       cands_.erase(sn);  // prune: c is dangling beyond this point
+      echoed_.erase(sn);
     }
     return out;
   }
@@ -159,26 +167,32 @@ class BrachaLadder {
 
  private:
   struct Candidate {
-    int value_id = 0;
+    Ref value;
     std::set<int> echoes;
     std::set<int> accepts;
     bool sent_accept = false;
   };
 
-  Candidate& candidate(std::uint64_t sn, int value_id) {
+  // The candidate `v` votes for: the same handle first (honest processes
+  // forward the handle they received, so this is the common case), then
+  // equal content — a Byzantine copy of a value tallies with the original,
+  // exactly as a byte-identical message would on a real network.
+  Candidate& candidate(std::uint64_t sn, const Ref& v) {
     std::vector<Candidate>& cands = cands_[sn];
     for (Candidate& c : cands)
-      if (c.value_id == value_id) return c;
-    cands.push_back(Candidate{value_id, {}, {}, false});
+      if (c.value == v) return c;
+    for (Candidate& c : cands)
+      if (*c.value == *v) return c;
+    cands.push_back(Candidate{v, {}, {}, false});
     return cands.back();
   }
 
   int n_ = 0;
   int f_ = 0;
-  // Echo-once-per-sn, sn -> echoed value id (persists). Storing the id
-  // rather than bare membership lets a duplicate write re-issue the
-  // ORIGINAL echo; negative ids persist refusals.
-  std::map<std::uint64_t, int> echoed_;
+  // Echo-once-per-sn, sn -> echoed value (persists until delivery).
+  // Storing the handle rather than bare membership lets a duplicate write
+  // re-issue the ORIGINAL echo.
+  std::map<std::uint64_t, Ref> echoed_;
   // Delivered sns (persists): the replay guard.
   std::set<std::uint64_t> delivered_;
   // Abort-fenced sns (persists): the PR-8 promise.

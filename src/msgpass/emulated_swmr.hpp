@@ -39,10 +39,16 @@
 // The server-side state machine itself — echo-once / accept-once /
 // amplify / deliver tallies, the delivered-set replay guard, and the
 // abort-fence state — is detail::BrachaLadder (bracha_ladder.hpp); this
-// file keeps only the message I/O policy around it. The owner's
-// client-side state (writer mutex, sn-monotone local view) and the
-// READ/STATE quorum machinery live in detail::SwmrCore
-// (msgpass/swmr_core.hpp).
+// file keeps the message I/O policy around it, the owner's client-side
+// state (writer mutex, sn-monotone local view) and the READ/STATE quorum.
+//
+// Values are immutable shared handles (Ref): a written value is built once
+// and the same bytes back the WRITE broadcast, every ECHO / ACCEPT / STATE
+// that carries it and every server's stored pair (design note 17 in
+// docs/ARCHITECTURE.md). Protocol state holds handles, and two handles
+// name the same value iff they are the same pointer or compare equal, so a
+// value lives exactly as long as some stored pair, ladder slot, in-flight
+// operation or message still reaches it.
 //
 // Pipelined writes (design note 15): the owner may keep up to
 // pipeline_depth ladders in flight at once. write_async(v) allocates the
@@ -58,35 +64,89 @@
 // traces to the pre-pipeline protocol.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <stdexcept>
-#include <stop_token>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "msgpass/detail/bracha_ladder.hpp"
 #include "msgpass/network.hpp"
 #include "msgpass/server_pool.hpp"
-#include "msgpass/swmr_core.hpp"
+#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "registers/errors.hpp"
 #include "runtime/process.hpp"
+#include "util/sharded_counter.hpp"
 
 namespace swsig::msgpass {
+
+// Client-operation deadline/retry policy. A blocked quorum wait re-issues
+// its request after a bounded-exponential backoff slice — safe because
+// every re-issue is idempotent at the servers (sn-keyed dedup: a retried
+// WRITE/READ can refresh lost messages but never re-certify or split a
+// quorum; design note 14). op_timeout_ms bounds the whole operation: 0
+// means retry forever (the soak default — fault windows heal, so liveness
+// comes from the schedule, and an acknowledged-write guarantee must never
+// be traded for a deadline).
+struct RetryPolicy {
+  bool enabled = true;
+  std::uint64_t base_ms = 40;      // first backoff slice
+  std::uint64_t max_ms = 640;      // backoff cap
+  std::uint64_t op_timeout_ms = 0;  // overall deadline; 0 = none
+};
 
 class EmulatedSpace;
 
 namespace detail {
+
+// One flight-recorder event for a ladder/read phase of register `reg`,
+// keyed (reg, origin, sn) for trace correlation (obs/export.hpp).
+inline void record_phase(obs::EventKind kind, int pid, int reg, int origin,
+                         std::uint64_t sn, std::uint64_t aux = 0) {
+  obs::Event e;
+  e.kind = kind;
+  e.pid = static_cast<std::int16_t>(pid);
+  e.reg = reg;
+  e.origin = origin;
+  e.sn = sn;
+  e.aux = aux;
+  obs::record(e);
+}
+
+// Process-wide retry/abort telemetry (obs::MetricsRegistry), resolved once.
+inline util::ShardedCounter& retry_counter() {
+  static util::ShardedCounter& c =
+      obs::MetricsRegistry::global().counter("msgpass.op_retry");
+  return c;
+}
+inline util::ShardedCounter& timeout_counter() {
+  static util::ShardedCounter& c =
+      obs::MetricsRegistry::global().counter("msgpass.op_timeout");
+  return c;
+}
+inline util::ShardedCounter& abort_counter() {
+  static util::ShardedCounter& c =
+      obs::MetricsRegistry::global().counter("msgpass.write_abort");
+  return c;
+}
+inline util::ShardedCounter& coalesce_counter() {
+  static util::ShardedCounter& c =
+      obs::MetricsRegistry::global().counter("msgpass.read_coalesced");
+  return c;
+}
+
 struct HandlerBase {
   virtual ~HandlerBase() = default;
   // Runs on the server thread of the receiving process (bound to its pid).
@@ -112,27 +172,48 @@ struct HandlerBase {
 // client-side operations. All state is guarded by one mutex; message
 // handling runs on per-process server threads owned by the EmulatedSpace.
 template <typename T>
-class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
-  using Core = detail::SwmrCore<T>;
-  using Ladder = detail::BrachaLadder;
-  using Ref = typename Core::Ref;
+class EmulatedSwmr : public detail::HandlerBase {
+  static_assert(requires(const T& a, const T& b) {
+    { a == b } -> std::convertible_to<bool>;
+  }, "emulated register values need == (quorums count equal values)");
+
+  using Ladder = detail::BrachaLadder<T>;
+  using Clock = std::chrono::steady_clock;
 
  public:
-  // Fired once when an async write settles: (sn, aborted). Runs on the
-  // thread that observed the settle (the owner's server thread for the ACK
-  // quorum, the recovery thread for an abort) — keep it non-blocking and
-  // do not call back into this register's write path from it.
-  using SettleCallback = std::function<void(std::uint64_t, bool)>;
+  // Immutable shared handle to one value.
+  using Ref = std::shared_ptr<const T>;
+  // STATE reply payload: a server's stored (sn, value) pair.
+  using StatePayload = std::pair<std::uint64_t, Ref>;
 
   EmulatedSwmr(Network& net, int reg_id, int n, int f,
                runtime::ProcessId owner, T initial, std::string name,
                runtime::ProcessId sole_reader = runtime::kNoProcess,
                RetryPolicy retry = {}, int pipeline_depth = 1)
-      : Core(reg_id, n, f, owner, std::move(initial), std::move(name),
-             sole_reader, retry),
+      : reg_id_(reg_id),
+        n_(n),
+        f_(f),
+        owner_(owner),
+        sole_reader_(sole_reader),
+        name_(std::move(name)),
+        initial_(std::make_shared<const T>(std::move(initial))),
+        retry_(retry),
         net_(&net),
-        pipeline_depth_(std::max(pipeline_depth, 1)) {
-    ladder_.assign(static_cast<std::size_t>(n) + 1, Ladder(n, f));
+        pipeline_depth_(std::max(pipeline_depth, 1)),
+        owner_view_(initial_) {
+    state_.resize(static_cast<std::size_t>(n_) + 1, StoredState{0, initial_});
+    ladder_.assign(static_cast<std::size_t>(n_) + 1, Ladder(n_, f_));
+  }
+
+  const std::string& name() const { return name_; }
+  runtime::ProcessId owner() const { return owner_; }
+
+  // Inspection hook for crash/recovery tests and the soak harness: process
+  // pid's stored (sn, value) pair.
+  std::pair<std::uint64_t, T> stored_state(int pid) const {
+    std::scoped_lock lock(mu_);
+    const StoredState& st = state_.at(static_cast<std::size_t>(pid));
+    return {st.stored_sn, *st.stored_val};
   }
 
   // ------------------------------------------------------------- client
@@ -143,10 +224,9 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   // serializes those whole-operation, the same discipline as the seqlock
   // engine's writer mutex (registers/storage.hpp); readers never touch it.
   void write(T v) {
-    this->require_owner("write");
-    std::scoped_lock wl(this->writer_mu_);
-    await_locked(
-        write_async_locked(std::make_shared<const T>(std::move(v)), {}));
+    require_owner("write");
+    std::scoped_lock wl(writer_mu_);
+    await_locked(write_async_locked(std::make_shared<const T>(std::move(v))));
   }
 
   // Asynchronous write: broadcasts the WRITE and returns its sn without
@@ -154,14 +234,11 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   // unsettled at once — past that the call blocks (driving retries of the
   // in-flight ladders) until a slot frees. Every async write must
   // eventually be awaited: await(sn) reports its fate (WriteAborted if the
-  // owner crashed and recovery fenced it) and releases its slot. The
-  // optional callback fires once at settle time, before any await returns.
-  std::uint64_t write_async(T v) { return write_async(std::move(v), {}); }
-  std::uint64_t write_async(T v, SettleCallback on_settled) {
-    this->require_owner("write_async");
-    std::scoped_lock wl(this->writer_mu_);
-    return write_async_locked(std::make_shared<const T>(std::move(v)),
-                              std::move(on_settled));
+  // owner crashed and recovery fenced it) and releases its slot.
+  std::uint64_t write_async(T v) {
+    require_owner("write_async");
+    std::scoped_lock wl(writer_mu_);
+    return write_async_locked(std::make_shared<const T>(std::move(v)));
   }
 
   // Blocks until every in-flight write with sn' <= sn has settled, then
@@ -171,23 +248,56 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   // prefix keeps client-visible completion sn-monotone: a later write is
   // never observed settled while an earlier one is still undecided.
   void await(std::uint64_t sn) {
-    this->require_owner("await");
+    require_owner("await");
     await_locked(sn);
   }
 
   // Owner read-modify-write (single-writer, so the owner's local view IS
-  // the register's last written value). Atomicity against the owner's other
-  // writing thread lives in SwmrCore::update_with.
+  // the register's last written value). Holds writer_mu_ across the whole
+  // read-compute-commit: without it, two owner threads both read the same
+  // owner_view_, each apply their fn, and the second commit erases the
+  // first's modification (lost update).
   template <typename F>
   T update(F&& fn) {
-    this->require_owner("update");
-    return this->update_with(std::forward<F>(fn), [this](Ref v) {
-      await_locked(write_async_locked(std::move(v), {}));
-    });
+    require_owner("update");
+    std::scoped_lock wl(writer_mu_);
+    T next;
+    {
+      std::scoped_lock lock(mu_);
+      next = *owner_view_;
+      fn(next);
+      if (next == *owner_view_) return next;
+    }
+    Ref ref = std::make_shared<const T>(std::move(next));
+    await_locked(write_async_locked(ref));
+    return *ref;
   }
 
-  // Read by any process (or the sole reader, for SWSR use).
-  T read() { return this->read_via(*net_); }
+  // Read by any process (or the sole reader, for SWSR use): broadcast READ,
+  // return the value of the highest (sn, value) pair reported identically
+  // by n−f distinct processes; retry until stores converge.
+  //
+  // The owner takes the same quorum path as everyone else. Any owner-local
+  // shortcut is unsound in one direction or the other: serving the pending
+  // owner_view_ surfaces a value before remote readers can see it (old-new
+  // inversion against a later remote read), while serving the last
+  // ACK-quorum-committed value LAGS remote visibility — a remote read can
+  // assemble its n−f identical STATEs and respond before the owner's ACK
+  // wait finishes, so a later owner-local read of the committed view
+  // returns the older value (new-old inversion; caught fault-free by the
+  // soak's windowed checker and the owner-read race regression test).
+  // Linearizability of the quorum path itself is self-certifying: n−f
+  // identical replies pin every later read at that sn or higher.
+  T read() {
+    const runtime::ProcessId self = runtime::ThisProcess::id();
+    if (sole_reader_ != runtime::kNoProcess && self != sole_reader_ &&
+        self != owner_) {
+      throw registers::PortViolation("read of emulated SWSR '" + name_ +
+                                     "' by p" + std::to_string(self));
+    }
+    // The read's one copy, made outside the protocol mutex.
+    return *coalesced_quorum_pair(self).second;
+  }
 
   // ------------------------------------------------------------- server
 
@@ -195,7 +305,7 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
     const runtime::ProcessId self = runtime::ThisProcess::id();
     switch (m.tag) {
       case obs::MsgTag::kWrite:
-        if (m.from != this->owner_) return;  // only the owner's writes count
+        if (m.from != owner_) return;  // only the owner's writes count
         on_write(self, m, /*complete=*/false);
         return;
       case obs::MsgTag::kCWrite:
@@ -203,7 +313,7 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
         // message that lifts an abort fence (a plain retried WRITE must
         // stay inert at fenced servers or a delayed pre-crash copy could
         // undo a finalized abort).
-        if (m.from != this->owner_) return;
+        if (m.from != owner_) return;
         on_write(self, m, /*complete=*/true);
         return;
       case obs::MsgTag::kEcho:
@@ -216,18 +326,18 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
         on_ack(self, m);
         return;
       case obs::MsgTag::kAbort:
-        if (m.from != this->owner_) return;  // only the owner fences its sns
+        if (m.from != owner_) return;  // only the owner fences its sns
         on_abort(self, m);
         return;
       case obs::MsgTag::kAbAck:
-        if (self != this->owner_) return;
+        if (self != owner_) return;
         on_aback(m);
         return;
       case obs::MsgTag::kRead:
-        this->serve_read(*net_, self, m);
+        serve_read(self, m);
         return;
       case obs::MsgTag::kState:
-        this->accept_state(m);
+        accept_state(self, m);
         return;
       default:
         return;
@@ -235,29 +345,40 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   }
 
   // Crash semantics: a crash loses the server's volatile state — its stored
-  // (sn, value) pair and any in-progress ladder tallies (echo/accept vote
-  // counts for undelivered sns). The ladder's echoed / delivered / blocked
-  // dedup sets are modeled as stable storage (a write-ahead bit flipped
-  // before the corresponding broadcast): without them a rejoined server
-  // could echo a second value for an sn it already echoed — becoming
-  // equivocation support the safety argument forbids — or re-deliver and
-  // re-ACK old sns (see bracha_ladder.hpp).
+  // (sn, value) pair, wiped back to (0, initial), and any in-progress
+  // ladder tallies (echo/accept vote counts for undelivered sns). The
+  // ladder's echoed / delivered / blocked dedup sets are modeled as stable
+  // storage (a write-ahead bit flipped before the corresponding broadcast):
+  // without them a rejoined server could echo a second value for an sn it
+  // already echoed — becoming equivocation support the safety argument
+  // forbids — or re-deliver and re-ACK old sns (see bracha_ladder.hpp).
   void crash_process(int pid) override {
-    std::scoped_lock lock(this->mu_);
-    this->reset_stored_locked(pid);
+    std::scoped_lock lock(mu_);
+    state_[static_cast<std::size_t>(pid)] = StoredState{0, initial_};
     ladder_[static_cast<std::size_t>(pid)].crash();
-    if (pid == this->owner_) {
+    if (pid == owner_) {
       // In-flight writes just lost their owner: mark them interrupted so
       // the client's retry timer stops re-broadcasting (the network
       // squelch already discards its sends) and the blocked writer thread
       // parks until restart, when owner_restarted decides each fate.
       for (auto& [sn, w] : acks_)
         if (w.fate == AckWait::Fate::kPending) w.interrupted = true;
-      this->cv_.notify_all();
+      cv_.notify_all();
     }
   }
 
-  void resync_process(int self) override { this->resync_via(*net_, self); }
+  // The recovery subsystem: a rejoining server (calling thread bound as
+  // `self`) replays the certificates it missed by adopting the highest
+  // (sn, value) pair vouched by f+1 live peers — at least one of them
+  // correct, so the pair was genuinely certified by a delivered ladder.
+  // Safe against Byzantine repliers by the f+1 threshold and idempotent /
+  // monotone by the sn-guarded apply. Requires n−f live repliers (the
+  // driver restarts one process at a time, within the fault budget).
+  void resync_process(int self) override {
+    const auto [sn, v] = quorum_pair(f_ + 1, deadline_from(Clock::now()));
+    std::scoped_lock lock(mu_);
+    apply_locked(self, sn, v);
+  }
 
   // Owner-side crash recovery (design note 14). Runs bound as `pid` after
   // the server-side resync healed this process's replica. Each write that
@@ -283,15 +404,15 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   // in-flight sn or, if lower, the quorum-certified pair the resync adopted
   // (a per-sn rollback would let an early abort clobber the view of a later
   // completed write). write_sn_ is never rolled back — sns are never
-  // reused, or stale echo-once refusals would wedge the next write.
+  // reused, or stale echo-once slots would wedge the next write.
   //
   // With `recover` false (recovery subsystem disabled), only the retry
   // suppression is lifted: client retries resume, nothing is decided.
   void owner_restarted(int pid, bool recover) override {
-    if (pid != this->owner_) return;
+    if (pid != owner_) return;
     std::vector<std::uint64_t> inflight;  // ascending (map order)
     {
-      std::scoped_lock lock(this->mu_);
+      std::scoped_lock lock(mu_);
       for (auto& [sn, w] : acks_) {
         if (settled_locked(w)) continue;
         if (recover)
@@ -300,40 +421,65 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
           w.interrupted = false;
       }
       if (!recover) {
-        this->cv_.notify_all();
+        cv_.notify_all();
         return;
       }
     }
     std::set<std::uint64_t> aborted;
     std::uint64_t live_sn = 0;  // highest in-flight sn that completed
-    int live_vid = -1;
+    Ref live;
     for (const std::uint64_t sn : inflight) {
-      const Recovered out = recover_write(sn);
+      Recovered out = recover_write(sn);
       if (out.outcome == Recovered::Outcome::kCompleted) {
         live_sn = sn;
-        live_vid = out.vid;
+        live = std::move(out.value);
       } else if (out.outcome == Recovered::Outcome::kAborted) {
         aborted.insert(sn);
       }
     }
-    std::scoped_lock lock(this->mu_);
-    if (this->owner_view_sn_ != 0 && aborted.contains(this->owner_view_sn_)) {
-      const auto& own = this->state_[static_cast<std::size_t>(this->owner_)];
-      if (live_vid >= 0 && live_sn >= own.stored_sn) {
-        this->owner_view_ = this->values_[static_cast<std::size_t>(live_vid)];
-        this->owner_view_sn_ = live_sn;
+    std::scoped_lock lock(mu_);
+    if (owner_view_sn_ != 0 && aborted.contains(owner_view_sn_)) {
+      const StoredState& own = state_[static_cast<std::size_t>(owner_)];
+      if (live && live_sn >= own.stored_sn) {
+        owner_view_ = std::move(live);
+        owner_view_sn_ = live_sn;
       } else {
-        this->owner_view_ = own.stored_val;
-        this->owner_view_sn_ = own.stored_sn;
+        owner_view_ = own.stored_val;
+        owner_view_sn_ = own.stored_sn;
       }
     }
   }
 
  private:
+  struct StoredState {
+    std::uint64_t stored_sn = 0;
+    Ref stored_val;
+  };
+  // Client side of one READ round: the reading process, who replied, and
+  // which processes vouch for each (sn, value) pair reported.
+  struct ReadWait {
+    struct Support {
+      std::uint64_t sn;
+      Ref value;
+      std::set<int> vouchers;
+    };
+    int reader = runtime::kNoProcess;
+    std::set<int> senders;
+    std::vector<Support> support;
+  };
+  // Per-(register, reader-pid) coalescing state for shared READ quorum
+  // rounds (design note 15): overlapping reads by the same process share
+  // quorum rounds instead of each broadcasting their own.
+  struct ReadRound {
+    std::uint64_t round = 0;       // generations led so far
+    bool in_flight = false;        // some thread is leading a round now
+    std::uint64_t done_round = 0;  // highest generation published
+    std::pair<std::uint64_t, Ref> done;  // its result pair
+  };
   // Owner-side wait slot for one in-flight write sn.
   struct AckWait {
     enum class Fate { kPending, kCompleted, kAborted };
-    int vid = -1;  // interned value, for retry re-broadcasts
+    Ref value;  // for retry re-broadcasts
     std::set<int> acks;
     // Owner crashed with this write in flight: suppresses the client's
     // retry timer until restart (recovery owns the sn meanwhile).
@@ -341,13 +487,10 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
     // Recovery proved the sn delivered somewhere: retries switch to CWRITE
     // so they also lift any fences granted before the delivery was found.
     bool recovered = false;
-    bool fired = false;          // settle callback fired (at most once)
-    SettleCallback on_settled;   // optional, from write_async
     int slot = 0;                // writes already in flight at issue (obs)
-    std::chrono::steady_clock::time_point t0{};  // issue time (latency)
+    Clock::time_point t0{};      // issue time (latency)
     Fate fate = Fate::kPending;
   };
-
   // Owner-side wait slot for one abort fence (recovery only).
   struct FenceWait {
     std::set<int> repliers;
@@ -356,8 +499,227 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
     bool unsafe_any = false;
   };
 
+  void require_owner(const char* op) const {
+    if (runtime::ThisProcess::id() != owner_)
+      throw registers::PortViolation(std::string(op) + " on emulated '" +
+                                     name_ + "' by non-owner p" +
+                                     std::to_string(runtime::ThisProcess::id()));
+  }
+
+  // ------------------------------------------------- the client wait loop
+
+  // An operation started at t0 must finish by this; max() = no deadline.
+  Clock::time_point deadline_from(Clock::time_point t0) const {
+    return retry_.op_timeout_ms > 0
+               ? t0 + std::chrono::milliseconds(retry_.op_timeout_ms)
+               : Clock::time_point::max();
+  }
+
+  // The one client wait loop (design note 14) behind every quorum wait:
+  // reads, the ACK prefix, the pipeline's capacity gate, the coalesced-read
+  // park and the abort fence. Blocks on cv_ under `lock` (mu_) until
+  // done(). Each backoff slice (base_ms doubling to max_ms) that lapses
+  // calls retry(backoff), which re-issues what the wait depends on and may
+  // drop `lock` meanwhile; with retries disabled the wait is one slice up
+  // to the deadline. Every pass checks `deadline`: once it has passed
+  // without done() the loop returns false, and the caller throws through
+  // op_timeout.
+  template <typename Done, typename Retry>
+  bool wait_locked(std::unique_lock<std::mutex>& lock,
+                   Clock::time_point deadline, Done&& done, Retry&& retry) {
+    std::uint64_t backoff = std::max<std::uint64_t>(retry_.base_ms, 1);
+    for (;;) {
+      if (done()) return true;
+      const auto now = Clock::now();
+      if (now >= deadline) return false;
+      if (!retry_.enabled && deadline == Clock::time_point::max()) {
+        cv_.wait(lock, done);
+        return true;
+      }
+      const auto until =
+          retry_.enabled
+              ? std::min(now + std::chrono::milliseconds(backoff), deadline)
+              : deadline;
+      if (cv_.wait_until(lock, until, done)) return true;
+      if (retry_.enabled && Clock::now() < deadline) {
+        retry(backoff);
+        backoff =
+            std::min(backoff * 2, std::max(retry_.max_ms, retry_.base_ms));
+      }
+    }
+  }
+
+  // Deadline expiry of the operation `what` by `pid`, keyed `key` on the
+  // trace: counts it and throws registers::OpTimeout (an indeterminate
+  // outcome). Releases `lock`.
+  [[noreturn]] void op_timeout(std::unique_lock<std::mutex>& lock, int pid,
+                               std::uint64_t key, const std::string& what) {
+    lock.unlock();
+    detail::record_phase(obs::EventKind::kOpTimeout, pid, reg_id_, owner_,
+                         key);
+    detail::timeout_counter().add();
+    throw registers::OpTimeout(what + " timed out after " +
+                               std::to_string(retry_.op_timeout_ms) + " ms");
+  }
+
+  // ---------------------------------------------------------------- read
+
+  // Coalesced READ quorum rounds (design note 15): k reads of this register
+  // by the same process that overlap in time share quorum rounds instead of
+  // broadcasting k of them. At most one round per (register, reader) is in
+  // flight: the thread that finds none becomes the leader and runs the
+  // plain n−f quorum; the others pick a target GENERATION — strictly after
+  // their arrival — and adopt the result of the first generation >= it.
+  //
+  // Linearizability is inherited, not re-argued: the adopted result came
+  // from a full n−f quorum round whose READ broadcast happened after the
+  // adopting read was invoked (the generation counter is advanced under mu_
+  // only after the target was fixed) and whose result landed before it
+  // returns — so the quorum round's linearization point lies inside the
+  // adopting read's own interval. Waiters never return a round led before
+  // they arrived; the generation arithmetic is what rules that out.
+  //
+  // If a leader throws (op deadline), it releases leadership and wakes the
+  // waiters; one of them leads a fresh generation — still >= every parked
+  // target, so one successful round releases everyone.
+  std::pair<std::uint64_t, Ref> coalesced_quorum_pair(int self) {
+    const auto deadline = deadline_from(Clock::now());
+    std::unique_lock lock(mu_);
+    ReadRound& rr = read_rounds_[self];  // node-stable reference
+    std::uint64_t target = 0;            // 0 = not parked yet
+    for (;;) {
+      if (target != 0 && rr.done_round >= target) {
+        const std::uint64_t adopted = rr.done_round;
+        auto res = rr.done;
+        lock.unlock();
+        detail::coalesce_counter().add();
+        detail::record_phase(obs::EventKind::kReadCoalesced, self, reg_id_,
+                             owner_, adopted, res.first);
+        return res;
+      }
+      if (!rr.in_flight) {
+        rr.in_flight = true;
+        const std::uint64_t gen = ++rr.round;
+        lock.unlock();
+        std::pair<std::uint64_t, Ref> res;
+        try {
+          res = quorum_pair(n_ - f_, deadline);
+        } catch (...) {
+          std::scoped_lock relock(mu_);
+          rr.in_flight = false;  // hand leadership to a parked waiter
+          cv_.notify_all();
+          throw;
+        }
+        lock.lock();
+        rr.done_round = std::max(rr.done_round, gen);
+        rr.done = res;
+        rr.in_flight = false;
+        cv_.notify_all();
+        lock.unlock();
+        return res;
+      }
+      if (target == 0) target = rr.round + 1;
+      // Parked: the leader does the retrying.
+      if (!wait_locked(
+              lock, deadline,
+              [&] { return rr.done_round >= target || !rr.in_flight; },
+              [](std::uint64_t) {}))
+        op_timeout(lock, self, target, read_op(self));
+    }
+  }
+
+  std::string read_op(int self) const {
+    return "read of '" + name_ + "' by p" + std::to_string(self);
+  }
+
+  // The quorum loop shared by reads and recovery: broadcast READ, return
+  // the highest (sn, value) pair vouched identically by >= `support`
+  // distinct repliers, retrying with fresh rids until one emerges. Reads
+  // use support = n−f (self-certifying, design note 6); recovery uses
+  // support = f+1 — enough to pin at least one correct voucher, i.e. a
+  // certificate the Bracha ladder really delivered.
+  //
+  // Retry layer (design note 14): a reply quorum that fails to assemble
+  // within the current backoff slice — replies lost to drops, partitions,
+  // or a crashed server — re-broadcasts with a FRESH rid (reads have no
+  // server-side effects; stale STATE replies to the abandoned rid are
+  // ignored by accept_state).
+  std::pair<std::uint64_t, Ref> quorum_pair(int support,
+                                            Clock::time_point deadline) {
+    static obs::LogHistogram& quorum_hist =
+        obs::MetricsRegistry::global().histogram("msgpass.read_quorum_us");
+    const int self = runtime::ThisProcess::id();
+    const auto t0 = Clock::now();
+    std::unique_lock lock(mu_);
+    std::uint64_t rid = 0;
+    const auto issue = [&] {  // under lock; drops it for the broadcast
+      reads_.erase(rid);
+      rid = ++read_rid_;
+      reads_[rid].reader = self;  // open the wait slot before broadcasting
+      lock.unlock();
+      detail::record_phase(obs::EventKind::kReadStart, self, reg_id_, owner_,
+                           rid, static_cast<std::uint64_t>(support));
+      Message m;
+      m.reg = reg_id_;
+      m.tag = obs::MsgTag::kRead;
+      m.sn = rid;
+      net_->broadcast(m);
+      detail::record_phase(obs::EventKind::kQuorumWait, self, reg_id_, owner_,
+                           rid, static_cast<std::uint64_t>(n_ - f_));
+      lock.lock();
+    };
+    issue();
+    for (;;) {
+      const bool replied = wait_locked(
+          lock, deadline,
+          [&] {
+            return static_cast<int>(reads_[rid].senders.size()) >= n_ - f_;
+          },
+          [&](std::uint64_t backoff) {  // replies were lost
+            detail::record_phase(obs::EventKind::kOpRetry, self, reg_id_,
+                                 owner_, rid, backoff);
+            detail::retry_counter().add();
+            issue();
+          });
+      if (!replied) {
+        reads_.erase(rid);
+        op_timeout(lock, self, rid, read_op(self));
+      }
+      // Highest pair reported identically by >= support distinct
+      // processes.
+      const typename ReadWait::Support* best = nullptr;
+      for (const auto& s : reads_[rid].support)
+        if (static_cast<int>(s.vouchers.size()) >= support &&
+            (best == nullptr || s.sn > best->sn))
+          best = &s;
+      if (best != nullptr) {
+        std::pair<std::uint64_t, Ref> res{best->sn, best->value};
+        reads_.erase(rid);
+        lock.unlock();
+        quorum_hist.add(
+            std::chrono::duration<double, std::micro>(Clock::now() - t0)
+                .count());
+        detail::record_phase(obs::EventKind::kReadDone, self, reg_id_,
+                             owner_, rid, res.first);
+        return res;
+      }
+      // No sufficiently-supported pair among these replies (stores still
+      // converging): re-issue now, no backoff — replies ARE arriving, the
+      // stores just have not converged yet. The next wait still checks the
+      // deadline.
+      lock.unlock();
+      detail::record_phase(obs::EventKind::kReadRetry, self, reg_id_, owner_,
+                           rid);
+      std::this_thread::yield();
+      lock.lock();
+      issue();
+    }
+  }
+
+  // --------------------------------------------------------------- write
+
   bool settled_locked(const AckWait& w) const {
-    return static_cast<int>(w.acks.size()) >= this->n_ - this->f_ ||
+    return static_cast<int>(w.acks.size()) >= n_ - f_ ||
            w.fate != AckWait::Fate::kPending;
   }
 
@@ -368,121 +730,82 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
     return k;
   }
 
-  [[noreturn]] void throw_op_timeout(std::unique_lock<std::mutex>& lock,
-                                     std::uint64_t victim) {
-    if (victim != 0) acks_.erase(victim);
-    lock.unlock();
-    detail::record_phase(obs::EventKind::kOpTimeout, this->owner_,
-                         this->reg_id_, this->owner_, victim);
-    detail::timeout_counter().add();
-    throw registers::OpTimeout(
-        "write sn " + std::to_string(victim) + " on '" + this->name_ +
-        "' timed out after " + std::to_string(this->retry_.op_timeout_ms) +
-        " ms (outcome indeterminate)");
+  std::string write_op(std::uint64_t sn) const {
+    return "write sn " + std::to_string(sn) + " on '" + name_ + "'";
   }
 
-  // The shared quorum-wait loop of the pipelined write path: waits under
-  // `lock` (mu_) until pred(); each lapsed backoff slice re-broadcasts
-  // every unsettled, non-interrupted in-flight sn <= limit — WRITE, or
-  // CWRITE once recovery proved the sn delivered. Retries are pure
-  // refreshes of lost messages, idempotent at every server (echo-once
-  // re-issues the original echo, delivered servers just re-ACK), so a
-  // retry can never re-certify a quorum or recruit equivocation support
-  // (design note 14). Throws registers::OpTimeout at op_deadline, erasing
-  // `victim`'s slot (0 = none — the capacity gate has no slot yet).
-  template <typename Pred>
-  void drive_quorum_locked(std::unique_lock<std::mutex>& lock,
-                           std::chrono::steady_clock::time_point op_deadline,
-                           std::uint64_t limit, std::uint64_t victim,
-                           Pred&& pred) {
-    std::uint64_t backoff = std::max<std::uint64_t>(this->retry_.base_ms, 1);
-    for (;;) {
-      if (pred()) return;
-      if (!this->retry_.enabled) {
-        if (this->retry_.op_timeout_ms > 0) {
-          if (!this->cv_.wait_until(lock, op_deadline, pred))
-            throw_op_timeout(lock, victim);
-        } else {
-          this->cv_.wait(lock, pred);
-        }
-        continue;
-      }
-      const auto until = std::min(std::chrono::steady_clock::now() +
-                                      std::chrono::milliseconds(backoff),
-                                  op_deadline);
-      if (this->cv_.wait_until(lock, until, pred)) return;
-      if (std::chrono::steady_clock::now() >= op_deadline)
-        throw_op_timeout(lock, victim);
-      std::vector<Message> resend;
-      for (const auto& [sn, w] : acks_) {
-        if (sn > limit) break;
-        if (settled_locked(w) || w.interrupted) continue;
-        Message rm;
-        rm.reg = this->reg_id_;
-        rm.tag = w.recovered ? obs::MsgTag::kCWrite : obs::MsgTag::kWrite;
-        rm.sn = sn;
-        rm.payload = this->payload_locked(w.vid);
-        resend.push_back(std::move(rm));
-      }
-      if (!resend.empty()) {
-        lock.unlock();
-        for (Message& rm : resend) {
-          detail::record_phase(obs::EventKind::kOpRetry, this->owner_,
-                               this->reg_id_, this->owner_, rm.sn, backoff);
-          detail::retry_counter().add();
-          net_->broadcast(std::move(rm));
-        }
-        lock.lock();
-      }
-      backoff = std::min(backoff * 2,
-                         std::max(this->retry_.max_ms, this->retry_.base_ms));
+  // The write path's retry: re-broadcasts every unsettled, non-interrupted
+  // in-flight sn <= limit — WRITE, or CWRITE once recovery proved the sn
+  // delivered. Retries are pure refreshes of lost messages, idempotent at
+  // every server (echo-once re-issues the original echo, delivered servers
+  // just re-ACK), so a retry can never re-certify a quorum or recruit
+  // equivocation support (design note 14). Drops `lock` to send.
+  void resend_locked(std::unique_lock<std::mutex>& lock, std::uint64_t limit,
+                     std::uint64_t backoff) {
+    std::vector<Message> resend;
+    for (const auto& [sn, w] : acks_) {
+      if (sn > limit) break;
+      if (settled_locked(w) || w.interrupted) continue;
+      Message rm;
+      rm.reg = reg_id_;
+      rm.tag = w.recovered ? obs::MsgTag::kCWrite : obs::MsgTag::kWrite;
+      rm.sn = sn;
+      rm.payload = Payload(w.value);
+      resend.push_back(std::move(rm));
     }
+    if (resend.empty()) return;
+    lock.unlock();
+    for (Message& rm : resend) {
+      detail::record_phase(obs::EventKind::kOpRetry, owner_, reg_id_, owner_,
+                           rm.sn, backoff);
+      detail::retry_counter().add();
+      net_->broadcast(std::move(rm));
+    }
+    lock.lock();
   }
 
   // Issue half of the pipelined write path: caller holds writer_mu_.
-  // Blocks only on the capacity gate (unsettled in-flight >= depth). `v` is
-  // the value's one shared copy; the WRITE carries its canonical handle.
-  std::uint64_t write_async_locked(Ref v, SettleCallback on_settled) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto op_deadline =
-        this->retry_.op_timeout_ms > 0
-            ? t0 + std::chrono::milliseconds(this->retry_.op_timeout_ms)
-            : std::chrono::steady_clock::time_point::max();
-    {
-      // Capacity gate. The wait drives retries of the in-flight sns so a
-      // lossy window cannot wedge an issuer behind ladders whose awaiters
-      // have not started waiting yet.
-      std::unique_lock lock(this->mu_);
-      drive_quorum_locked(lock, op_deadline,
-                          std::numeric_limits<std::uint64_t>::max(),
-                          /*victim=*/0,
-                          [&] { return unsettled_locked() < pipeline_depth_; });
+  // Blocks only on the capacity gate (unsettled in-flight >= depth), which
+  // drives retries of the in-flight sns so a lossy window cannot wedge an
+  // issuer behind ladders whose awaiters have not started waiting yet.
+  // Allocates the next sn and updates owner_view_ sn-monotonically, so an
+  // owner-local RMW never observes an older value after a higher sn was
+  // handed to the write path. `v` is the value's one shared copy; the
+  // WRITE carries it.
+  std::uint64_t write_async_locked(Ref v) {
+    const auto t0 = Clock::now();
+    std::unique_lock lock(mu_);
+    if (!wait_locked(
+            lock, deadline_from(t0),
+            [&] { return unsettled_locked() < pipeline_depth_; },
+            [&](std::uint64_t backoff) {
+              resend_locked(lock, std::numeric_limits<std::uint64_t>::max(),
+                            backoff);
+            }))
+      op_timeout(lock, owner_, 0, write_op(0));
+    const std::uint64_t sn = ++write_sn_;
+    if (sn >= owner_view_sn_) {
+      owner_view_ = v;
+      owner_view_sn_ = sn;
     }
-    const auto [sn, vid] = this->allocate_sn_locked(std::move(v));
-    int slot;
+    // Open the ACK wait slot before broadcasting so the ACK handler can
+    // tell the in-flight write from stale/replayed sns.
+    const int slot = unsettled_locked();  // writes already in flight
+    AckWait& w = acks_[sn];
+    w.value = v;
+    w.slot = slot;
+    w.t0 = t0;
+    lock.unlock();
+    detail::record_phase(obs::EventKind::kWriteStart, owner_, reg_id_, owner_,
+                         sn, static_cast<std::uint64_t>(slot));
     Message m;
-    m.reg = this->reg_id_;
+    m.reg = reg_id_;
     m.tag = obs::MsgTag::kWrite;
     m.sn = sn;
-    {
-      // Open the ACK wait slot before broadcasting so the ACK handler can
-      // tell the in-flight write from stale/replayed sns.
-      std::scoped_lock lock(this->mu_);
-      slot = unsettled_locked();  // writes already in flight (0 = none)
-      AckWait& w = acks_[sn];
-      w.vid = vid;
-      w.on_settled = std::move(on_settled);
-      w.slot = slot;
-      w.t0 = t0;
-      m.payload = this->payload_locked(vid);
-    }
-    detail::record_phase(obs::EventKind::kWriteStart, this->owner_,
-                         this->reg_id_, this->owner_, sn,
-                         static_cast<std::uint64_t>(slot));
+    m.payload = Payload(std::move(v));
     net_->broadcast(std::move(m));
-    detail::record_phase(obs::EventKind::kQuorumWait, this->owner_,
-                         this->reg_id_, this->owner_, sn,
-                         static_cast<std::uint64_t>(this->n_ - this->f_));
+    detail::record_phase(obs::EventKind::kQuorumWait, owner_, reg_id_, owner_,
+                         sn, static_cast<std::uint64_t>(n_ - f_));
     return sn;
   }
 
@@ -491,42 +814,48 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   void await_locked(std::uint64_t target) {
     static obs::LogHistogram& ack_hist =
         obs::MetricsRegistry::global().histogram("msgpass.write_ack_wait_us");
-    std::unique_lock lock(this->mu_);
+    std::unique_lock lock(mu_);
     const auto it0 = acks_.find(target);
     if (it0 == acks_.end()) return;  // already awaited (or timed out)
     const auto t0 = it0->second.t0;
-    const auto op_deadline =
-        this->retry_.op_timeout_ms > 0
-            ? t0 + std::chrono::milliseconds(this->retry_.op_timeout_ms)
-            : std::chrono::steady_clock::time_point::max();
-    drive_quorum_locked(lock, op_deadline, target, /*victim=*/target, [&] {
-      for (auto it = acks_.begin(); it != acks_.end() && it->first <= target;
-           ++it)
-        if (!settled_locked(it->second)) return false;
-      return true;
-    });
+    if (!wait_locked(
+            lock, deadline_from(t0),
+            [&] {
+              for (auto it = acks_.begin();
+                   it != acks_.end() && it->first <= target; ++it)
+                if (!settled_locked(it->second)) return false;
+              return true;
+            },
+            [&](std::uint64_t backoff) {
+              resend_locked(lock, target, backoff);
+            })) {
+      acks_.erase(target);
+      op_timeout(lock, owner_, target,
+                 write_op(target) + " (outcome indeterminate)");
+    }
     const auto it = acks_.find(target);
     if (it == acks_.end()) return;  // raced with a concurrent await(target)
     const bool was_aborted = it->second.fate == AckWait::Fate::kAborted;
     acks_.erase(it);
     lock.unlock();
     if (was_aborted) {
-      detail::record_phase(obs::EventKind::kWriteAbort, this->owner_,
-                           this->reg_id_, this->owner_, target);
+      detail::record_phase(obs::EventKind::kWriteAbort, owner_, reg_id_,
+                           owner_, target);
       detail::abort_counter().add();
       throw registers::WriteAborted(
-          "write sn " + std::to_string(target) + " on '" + this->name_ +
-          "' aborted: owner crashed before the value could deliver");
+          write_op(target) +
+          " aborted: owner crashed before the value could deliver");
     }
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    const auto elapsed = Clock::now() - t0;
     ack_hist.add(std::chrono::duration<double, std::micro>(elapsed).count());
     detail::record_phase(
-        obs::EventKind::kWriteDone, this->owner_, this->reg_id_, this->owner_,
-        target,
+        obs::EventKind::kWriteDone, owner_, reg_id_, owner_, target,
         static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
                 .count()));
   }
+
+  // -------------------------------------------------------- server side
 
   // WRITE and CWRITE. The ladder decides (bracha_ladder.hpp): a delivered
   // server re-ACKs, a fenced server stays inert unless this is the
@@ -536,80 +865,74 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   // A malformed payload is dropped before the ladder sees it, so it never
   // occupies the sn's echo slot.
   void on_write(int self, const Message& m, bool complete) {
-    if (m.payload.get<T>() == nullptr) return;
+    Ref v = m.payload.share<T>();
+    if (v == nullptr) return;
     typename Ladder::WriteStep step;
-    Message echo;
     {
-      std::scoped_lock lock(this->mu_);
-      step = ladder_[static_cast<std::size_t>(self)].on_write(
-          m.sn, complete, [&] { return this->intern_payload_locked(m.payload); });
-      if (step.action == Ladder::WriteAction::kEcho)
-        echo.payload = this->payload_locked(step.value_id);
+      std::scoped_lock lock(mu_);
+      step = ladder_[static_cast<std::size_t>(self)].on_write(m.sn, complete,
+                                                              v);
     }
     switch (step.action) {
-      case Ladder::WriteAction::kReAck: {
-        Message ack;
-        ack.reg = this->reg_id_;
-        ack.tag = obs::MsgTag::kAck;
-        ack.sn = m.sn;
-        ack.to = this->owner_;
-        net_->send(ack);
+      case Ladder::WriteAction::kReAck:
+        send_ack(m.sn);
         return;
-      }
       case Ladder::WriteAction::kFenced:
-      case Ladder::WriteAction::kRefused:
         return;
       case Ladder::WriteAction::kEcho:
         break;
     }
-    detail::record_phase(obs::EventKind::kPhaseEcho, self, this->reg_id_,
-                         this->owner_, m.sn);
-    echo.reg = this->reg_id_;
+    detail::record_phase(obs::EventKind::kPhaseEcho, self, reg_id_, owner_,
+                         m.sn);
+    Message echo;
+    echo.reg = reg_id_;
     echo.tag = obs::MsgTag::kEcho;
     echo.sn = m.sn;
+    echo.payload = Payload(std::move(step.value));
     net_->broadcast(std::move(echo));
   }
 
   // ECHO and ACCEPT: one vote into the ladder; act on what it fired. The
-  // vote counts for the interned id of the payload's CONTENT, so a copy of
-  // a value under a foreign handle tallies with the original.
+  // ladder matches the vote to a candidate by handle, then by content, so a
+  // copy of a value under a foreign handle tallies with the original.
   void on_vote_msg(int self, const Message& m, bool is_echo) {
-    int vid;
+    const Ref v = m.payload.share<T>();
+    if (v == nullptr) return;  // malformed payload: dropped
     typename Ladder::VoteStep step;
-    Message acc;
     {
-      std::scoped_lock lock(this->mu_);
-      vid = this->intern_payload_locked(m.payload);
-      if (vid < 0) return;  // malformed payload: dropped
-      step = ladder_[static_cast<std::size_t>(self)].on_vote(m.sn, vid,
-                                                             m.from, is_echo);
-      if (step.deliver) this->apply_locked(self, m.sn, vid);
-      if (step.send_accept) acc.payload = this->payload_locked(vid);
+      std::scoped_lock lock(mu_);
+      step = ladder_[static_cast<std::size_t>(self)].on_vote(m.sn, v, m.from,
+                                                             is_echo);
+      if (step.deliver) apply_locked(self, m.sn, step.value);
     }
     if (step.send_accept)
       detail::record_phase(step.amplified ? obs::EventKind::kPhaseAmplify
                                           : obs::EventKind::kPhaseAccept,
-                           self, this->reg_id_, this->owner_, m.sn);
+                           self, reg_id_, owner_, m.sn);
     if (step.deliver) {
-      detail::record_phase(obs::EventKind::kPhaseDeliver, self, this->reg_id_,
-                           this->owner_, m.sn, static_cast<std::uint64_t>(vid));
-      detail::record_phase(obs::EventKind::kPhaseAck, self, this->reg_id_,
-                           this->owner_, m.sn);
+      detail::record_phase(obs::EventKind::kPhaseDeliver, self, reg_id_,
+                           owner_, m.sn);
+      detail::record_phase(obs::EventKind::kPhaseAck, self, reg_id_, owner_,
+                           m.sn);
     }
     if (step.send_accept) {
-      acc.reg = this->reg_id_;
+      Message acc;
+      acc.reg = reg_id_;
       acc.tag = obs::MsgTag::kAccept;
       acc.sn = m.sn;
+      acc.payload = Payload(step.value);
       net_->broadcast(std::move(acc));
     }
-    if (step.deliver) {
-      Message ack;
-      ack.reg = this->reg_id_;
-      ack.tag = obs::MsgTag::kAck;
-      ack.sn = m.sn;
-      ack.to = this->owner_;
-      net_->send(ack);
-    }
+    if (step.deliver) send_ack(m.sn);
+  }
+
+  void send_ack(std::uint64_t sn) {
+    Message ack;
+    ack.reg = reg_id_;
+    ack.tag = obs::MsgTag::kAck;
+    ack.sn = sn;
+    ack.to = owner_;
+    net_->send(std::move(ack));
   }
 
   // ACK(sn) at the owner. Only ACKs for writes currently in flight count
@@ -617,22 +940,12 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   // or replayed ACKs would otherwise recreate map entries that are never
   // erased.
   void on_ack(int self, const Message& m) {
-    if (self != this->owner_) return;
-    SettleCallback cb;
-    {
-      std::scoped_lock lock(this->mu_);
-      const auto it = acks_.find(m.sn);
-      if (it == acks_.end()) return;
-      AckWait& w = it->second;
-      w.acks.insert(m.from);
-      if (static_cast<int>(w.acks.size()) >= this->n_ - this->f_ &&
-          w.fate == AckWait::Fate::kPending && !w.fired && w.on_settled) {
-        w.fired = true;
-        cb = std::move(w.on_settled);
-      }
-      this->cv_.notify_all();
-    }
-    if (cb) cb(m.sn, /*aborted=*/false);
+    if (self != owner_) return;
+    std::scoped_lock lock(mu_);
+    const auto it = acks_.find(m.sn);
+    if (it == acks_.end()) return;
+    it->second.acks.insert(m.from);
+    cv_.notify_all();
   }
 
   // Server side of the abort fence — BrachaLadder::fence holds the safety
@@ -641,11 +954,11 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   void on_abort(int self, const Message& m) {
     bool unsafe;
     {
-      std::scoped_lock lock(this->mu_);
+      std::scoped_lock lock(mu_);
       unsafe = ladder_[static_cast<std::size_t>(self)].fence(m.sn);
     }
     Message r;
-    r.reg = this->reg_id_;
+    r.reg = reg_id_;
     r.tag = obs::MsgTag::kAbAck;
     r.sn = m.sn;
     r.to = m.from;
@@ -656,13 +969,70 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   void on_aback(const Message& m) {
     const bool* unsafe = m.payload.get<bool>();
     if (unsafe == nullptr) return;  // malformed payload: dropped
-    std::scoped_lock lock(this->mu_);
+    std::scoped_lock lock(mu_);
     const auto it = fence_.find(m.sn);
     if (it == fence_.end()) return;  // reply to a finished fence
     it->second.repliers.insert(m.from);
     if (*unsafe) it->second.unsafe_any = true;
-    this->cv_.notify_all();
+    cv_.notify_all();
   }
+
+  // Server side of read(): reply with process `self`'s stored pair (a
+  // handle to the stored value, not a copy of it).
+  void serve_read(int self, const Message& m) {
+    Message reply;
+    reply.reg = reg_id_;
+    reply.tag = obs::MsgTag::kState;
+    reply.sn = m.sn;  // rid
+    reply.to = m.from;
+    StatePayload state;
+    {
+      std::scoped_lock lock(mu_);
+      const StoredState& st = state_[static_cast<std::size_t>(self)];
+      state = {st.stored_sn, st.stored_val};
+    }
+    reply.payload = Payload::of(std::move(state));
+    net_->send(std::move(reply));
+  }
+
+  // Client side of read(): account a STATE reply received by `self`. A
+  // malformed one (empty or wrong-typed payload, null value handle) is
+  // dropped, and so is one for a read `self` is not running: rids are
+  // per register, and a reply sent to another process — say, to a
+  // Byzantine READ reusing a live rid — is no answer to this read. Replies
+  // vouch for the same pair iff their sns match and their values do — the
+  // same handle or equal content.
+  void accept_state(int self, const Message& m) {
+    const StatePayload* state = m.payload.get<StatePayload>();
+    if (state == nullptr || state->second == nullptr) return;
+    const auto& [sn, v] = *state;
+    std::scoped_lock lock(mu_);
+    auto it = reads_.find(m.sn);
+    if (it == reads_.end() || it->second.reader != self)
+      return;  // reply to a finished or foreign read
+    ReadWait& w = it->second;
+    if (!w.senders.insert(m.from).second) return;  // dup sender
+    auto s = std::find_if(w.support.begin(), w.support.end(), [&](auto& e) {
+      return e.sn == sn && (e.value == v || *e.value == *v);
+    });
+    if (s == w.support.end())
+      s = w.support.insert(s, typename ReadWait::Support{sn, v, {}});
+    s->vouchers.insert(m.from);
+    cv_.notify_all();
+  }
+
+  // Applies a delivered (sn, value) to process `self`'s stored state,
+  // sn-monotone — late or reordered deliveries cannot roll it back.
+  // Caller holds mu_.
+  void apply_locked(int self, std::uint64_t sn, const Ref& v) {
+    StoredState& st = state_[static_cast<std::size_t>(self)];
+    if (sn > st.stored_sn) {
+      st.stored_sn = sn;
+      st.stored_val = v;
+    }
+  }
+
+  // ------------------------------------------------------------ recovery
 
   // Recovery for one interrupted write sn (thread bound as the owner; see
   // owner_restarted for the safety argument). Decides complete-vs-abort and
@@ -671,7 +1041,7 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
   struct Recovered {
     enum class Outcome { kCompleted, kAborted, kVanished };
     Outcome outcome = Outcome::kVanished;
-    int vid = -1;
+    Ref value;
   };
   Recovered recover_write(std::uint64_t sn) {
     bool certified;
@@ -679,83 +1049,90 @@ class EmulatedSwmr : public detail::HandlerBase, public detail::SwmrCore<T> {
       // The server-side resync just adopted the highest f+1-vouched pair
       // into our own replica: if it carries sn, the write delivered
       // somewhere and must complete.
-      std::scoped_lock lock(this->mu_);
-      certified =
-          this->state_[static_cast<std::size_t>(this->owner_)].stored_sn >= sn;
+      std::scoped_lock lock(mu_);
+      certified = state_[static_cast<std::size_t>(owner_)].stored_sn >= sn;
     }
     const bool complete = certified || !fence_write(sn);
-    SettleCallback cb;
-    std::unique_lock lock(this->mu_);
+    std::unique_lock lock(mu_);
     const auto it = acks_.find(sn);
     if (it == acks_.end())
       return {};  // writer gave up (op timeout) meanwhile
     AckWait& w = it->second;
-    const int vid = w.vid;
-    if (complete) {
-      w.recovered = true;
-      w.interrupted = false;
-      this->cv_.notify_all();
-      // Kick the completion now rather than waiting a backoff slice: the
-      // CWRITE lifts any fences granted mid-recovery and re-drives the
-      // ladder toward the missing ACKs (the writer's own retries continue
-      // as CWRITE from here).
-      Message cm;
-      cm.reg = this->reg_id_;
-      cm.tag = obs::MsgTag::kCWrite;
-      cm.sn = sn;
-      cm.payload = this->payload_locked(vid);
-      lock.unlock();
-      net_->broadcast(std::move(cm));
-      return {Recovered::Outcome::kCompleted, vid};
-    }
-    w.fate = AckWait::Fate::kAborted;
     w.interrupted = false;
-    if (!w.fired && w.on_settled) {
-      w.fired = true;
-      cb = std::move(w.on_settled);
+    cv_.notify_all();
+    if (!complete) {
+      w.fate = AckWait::Fate::kAborted;
+      return {Recovered::Outcome::kAborted, nullptr};
     }
-    this->cv_.notify_all();
+    w.recovered = true;
+    // Kick the completion now rather than waiting a backoff slice: the
+    // CWRITE lifts any fences granted mid-recovery and re-drives the
+    // ladder toward the missing ACKs (the writer's own retries continue
+    // as CWRITE from here).
+    Message cm;
+    cm.reg = reg_id_;
+    cm.tag = obs::MsgTag::kCWrite;
+    cm.sn = sn;
+    cm.payload = Payload(w.value);
+    Recovered out{Recovered::Outcome::kCompleted, w.value};
     lock.unlock();
-    if (cb) cb(sn, /*aborted=*/true);
-    return {Recovered::Outcome::kAborted, vid};
+    net_->broadcast(std::move(cm));
+    return out;
   }
 
-  // Broadcast ABORT(sn) until n−f ABACKs arrive (bounded-exponential
-  // re-broadcast, like every other quorum wait). Returns true if the fence
-  // fully committed (write aborted): every replier had neither delivered
-  // nor accepted sn. False means some replier is unsafe — complete instead.
+  // Broadcast ABORT(sn) until n−f ABACKs arrive, re-broadcasting on every
+  // lapsed backoff slice (retries enabled). There is no deadline: recovery
+  // must decide the sn. Returns true if the fence fully committed (write aborted): every
+  // replier had neither delivered nor accepted sn. False means some
+  // replier is unsafe — complete instead.
   bool fence_write(std::uint64_t sn) {
-    {
-      std::scoped_lock lock(this->mu_);
-      fence_[sn];  // open the wait slot before broadcasting
-    }
-    std::uint64_t backoff = std::max<std::uint64_t>(this->retry_.base_ms, 1);
     Message m;
-    m.reg = this->reg_id_;
+    m.reg = reg_id_;
     m.tag = obs::MsgTag::kAbort;
     m.sn = sn;
-    for (;;) {
+    std::unique_lock lock(mu_);
+    FenceWait& fw = fence_[sn];  // open the wait slot before broadcasting
+    const auto send = [&](std::uint64_t) {
+      lock.unlock();
       net_->broadcast(m);
-      std::unique_lock lock(this->mu_);
-      const auto quorum = [&] {
-        return static_cast<int>(fence_[sn].repliers.size()) >=
-               this->n_ - this->f_;
-      };
-      if (this->cv_.wait_for(lock, std::chrono::milliseconds(backoff),
-                             quorum)) {
-        const bool unsafe_any = fence_[sn].unsafe_any;
-        fence_.erase(sn);
-        return !unsafe_any;
-      }
-      backoff = std::min(backoff * 2,
-                         std::max(this->retry_.max_ms, this->retry_.base_ms));
-    }
+      lock.lock();
+    };
+    send(0);
+    wait_locked(
+        lock, Clock::time_point::max(),
+        [&] { return static_cast<int>(fw.repliers.size()) >= n_ - f_; },
+        send);
+    const bool unsafe_any = fw.unsafe_any;
+    fence_.erase(sn);
+    return !unsafe_any;
   }
 
-  Network* net_;
-  const int pipeline_depth_;                // max unsettled async writes
-  std::vector<Ladder> ladder_;              // per process
-  std::map<std::uint64_t, AckWait> acks_;   // per in-flight write sn (owner)
+  const int reg_id_;
+  const int n_;
+  const int f_;
+  const runtime::ProcessId owner_;
+  const runtime::ProcessId sole_reader_;  // kNoProcess = SWMR
+  const std::string name_;
+  const Ref initial_;  // crash wipes a server's store back to this
+  const RetryPolicy retry_;
+  Network* const net_;
+  const int pipeline_depth_;  // max unsettled async writes
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  // Serializes the owner's writing threads (op + Help) whole-operation —
+  // the seqlock engine's writer-mutex discipline (registers/storage.hpp);
+  // never touched by readers.
+  std::mutex writer_mu_;
+  std::vector<StoredState> state_;   // per process
+  std::vector<Ladder> ladder_;       // per process
+  std::uint64_t write_sn_ = 0;       // owner-local
+  Ref owner_view_;                   // owner-local latest (possibly pending)
+  std::uint64_t owner_view_sn_ = 0;  // sn owner_view_ corresponds to
+  std::uint64_t read_rid_ = 0;
+  std::map<std::uint64_t, ReadWait> reads_;
+  std::map<int, ReadRound> read_rounds_;      // per reader pid (coalescing)
+  std::map<std::uint64_t, AckWait> acks_;     // per in-flight write sn
   std::map<std::uint64_t, FenceWait> fence_;  // per recovering sn (owner)
 };
 

@@ -15,9 +15,13 @@
 //    tests/fault_injection_test.cpp.
 //  * Dropping is LOSS on a channel the protocols assume reliable: a drop
 //    schedule must keep the set of affected processes within the f
-//    fault budget (design note 12 in docs/ARCHITECTURE.md), otherwise
-//    quorum waits can block forever — there is no retransmission layer.
-//    Delay and reorder are loss-free and may touch any process.
+//    fault budget (design note 12 in docs/ARCHITECTURE.md). The network
+//    itself never retransmits; lost messages are recovered only by the
+//    clients' retry layer (RetryPolicy, design note 14), which re-issues
+//    a blocked quorum wait's requests after each backoff slice — with
+//    retries disabled, a quorum wait that lost its messages blocks until
+//    its deadline. Delay and reorder are loss-free and may touch any
+//    process.
 #pragma once
 
 #include <chrono>

@@ -15,11 +15,10 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
-#include <stop_token>
-#include <thread>
+#include <utility>
 #include <vector>
 
+#include "msgpass/detail/bracha_ladder.hpp"
 #include "msgpass/network.hpp"
 #include "msgpass/server_pool.hpp"
 #include "obs/recorder.hpp"
@@ -88,72 +87,42 @@ class WitnessBroadcast {
   Network& network() { return net_; }
 
  private:
-  // Per (sender, seq, value): who echoed / readied.
-  struct Tally {
-    std::set<int> echoes;
-    std::set<int> readies;
-    bool sent_echo = false;
-    bool sent_ready = false;
-  };
+  using Ladder = detail::BrachaLadder<std::uint64_t>;
+  using Key = std::pair<int, std::uint64_t>;  // (origin, seq)
+
   struct PerProcess {
-    // (sender, seq) -> value -> tally
-    std::map<std::pair<int, std::uint64_t>, std::map<std::uint64_t, Tally>>
-        tallies;
-    std::map<std::pair<int, std::uint64_t>, std::uint64_t> delivered;
+    // One ladder per origin, keyed by seq: INIT/ECHO/READY are the
+    // ladder's WRITE/ECHO/ACCEPT rungs with the same n−f / f+1 / n−f
+    // thresholds (detail/bracha_ladder.hpp).
+    std::map<int, Ladder> ladders;
+    std::map<Key, std::uint64_t> delivered;
   };
 
   void handle(int self, const Message& m) {
-    const std::uint64_t* payload = m.payload.get<std::uint64_t>();
-    if (payload == nullptr) return;  // malformed Byzantine payload
-    const std::uint64_t value = *payload;
-    const int n = options_.n;
-    const int f = options_.f;
+    const auto value = m.payload.share<std::uint64_t>();
+    if (value == nullptr) return;  // malformed Byzantine payload
+    // The INIT sender is the broadcast origin; ECHO/READY carry the origin
+    // in reg (abused as origin pid field).
+    const Key key{m.tag == obs::MsgTag::kInit ? m.from : m.reg, m.sn};
 
     std::unique_lock lock(mu_);
     PerProcess& st = state_[static_cast<std::size_t>(self)];
-
-    std::pair<int, std::uint64_t> key;
-    if (m.tag == obs::MsgTag::kInit) {
-      key = {m.from, m.sn};  // the INIT sender is the broadcast origin
-    } else {
-      // ECHO/READY carry the origin in reg (abused as origin pid field).
-      key = {m.reg, m.sn};
-    }
-    auto& per_value = st.tallies[key];
-    Tally& tally = per_value[value];
-
+    Ladder& ladder =
+        st.ladders.try_emplace(key.first, options_.n, options_.f)
+            .first->second;
     bool send_echo = false;
-    bool send_ready = false;
-    bool ready_amplified = false;
-    bool delivered_now = false;
+    Ladder::VoteStep vote;
     if (m.tag == obs::MsgTag::kInit) {
-      // Echo only the FIRST value seen from this (sender, seq) — the
-      // non-equivocation guard.
-      bool echoed_any = false;
-      for (auto& [v, t] : per_value) echoed_any |= t.sent_echo;
-      if (!echoed_any) {
-        tally.sent_echo = true;
-        send_echo = true;
-      }
-    } else if (m.tag == obs::MsgTag::kEcho) {
-      tally.echoes.insert(m.from);
-      if (!tally.sent_ready &&
-          static_cast<int>(tally.echoes.size()) >= n - f) {
-        tally.sent_ready = true;
-        send_ready = true;
-      }
-    } else if (m.tag == obs::MsgTag::kReady) {
-      tally.readies.insert(m.from);
-      if (!tally.sent_ready &&
-          static_cast<int>(tally.readies.size()) >= f + 1) {
-        tally.sent_ready = true;
-        send_ready = true;
-        ready_amplified = true;
-      }
-      if (static_cast<int>(tally.readies.size()) >= n - f &&
-          !st.delivered.contains(key)) {
-        st.delivered[key] = value;
-        delivered_now = true;
+      // Echo only the FIRST value seen from this (origin, seq) — the
+      // non-equivocation guard. A repeated INIT is not re-echoed, and an
+      // INIT for a delivered seq (kReAck) has nothing left to do.
+      const auto step = ladder.on_write(key.second, false, value);
+      send_echo = step.action == Ladder::WriteAction::kEcho && step.first;
+    } else if (m.tag == obs::MsgTag::kEcho || m.tag == obs::MsgTag::kReady) {
+      vote = ladder.on_vote(key.second, value, m.from,
+                            m.tag == obs::MsgTag::kEcho);
+      if (vote.deliver) {
+        st.delivered[key] = *vote.value;
         cv_.notify_all();
       }
     }
@@ -161,21 +130,21 @@ class WitnessBroadcast {
 
     if (send_echo)
       record_witness_phase(obs::EventKind::kPhaseEcho, self, key);
-    if (send_ready)
-      record_witness_phase(ready_amplified ? obs::EventKind::kPhaseAmplify
-                                           : obs::EventKind::kPhaseAccept,
+    if (vote.send_accept)
+      record_witness_phase(vote.amplified ? obs::EventKind::kPhaseAmplify
+                                          : obs::EventKind::kPhaseAccept,
                            self, key);
-    if (delivered_now)
-      record_witness_phase(obs::EventKind::kPhaseDeliver, self, key, value);
+    if (vote.deliver)
+      record_witness_phase(obs::EventKind::kPhaseDeliver, self, key,
+                           *vote.value);
     if (send_echo) relay(obs::MsgTag::kEcho, key, value);
-    if (send_ready) relay(obs::MsgTag::kReady, key, value);
+    if (vote.send_accept) relay(obs::MsgTag::kReady, key, vote.value);
   }
 
   // One ladder-correlated event under the witness sentinel register,
   // keyed (kWitnessObsReg, origin, seq).
   static void record_witness_phase(obs::EventKind kind, int self,
-                                   const std::pair<int, std::uint64_t>& key,
-                                   std::uint64_t aux = 0) {
+                                   const Key& key, std::uint64_t aux = 0) {
     obs::Event e;
     e.kind = kind;
     e.pid = static_cast<std::int16_t>(self);
@@ -186,13 +155,12 @@ class WitnessBroadcast {
     obs::record(e);
   }
 
-  void relay(obs::MsgTag tag, const std::pair<int, std::uint64_t>& key,
-             std::uint64_t value) {
+  void relay(obs::MsgTag tag, const Key& key, Ladder::Ref value) {
     Message m;
     m.tag = tag;
     m.reg = key.first;  // origin pid rides in the reg field
     m.sn = key.second;
-    m.payload = Payload::of(value);
+    m.payload = Payload(std::move(value));
     net_.broadcast(std::move(m));
   }
 

@@ -61,6 +61,10 @@ struct SoakMetrics {
   double read_p50_us = 0, read_p99_us = 0;
   double write_p50_us = 0, write_p99_us = 0;
 
+  // Peak resident set of the whole process at the end of the run
+  // (getrusage ru_maxrss), so the soak tracks memory as well as time.
+  double peak_rss_mb = 0;
+
   // Per-message-type traffic deltas over the run ("net.send.WRITE", ...)
   // and per-phase latency histograms ("msgpass.read_quorum_us", ...), both
   // sourced from the obs::MetricsRegistry by the runner. Zero-count
@@ -98,6 +102,7 @@ struct SoakMetrics {
     rep.metric(p + "read_p99_us", read_p99_us);
     rep.metric(p + "write_p50_us", write_p50_us);
     rep.metric(p + "write_p99_us", write_p99_us);
+    rep.metric(p + "peak_rss_mb", peak_rss_mb);
     rep.metric(p + "max_stall_ms", static_cast<double>(max_stall_ms));
     rep.metric(p + "windows_checked", static_cast<double>(windows_checked));
     // SLO counters: hard zeros in a healthy run (lower is better).
@@ -131,6 +136,7 @@ struct SoakMetrics {
        << op_errors << " errors)\n"
        << "  latency us: read p50 " << read_p50_us << " p99 " << read_p99_us
        << "; write p50 " << write_p50_us << " p99 " << write_p99_us << "\n"
+       << "  memory: peak rss " << peak_rss_mb << " MB\n"
        << "  checker: " << windows_checked << " windows, "
        << window_violations << " violations, " << windows_undecided
        << " undecided\n"

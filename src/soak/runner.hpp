@@ -40,6 +40,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "lincheck/byzantine_completion.hpp"
 #include "lincheck/history.hpp"
 #include "lincheck/window.hpp"
@@ -69,7 +71,6 @@ struct SoakConfig {
   std::uint64_t checkpoint_ms = 250;  // forced quiescent-cut cadence
   std::uint64_t stall_budget_ms = 10000;
   int hot_registers = 16;  // per owner; half of all traffic lands here
-  int value_pool = 1024;   // distinct values per register (bounds interning)
 
   // Writes per client burst (design note 15). 1 = blocking write(). >1:
   // each write turn issues up to this many overlapping write_async ops on
@@ -338,10 +339,7 @@ inline SoakOutcome run_soak(msgpass::EmulatedSpace& space,
           burst.reserve(static_cast<std::size_t>(cfg.pipeline_depth));
           const auto t0 = Clock::now();
           for (int b = 0; b < cfg.pipeline_depth; ++b) {
-            const std::string v =
-                "p" + std::to_string(pid) + "#" +
-                std::to_string(counter++ %
-                               static_cast<std::uint64_t>(cfg.value_pool));
+            const std::string v = name + "#" + std::to_string(counter++);
             const int token = rec.invoke(entry.name, "write", v);
             try {
               burst.push_back(InFlight{token, reg.write_async(v)});
@@ -389,12 +387,9 @@ inline SoakOutcome run_soak(msgpass::EmulatedSpace& space,
         try {
           const auto t0 = Clock::now();
           if (do_write) {
-            // Value pool bounds per-register interning on long runs; pool
-            // size >> window size keeps in-window values distinct.
-            const std::string v =
-                "p" + std::to_string(pid) + "#" +
-                std::to_string(counter++ %
-                               static_cast<std::uint64_t>(cfg.value_pool));
+            // Every written value is unique (worker name + counter), so
+            // the checker can tell any two writes apart.
+            const std::string v = name + "#" + std::to_string(counter++);
             const int token = rec.invoke(entry.name, "write", v);
             try {
               reg.write(v);
@@ -713,6 +708,11 @@ inline SoakOutcome run_soak(msgpass::EmulatedSpace& space,
   m.read_p99_us = read_hist.p99();
   m.write_p50_us = write_hist.p50();
   m.write_p99_us = write_hist.p99();
+  {
+    rusage ru{};
+    if (getrusage(RUSAGE_SELF, &ru) == 0)
+      m.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
+  }
   // Per-message-type traffic over this run (delta vs the start snapshot;
   // zero-traffic types pruned) and the protocol-phase latency histograms.
   for (const obs::CounterSnapshot& c : registry.counters("net.")) {

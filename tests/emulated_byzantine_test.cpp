@@ -137,6 +137,50 @@ TEST(EmulatedByzantine, GarbagePayloadsAreDropped) {
   EXPECT_EQ(reg.read(), 11);
 }
 
+// Holds STATE replies: those addressed to the Byzantine p4 for 300 ms and
+// those addressed to the reader p2 for 1000 ms.
+class HoldStates : public FaultInjector {
+ public:
+  FaultDecision on_deliver(const Message& m) override {
+    if (m.tag != obs::MsgTag::kState) return {};
+    if (m.to == 4) return {.delay = std::chrono::milliseconds(300)};
+    if (m.to == 2) return {.delay = std::chrono::milliseconds(1000)};
+    return {};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+};
+
+// Read ids are per reader: a STATE reply counts only for a read by the
+// process it was sent to. Byzantine p4 broadcasts READ under the rid p2's
+// first read will use, before the write; the honest servers' stale
+// (0, initial) replies reach p4 while p2's read is open. Counted toward
+// p2's read they would make n−f identical stale pairs, and p2 would read 0
+// after write(11) completed — a new-old inversion. Retries are off so p2's
+// first rid stays open until its own (delayed) replies arrive.
+TEST(EmulatedByzantine, RepliesToAnotherProcessCannotFeedARead) {
+  EmulatedSpace space({.n = 4, .f = 1, .retry = {.enabled = false}});
+  auto& reg = space.make_swmr<int>(1, 0, "r");
+  HoldStates hold;
+  space.network().set_fault_injector(&hold);
+  {
+    ThisProcess::Binder bind(4);
+    Message m;
+    m.reg = 0;
+    m.tag = obs::MsgTag::kRead;
+    m.sn = 1;  // the first rid of this register
+    space.network().broadcast(m);
+  }
+  {
+    ThisProcess::Binder bind(1);
+    reg.write(11);
+  }
+  {
+    ThisProcess::Binder bind(2);
+    EXPECT_EQ(reg.read(), 11);
+  }
+  space.network().set_fault_injector(nullptr);
+}
+
 // Messages for unknown register ids are ignored (no out-of-bounds access).
 TEST(EmulatedByzantine, UnknownRegisterIdIgnored) {
   EmulatedSpace space({.n = 4, .f = 1});

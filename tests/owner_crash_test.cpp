@@ -183,7 +183,7 @@ TEST(OwnerCrash, RetryCarriesLiveClientThroughTotalLossWindow) {
 // burst issued AFTER the owner crashed is squelched at the network, so
 // recovery must fence-abort all of them — and it decides the sns in
 // ascending order (a later sn never settles before an earlier one is
-// decided), which the settle callbacks observe directly.
+// decided), which the order of the recovery's ABORT broadcasts shows.
 TEST(OwnerCrash, PipelinedUndeliveredBurstAbortsInAscendingSnOrder) {
   EmulatedSpace::Options opt{.n = 4, .f = 1};
   opt.retry.base_ms = 5000;  // no retry can race the recovery fence
@@ -196,29 +196,40 @@ TEST(OwnerCrash, PipelinedUndeliveredBurstAbortsInAscendingSnOrder) {
   }
   space.crash(1);
 
-  std::mutex mu;
-  std::vector<std::pair<std::uint64_t, bool>> settled;  // (sn, aborted)
+  // Records the sn of every ABORT delivery, in network order.
+  struct AbortLog : FaultInjector {
+    std::mutex mu;
+    std::vector<std::uint64_t> sns;
+    FaultDecision on_deliver(const Message& m) override {
+      if (m.tag == obs::MsgTag::kAbort) {
+        std::scoped_lock lock(mu);
+        sns.push_back(m.sn);
+      }
+      return {};
+    }
+    bool reorder(runtime::ProcessId) override { return false; }
+  } aborts;
+  space.network().set_fault_injector(&aborts);
+
   std::vector<std::uint64_t> issued;
   {
     // The capacity gate (depth 4) admits three unsettled writes without
     // blocking; their broadcasts are discarded — no server ever sees them.
     ThisProcess::Binder bind(1);
     for (int i = 0; i < 3; ++i)
-      issued.push_back(reg.write_async(
-          "lost" + std::to_string(i), [&](std::uint64_t sn, bool aborted) {
-            std::scoped_lock lock(mu);
-            settled.emplace_back(sn, aborted);
-          }));
+      issued.push_back(reg.write_async("lost" + std::to_string(i)));
   }
   space.restart(1);  // recovery fences sn 2, 3, 4 — ascending, all aborted
+  space.network().set_fault_injector(nullptr);
 
   {
-    std::scoped_lock lock(mu);
-    ASSERT_EQ(settled.size(), issued.size());
-    for (std::size_t i = 0; i < settled.size(); ++i) {
-      EXPECT_EQ(settled[i].first, issued[i]) << "settle order broke at " << i;
-      EXPECT_TRUE(settled[i].second) << "sn " << settled[i].first;
-    }
+    std::scoped_lock lock(aborts.mu);
+    ASSERT_FALSE(aborts.sns.empty());
+    EXPECT_TRUE(std::is_sorted(aborts.sns.begin(), aborts.sns.end()))
+        << "a later sn was fenced before an earlier one was decided";
+    EXPECT_TRUE(
+        std::set<std::uint64_t>(aborts.sns.begin(), aborts.sns.end()) ==
+        std::set<std::uint64_t>(issued.begin(), issued.end()));
   }
   {
     ThisProcess::Binder bind(1);

@@ -1,9 +1,10 @@
 // Shared immutable payloads on the message-passing substrate (design note
 // 17 in docs/ARCHITECTURE.md): a written value is built once and
-// every message, server store and intern-table slot shares it, so the
-// number of value copies per operation does not grow with n. Interning is
-// by content, so a Byzantine copy of an honest value tallies with it, while
-// an equivocating value still cannot certify.
+// every message, server store and ladder slot shares it, so the number of
+// value copies per operation does not grow with n, and a value is freed
+// once nothing reaches it. Quorums count equal values, so a Byzantine copy
+// of an honest value tallies with it, while an equivocating value still
+// cannot certify.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,15 +19,21 @@ namespace {
 
 using runtime::ThisProcess;
 
-// A register value that counts its copies (moves are free).
+// A register value that counts its copies (moves are free) and its live
+// instances.
 struct Counted {
   static inline std::atomic<int> copies{0};
+  static inline std::atomic<int> live{0};
 
   int v = 0;
-  Counted() = default;
-  explicit Counted(int x) : v(x) {}
-  Counted(const Counted& o) : v(o.v) { copies.fetch_add(1); }
-  Counted(Counted&&) noexcept = default;
+  Counted() { live.fetch_add(1); }
+  explicit Counted(int x) : v(x) { live.fetch_add(1); }
+  Counted(const Counted& o) : v(o.v) {
+    copies.fetch_add(1);
+    live.fetch_add(1);
+  }
+  Counted(Counted&& o) noexcept : v(o.v) { live.fetch_add(1); }
+  ~Counted() { live.fetch_sub(1); }
   Counted& operator=(const Counted& o) {
     v = o.v;
     copies.fetch_add(1);
@@ -79,6 +86,30 @@ TEST(PayloadSharing, EmulatedCopiesDoNotGrowWithN) {
   EXPECT_EQ(copies[0], copies[1]) << "n=4 vs n=7";
 }
 
+// Memory tracks live state, not history: once traffic quiesces, every
+// server stores only the latest value and the ladders have released every
+// delivered sn's value, so the number of live values does not grow with
+// the number of writes.
+TEST(PayloadSharing, LiveValuesDoNotGrowWithWrites) {
+  EmulatedSpace space({.n = 4, .f = 1});
+  const auto sent = [&] { return space.network().messages_sent(); };
+  auto& reg = space.make_swmr<Counted>(1, Counted(0), "r");
+  int next = 0;
+  const auto live_after = [&](int writes) {
+    {
+      ThisProcess::Binder bind(1);
+      for (int i = 0; i < writes; ++i) reg.write(Counted(++next));
+    }
+    quiesce(sent);
+    return Counted::live.load();
+  };
+  const int after20 = live_after(20);
+  const int after200 = live_after(180);
+  EXPECT_EQ(after200, after20);
+  ThisProcess::Binder bind(2);
+  EXPECT_EQ(reg.read().v, 200);
+}
+
 // Drops the ECHOes that p3's and p4's server threads send for sn 1, so the
 // honest echo tally for write #1 tops out at 2 < n−f = 3. Messages sent
 // while `forging` is set on the sending thread (the Byzantine p4's forged
@@ -95,7 +126,7 @@ class MuteEchoes : public FaultInjector {
 };
 
 // Byzantine p4 forges one ECHO(1, 42) built under its own handle. Only
-// content interning lets it pool with the honest echoes of p1 and p2 into
+// matching candidates by content lets it pool with the honest echoes of p1 and p2 into
 // the n−f quorum that certifies write #1 — with handle-keyed tallies the
 // write would time out. Then p4 forges ECHO and ACCEPT for a value the
 // owner never wrote, ahead of write #2: one voter cannot certify it.
