@@ -1,7 +1,9 @@
 // T9 — The closing corollary, measured: emulated SWMR registers over
 // Byzantine message passing (write/read latency, messages per op), the
-// full stack — a verifiable register running on those emulated registers —
-// the per-write message cost at larger n (T9c), and the async engine:
+// full stack — a verifiable register running on those emulated registers,
+// across n and after a growing history of signed values, with the
+// network's queueing delay (T9b) — the per-write message cost at larger n
+// (T9c), the multi-register collect (T9d), and the async engine:
 // pipelined owner writes and same-pid read coalescing (T9e).
 #include <atomic>
 #include <chrono>
@@ -13,6 +15,7 @@
 #include "bench/common.hpp"
 #include "core/verifiable_register.hpp"
 #include "msgpass/emulated_swmr.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/process.hpp"
 
 namespace {
@@ -62,7 +65,17 @@ Row emulated_register(int n, int f) {
   return row;
 }
 
-double full_stack_verify(int n, int f) {
+// T9b — Verify over the full stack: Algorithm 1 on emulated registers, one
+// Help() thread per process. p1 writes and signs `signed_values` values;
+// then p2 verifies the last one `samples` times (after 8 unsampled calls,
+// which also let the helpers adopt the whole history into their witness
+// sets). Messages are counted over the sampled calls only.
+struct VerifyRow {
+  util::Samples us;
+  double msgs_per_verify = 0;
+};
+
+VerifyRow full_stack_verify(int n, int f, int signed_values, int samples) {
   msgpass::EmulatedSpace space({.n = n, .f = f});
   using Reg = core::VerifiableRegister<std::uint64_t, msgpass::EmulatedSpace>;
   Reg::Config cfg;
@@ -80,19 +93,31 @@ double full_stack_verify(int n, int f) {
       }
     });
   }
+  const auto last = static_cast<std::uint64_t>(signed_values);
   {
     runtime::ThisProcess::Binder bind(1);
-    reg.write(42);
-    reg.sign(42);
+    for (std::uint64_t v = 1; v <= last; ++v) {
+      reg.write(v);
+      reg.sign(v);
+    }
   }
-  double median;
+  VerifyRow row;
   {
     runtime::ThisProcess::Binder bind(2);
-    median = bench::sample_latency(10, [&] { reg.verify(42); }).median();
+    for (int i = 0; i < 8; ++i) reg.verify(last);
+    const auto count = [&] { return space.network().messages_sent(); };
+    const auto before = drained(count);
+    row.us = bench::sample_latency(samples, [&] { reg.verify(last); }, 0);
+    row.msgs_per_verify =
+        static_cast<double>(drained(count) - before) / samples;
   }
   stop = true;
   for (auto& t : helpers) t.request_stop();
-  return median;
+  return row;
+}
+
+double iqr(const util::Samples& s) {
+  return s.percentile(75.0) - s.percentile(25.0);
 }
 
 // T9c — messages per blocking write at larger n: one full
@@ -106,6 +131,30 @@ double msgs_per_write(int n, int f, int writes) {
   const auto before = drained(count);
   for (int i = 0; i < writes; ++i) reg.write(static_cast<std::uint64_t>(i + 1));
   return static_cast<double>(drained(count) - before) / writes;
+}
+
+// T9d — one collect of k registers by p2 (a single READ naming all k, one
+// STATE per replier carrying k pairs; design note 18) against k = 1, the
+// plain read.
+struct CollectRow {
+  double us = 0;
+  double msgs = 0;
+};
+
+CollectRow collect(int n, int f, int k) {
+  msgpass::EmulatedSpace space({.n = n, .f = f});
+  std::vector<msgpass::EmulatedSwmr<std::uint64_t>*> regs;
+  for (int i = 0; i < k; ++i)
+    regs.push_back(&space.make_swmr<std::uint64_t>(
+        1 + i % n, 0, "r" + std::to_string(i)));
+  runtime::ThisProcess::Binder bind(2);
+  const auto count = [&] { return space.network().messages_sent(); };
+  CollectRow row;
+  const auto before = drained(count);
+  row.us = bench::sample_latency(kIters, [&] { space.collect(regs); }, 0)
+               .median();
+  row.msgs = static_cast<double>(drained(count) - before) / kIters;
+  return row;
 }
 
 // T9e — the async protocol engine (design note 15): depth-k pipelined
@@ -198,14 +247,47 @@ int main(int argc, char** argv) {
   }
   table.print();
 
+  constexpr int kVerifySamples = 30;
   bench::heading(
       "T9b — full stack: verifiable register OVER emulated registers "
-      "(median Verify us, 10 calls)");
-  util::Table stack({"n", "f", "verify us"});
-  const double us = full_stack_verify(4, 1);
-  stack.add_row({"4", "1", util::Table::num(us)});
+      "(Verify us: median and IQR of " +
+      std::to_string(kVerifySamples) + " calls on one signed value)");
+  util::Table stack({"n", "f", "signed values", "verify us", "IQR us",
+                     "msgs/verify"});
+  obs::LogHistogram& queue = obs::MetricsRegistry::global().histogram(
+      "net.queue_us");
+  double queue_p50 = 0, queue_p99 = 0;  // over the n=4 row
+  const auto verify_row = [&](int n, int signed_values,
+                              const std::string& key) {
+    const int f = max_f(n);
+    if (n == 4 && signed_values == 1)
+      obs::MetricsRegistry::global().reset_histograms("net.");
+    const VerifyRow r = full_stack_verify(n, f, signed_values, kVerifySamples);
+    stack.add_row({util::Table::num(n), util::Table::num(f),
+                   util::Table::num(signed_values),
+                   util::Table::num(r.us.median()), util::Table::num(iqr(r.us)),
+                   util::Table::num(r.msgs_per_verify, 1)});
+    report.metric(key + ".verify_us", r.us.median());
+    report.metric(key + ".verify_iqr_us", iqr(r.us));
+    report.metric(key + ".msgs_per_verify", r.msgs_per_verify);
+    if (n == 4 && signed_values == 1) {
+      queue_p50 = queue.p50();
+      queue_p99 = queue.p99();
+      report.metric("msgpass.fullstack.n4.queue_p50_us", queue_p50);
+      report.metric("msgpass.fullstack.n4.queue_p99_us", queue_p99);
+    }
+  };
+  for (int n : {4, 7, 10})
+    verify_row(n, 1, "msgpass.fullstack.n" + std::to_string(n));
+  // History sensitivity: the witness sets every helper round and every
+  // answer carry hold all the values signed so far.
+  for (int values : {100, 1000})
+    verify_row(4, values,
+               "msgpass.fullstack.n4.after" + std::to_string(values));
   stack.print();
-  report.metric("msgpass.fullstack.n4.verify_us", us);
+  bench::heading("      network queueing during the n=4 Verify row: p50 " +
+                 util::Table::num(queue_p50) + " us, p99 " +
+                 util::Table::num(queue_p99) + " us (net.queue_us)");
 
   bench::heading(
       "T9c — messages per blocking write at larger n (one "
@@ -220,6 +302,20 @@ int main(int argc, char** argv) {
                   mpw);
   }
   cost.print();
+
+  bench::heading(
+      "T9d — one collect of k registers (n=4; k=1 is a plain read): one "
+      "READ naming all k, one STATE per replier");
+  util::Table collects({"k", "collect us", "msgs/collect"});
+  for (int k : {1, 4, 16}) {
+    const CollectRow r = collect(4, 1, k);
+    collects.add_row({util::Table::num(k), util::Table::num(r.us),
+                      util::Table::num(r.msgs, 1)});
+    const std::string tag = "msgpass.n4.collect" + std::to_string(k);
+    report.metric(tag + "_us", r.us);
+    report.metric(tag + "_msgs", r.msgs);
+  }
+  collects.print();
 
   bench::heading(
       "T9e — async engine: depth-4 sliding-window pipelined writes, and "

@@ -19,9 +19,9 @@
 
 #include <map>
 #include <optional>
-#include <set>
 
 #include "core/authenticated_register.hpp"
+#include "core/shared_set.hpp"
 #include "core/sticky_register.hpp"
 #include "core/types.hpp"
 #include "core/verifiable_register.hpp"
@@ -87,7 +87,7 @@ class VoteFlipHelper {
   }
 
  private:
-  void insert_target(std::set<V>& s) { s.insert(target_); }
+  void insert_target(core::SharedSet<V>& s) { s.insert(target_); }
   void insert_target(std::optional<V>& s) { s = target_; }
 
   Alg* alg_;

@@ -18,13 +18,14 @@
 #pragma once
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/detail/adopt.hpp"
 #include "core/detail/helping.hpp"
+#include "core/shared_set.hpp"
 #include "core/types.hpp"
 #include "registers/space.hpp"
 
@@ -39,7 +40,7 @@ class AuthenticatedRegister {
   using SwmrT = typename SpaceT::template SwmrFor<T>;
 
   using Value = V;
-  using ValueSet = std::set<V>;
+  using ValueSet = SharedSet<V>;  // witness sets (shared_set.hpp)
   using Stamped = std::pair<SeqNo, V>;       // ⟨ℓ, v⟩
   using StampedSet = std::set<Stamped>;      // contents of R_1
   using HelpTuple = std::pair<ValueSet, RoundCounter>;  // ⟨r_j, c_j⟩
@@ -150,39 +151,25 @@ class AuthenticatedRegister {
   // detection and answers (L26-28, L36-38) are the shared helping protocol.
   bool help_round() {
     return help_.help_round([&](int j) {
-      // L29-30: r1 = values the writer has written (stamps stripped).
+      // L29-30: r1 = values the writer has written (stamps stripped),
+      // built once rather than by one copy-on-write insert per value.
       const StampedSet r = writer_set_->read();
-      ValueSet r1;
-      for (const Stamped& sv : r) r1.insert(sv.second);
+      std::set<V> written;
+      for (const Stamped& sv : r) written.insert(sv.second);
+      const ValueSet r1(std::move(written));
       // For j = 1 the writer answers with the values of its own R_1
       // (Lemma 103, case j = 1).
       if (j == 1) return r1;  // L31
 
-      // L32: read every (reader) witness register.
-      std::vector<ValueSet> ri(static_cast<std::size_t>(cfg_.n) + 1);
-      ri[1] = r1;  // r1 participates in the count "1 <= i <= n" of L33
-      for (int i = 2; i <= cfg_.n; ++i)
-        ri[static_cast<std::size_t>(i)] = witness_[i]->read();
+      // L32: read every (reader) witness register (one collect where the
+      // substrate has one); r1 takes part in the count "1 <= i <= n" of
+      // L33.
+      std::vector<ValueSet> ri = help_.read_all(witness_);
+      ri[1] = r1;
       // L33-34: become a witness of v if the writer wrote v, or f+1
       // processes (including possibly the writer) are witnesses of v.
-      std::map<V, int> count;  // candidate value -> number of witnesses
-      for (int i = 1; i <= cfg_.n; ++i)
-        for (const V& v : ri[static_cast<std::size_t>(i)]) ++count[v];
-      const bool literal = help_.literal_steps();
-      ValueSet adopt;  // qualifying values not yet in r_j
-      for (const auto& [v, c] : count) {
-        if (r1.contains(v) || c >= cfg_.f + 1) {
-          if (literal)
-            witness_[j]->update([&](ValueSet& s) { s.insert(v); });  // L34
-          else if (!ri[static_cast<std::size_t>(j)].contains(v))
-            adopt.insert(v);
-        }
-      }
-      // L34, merged into one write (or none) outside deterministic runs —
-      // see VerifiableRegister::help_round.
-      if (!adopt.empty())
-        witness_[j]->update(
-            [&](ValueSet& s) { s.insert(adopt.begin(), adopt.end()); });
+      detail::adopt_witnessed(*witness_[j], ri, j, cfg_.f,
+                              help_.literal_steps());
       return witness_[j]->read();  // L35
     });
   }
@@ -225,7 +212,7 @@ class AuthenticatedRegister {
   SeqNo seq_ = 0;  // ℓ — writer-local (p1's operation thread only)
 
   // Per-process positive-verify memo (free mode only; see verify()).
-  std::vector<ValueSet> verified_;
+  std::vector<std::set<V>> verified_;
 };
 
 }  // namespace swsig::core

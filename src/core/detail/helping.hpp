@@ -19,8 +19,16 @@
 // paper-literal loops (an unchanged version implies an unchanged value) but
 // skip metered reads, so deterministic mode never takes them: its step
 // sequence stays byte-identical (pinned by deterministic_schedule_test).
+//
+// On msgpass::EmulatedSpace, which has neither versions nor a free_mode(),
+// two other mechanisms take their place: each loop that reads one register
+// per pid is one multi-register collect (read_all; design note 18 argues
+// why the order inside the batch cannot matter), and the helper round and
+// the reader's next collect pass wait on the process's own replicas
+// (kDeliveryGate) instead of polling the network.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <map>
@@ -28,6 +36,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,6 +55,42 @@ std::uint64_t version_of(const Reg& reg) {
     return reg.version();
   else
     return 0;
+}
+
+// Substrates with a delivery gate (msgpass::EmulatedSpace): the calling
+// process can wait, boundedly, until its own replica of one of `watched`
+// holds a newer write than its last quorum read of that register returned.
+template <typename SpaceT>
+concept HasDeliveryGate =
+    requires(SpaceT& s, const std::vector<typename SpaceT::Watched>& w) {
+      { s.await_replica_ahead(w) } -> std::convertible_to<bool>;
+    };
+
+// Reads every non-null register of `regs`; slot i of the result is regs[i]'s
+// value (T{} for a null slot). On a substrate with a multi-register collect
+// (msgpass::EmulatedSpace) that is one quorum exchange for all of them;
+// elsewhere (registers::Space, perfbench's TimedSpace) one read per
+// register in index order — the paper-literal loop, whose step sequence
+// deterministic runs pin.
+template <typename SpaceT, typename Reg>
+auto read_all(SpaceT& space, const std::vector<Reg*>& regs) {
+  using T = std::remove_cvref_t<decltype(regs[0]->read())>;
+  std::vector<T> out(regs.size());
+  if constexpr (requires { space.collect(regs); }) {
+    std::vector<Reg*> live;
+    std::vector<std::size_t> at;
+    for (std::size_t i = 0; i < regs.size(); ++i)
+      if (regs[i] != nullptr) {
+        live.push_back(regs[i]);
+        at.push_back(i);
+      }
+    std::vector<T> got = space.collect(live);
+    for (std::size_t x = 0; x < at.size(); ++x) out[at[x]] = std::move(got[x]);
+  } else {
+    for (std::size_t i = 0; i < regs.size(); ++i)
+      if (regs[i] != nullptr) out[i] = regs[i]->read();
+  }
+  return out;
 }
 
 // Cache of the last ⟨value, version⟩ read from registers 1..n, for the fast
@@ -100,6 +145,8 @@ class Helping {
         { c.version() } -> std::convertible_to<std::uint64_t>;
         { r.version() } -> std::convertible_to<std::uint64_t>;
       };
+  // The msgpass counterpart: helpers and readers wait on local delivery.
+  static constexpr bool kDeliveryGate = HasDeliveryGate<SpaceT>;
 
   // Checks the algorithm's resilience precondition. Creates no register:
   // each algorithm calls make_channels() and make_rounds() where its paper
@@ -128,6 +175,12 @@ class Helping {
 
   Channels* channels() { return &channel_; }
   Rounds* rounds() { return &round_; }
+
+  // Reads every non-null register of `regs` (see read_all).
+  template <typename Reg>
+  auto read_all(const std::vector<Reg*>& regs) {
+    return detail::read_all(*space_, regs);
+  }
 
   // True when the version-gated fast paths may be used: substrate supports
   // them (kVersionGate) and the space runs free-mode real concurrency.
@@ -186,9 +239,11 @@ class Helping {
           h_->round_[k_]->update([](RoundCounter& c) { ++c; });
       // Alg. 1 L14-17 / 2 L13-16 / 3 L10-14: repeat reading R_jk of every
       // p_j not yet counted until some such p_j has c_j >= C_k.
+      // The channels this pass reads (null for a p_j skipped).
+      std::vector<SwsrT<HelpTuple>*> column(
+          static_cast<std::size_t>(h_->n_) + 1);
       for (;;) {
-        int chosen = 0;
-        HelpTuple chosen_tuple;
+        std::fill(column.begin(), column.end(), nullptr);
         for (int j = 1; j <= h_->n_; ++j) {
           if (skip(j)) continue;
           auto& channel = *h_->channel_[j][k_];
@@ -197,18 +252,32 @@ class Helping {
             if (t.second >= ck) return std::pair{j, t};
             continue;
           }
-          HelpTuple t = channel.read();  // Alg. 1 L16 / 2 L15 / 3 L13
-          // Alg. 1 L17 / 2 L16 / 3 L14 (∃ p_j: c_j >= C_k)
-          if (t.second >= ck && chosen == 0) {
-            chosen = j;
-            chosen_tuple = std::move(t);
-          }
+          column[static_cast<std::size_t>(j)] = &channel;
         }
-        if (chosen != 0) return std::pair{chosen, std::move(chosen_tuple)};
+        if (!cache_.enabled()) {
+          // Alg. 1 L16 / 2 L15 / 3 L13, one collect over the column.
+          std::vector<HelpTuple> t = h_->read_all(column);
+          // Alg. 1 L17 / 2 L16 / 3 L14 (∃ p_j: c_j >= C_k)
+          for (int j = 1; j <= h_->n_; ++j)
+            if (column[static_cast<std::size_t>(j)] != nullptr &&
+                t[static_cast<std::size_t>(j)].second >= ck)
+              return std::pair{j, std::move(t[static_cast<std::size_t>(j)])};
+        }
         // The witness quorum may complete while we wait on helpers (the
         // cache is enabled exactly on the fast path).
         if (cache_.enabled() && scan()) return std::nullopt;
-        std::this_thread::yield();  // free-mode politeness
+        if constexpr (kDeliveryGate) {
+          // Next pass once an answer has reached our own replica of some
+          // channel still counted: until then a pass would re-read what
+          // the last one returned.
+          std::vector<typename SpaceT::Watched> watched;
+          for (auto* c : column)
+            if (c != nullptr) watched.push_back(c);
+          while (!h_->space_->await_replica_ahead(watched)) {
+          }
+        } else {
+          std::this_thread::yield();  // free-mode politeness
+        }
       }
     }
 
@@ -228,17 +297,17 @@ class Helping {
   // algorithm supplies its own steps:
   //  * answer(j) -> r_j: the witness work of a round with askers and the
   //    value to answer with (Alg. 1 L30-33, Alg. 2 L29-35, Alg. 3 L34-37);
-  //  * inputs(j): the version sum of the registers besides the round
-  //    counters whose writes can create work for p_j, or nullopt once none
-  //    can (then only the round counters are watched from then on);
+  //  * inputs(j, watch) -> bool: calls watch(reg) for each register besides
+  //    the round counters whose writes can create work for p_j and returns
+  //    true, or returns false once none can (then only the round counters
+  //    are watched from then on);
   //  * unasked(j): work done every round, before looking for askers
   //    (Alg. 3 L25-30).
   // Algorithms 1-2 pass only answer(): no other inputs, no unasked work.
   template <typename AnswerFn>
   bool help_round(AnswerFn&& answer) {
     return help_round(
-        answer, [](int) { return std::optional<std::uint64_t>{}; },
-        [](int) {});
+        answer, [](int, auto&&) { return false; }, [](int) {});
   }
   template <typename AnswerFn, typename InputsFn, typename UnaskedFn>
   bool help_round(AnswerFn&& answer, InputsFn&& inputs, UnaskedFn&& unasked) {
@@ -258,8 +327,9 @@ class Helping {
     std::uint64_t agg = 0;
     if (gate) {
       if (!hs.settled) {
-        if (const auto v = inputs(j))
-          agg += *v;
+        std::uint64_t in = 0;
+        if (inputs(j, [&](auto& reg) { in += version_of(reg); }))
+          agg += in;
         else {
           hs.settled = true;
           hs.round_agg.reset();  // aggregate composition changed
@@ -268,24 +338,39 @@ class Helping {
       for (int k = 2; k <= n_; ++k) agg += round_version(k);
       if (hs.round_agg == agg) return false;
     }
+    // Delivery gate (msgpass): the same inputs, watched through this
+    // process's own replicas. A round runs once one of them holds a newer
+    // write than our last quorum read of it returned; after the gate's
+    // bound with none, the round is skipped — only a delay, because the
+    // write reaches our replica eventually (Bracha totality) and a later
+    // read then returns it (docs/ARCHITECTURE.md, "The version / wakeup
+    // protocol").
+    if constexpr (kDeliveryGate) {
+      std::vector<typename SpaceT::Watched> watched(round_.begin() + 2,
+                                                    round_.end());
+      if (!hs.settled &&
+          !inputs(j, [&](auto& reg) { watched.push_back(&reg); }))
+        hs.settled = true;
+      if (!space_->await_replica_ahead(watched)) return false;
+    }
 
     unasked(j);
 
     // Alg. 1 L27 / 2 L26 / 3 L31: read every reader's round counter.
-    std::map<int, RoundCounter> ck;
-    for (int k = 2; k <= n_; ++k) ck[k] = round_[k]->read();
+    const std::vector<RoundCounter> ck = read_all(round_);
     // Alg. 1 L28 / 2 L27 / 3 L32: askers = readers whose counter increased
     // since we last helped.
     std::vector<int> askers;
     for (int k = 2; k <= n_; ++k)
-      if (ck[k] > hs.prev_ck[k]) askers.push_back(k);
+      if (ck[static_cast<std::size_t>(k)] > hs.prev_ck[k]) askers.push_back(k);
     if (!askers.empty()) {  // Alg. 1 L29 / 2 L28 / 3 L33
       const auto rj = answer(j);
       // Alg. 1 L34-36 / 2 L36-38 / 3 L38-40: answer each asker and remember
       // the round we served.
       for (int k : askers) {
-        channel_[j][k]->write({rj, ck[k]});  // Alg. 1 L35 / 2 L37 / 3 L39
-        hs.prev_ck[k] = ck[k];               // Alg. 1 L36 / 2 L38 / 3 L40
+        const RoundCounter c = ck[static_cast<std::size_t>(k)];
+        channel_[j][k]->write({rj, c});  // Alg. 1 L35 / 2 L37 / 3 L39
+        hs.prev_ck[k] = c;               // Alg. 1 L36 / 2 L38 / 3 L40
       }
     }
     if (gate) hs.round_agg = agg;
@@ -297,7 +382,7 @@ class Helping {
     std::map<int, RoundCounter> prev_ck;  // Alg. 1 L25 / 2 L24 / 3 L23
     // Aggregate input version at the last completed help round.
     std::optional<std::uint64_t> round_agg;
-    bool settled = false;  // inputs() returned nullopt: agg is C_k only
+    bool settled = false;  // inputs() returned false: watch C_k only
   };
 
   std::uint64_t round_version(int k) const { return version_of(*round_[k]); }

@@ -155,14 +155,15 @@ class StickyRegister {
   // One iteration of the while-loop body of Help() — L24-40; the asker
   // detection and answers (L31-33, L38-40) are the shared helping protocol.
   //
-  // Version-gated wakeup (free mode). Unlike Algorithms 1-2, the sticky
-  // helper does echo/witness work (L25-30) even without askers, so the gate
-  // also watches every echo and witness slot. Once this helper has both
-  // echoed and witnessed, L25-30 and L34-36 are permanent no-ops (its slots
-  // are write-once and already set), so the only inputs that can still
-  // demand work are the round counters — the aggregate shrinks from 3n−1
-  // version reads to n−1. The helper keeps serving askers forever; settling
-  // only prunes the wakeup scan.
+  // Wakeup gates (the free-mode version gate, and the delivery gate over
+  // msgpass). Unlike Algorithms 1-2, the sticky helper does echo/witness
+  // work (L25-30) even without askers, so the gate also watches every echo
+  // and witness slot. Once this helper has both echoed and witnessed,
+  // L25-30 and L34-36 are permanent no-ops (its slots are write-once and
+  // already set), so the only inputs that can still demand work are the
+  // round counters — the watch shrinks from 3n−1 registers to n−1. The
+  // helper keeps serving askers forever; settling only prunes the wakeup
+  // scan.
   bool help_round() {
     return help_.help_round(
         [&](int j) {
@@ -170,14 +171,14 @@ class StickyRegister {
           witness_on(j, witness_, cfg_.f + 1);
           return witness_[j]->read();  // L37
         },
-        [&](int j) -> std::optional<std::uint64_t> {
+        [&](int j, auto&& watch) {
           if (echo_[j]->read().has_value() && witness_[j]->read().has_value())
-            return std::nullopt;  // settled
-          std::uint64_t agg = 0;
-          for (int i = 1; i <= cfg_.n; ++i)
-            agg += detail::version_of(*echo_[i]) +
-                   detail::version_of(*witness_[i]);
-          return agg;
+            return false;  // settled
+          for (int i = 1; i <= cfg_.n; ++i) {
+            watch(*echo_[i]);
+            watch(*witness_[i]);
+          }
+          return true;
         },
         [&](int j) { echo_and_witness(j); });
   }

@@ -21,13 +21,14 @@
 // design notes 1-5).
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/detail/adopt.hpp"
 #include "core/detail/helping.hpp"
+#include "core/shared_set.hpp"
 #include "core/types.hpp"
 #include "registers/space.hpp"
 
@@ -42,7 +43,9 @@ class VerifiableRegister {
   using SwmrT = typename SpaceT::template SwmrFor<T>;
 
   using Value = V;
-  using ValueSet = std::set<V>;
+  // Register-held witness sets share storage across copies (shared_set.hpp),
+  // so a read costs no history-sized copy.
+  using ValueSet = SharedSet<V>;
   // ⟨r_j, c_j⟩ tuple stored in the helping channels R_jk.
   using HelpTuple = std::pair<ValueSet, RoundCounter>;
 
@@ -162,33 +165,13 @@ class VerifiableRegister {
   // the runner).
   bool help_round() {
     return help_.help_round([&](int j) {
-      // L30: read every witness register.
-      std::vector<ValueSet> r(static_cast<std::size_t>(cfg_.n) + 1);
-      for (int i = 1; i <= cfg_.n; ++i)
-        r[static_cast<std::size_t>(i)] = witness_[i]->read();
-
+      // L30: read every witness register (one collect where the substrate
+      // has one).
+      const std::vector<ValueSet> r = help_.read_all(witness_);
       // L31-32: become a witness of v if the writer signed v (v ∈ r1) or
       // at least f+1 processes are already witnesses of v.
-      std::map<V, int> count;  // candidate value -> number of witnesses
-      for (int i = 1; i <= cfg_.n; ++i)
-        for (const V& v : r[static_cast<std::size_t>(i)]) ++count[v];
-      const bool literal = help_.literal_steps();
-      ValueSet adopt;  // qualifying values not yet in r_j
-      for (const auto& [v, c] : count) {
-        if (r[1].contains(v) || c >= cfg_.f + 1) {
-          if (literal)
-            witness_[j]->update([&](ValueSet& rj) { rj.insert(v); });  // L32
-          else if (!r[static_cast<std::size_t>(j)].contains(v))
-            adopt.insert(v);
-        }
-      }
-      // L32, merged: one write of R_j ∪ adopt is |adopt| back-to-back L32
-      // writes with no step in between — a legal schedule of Help()
-      // (design note 17) — and no write at all when nothing is new.
-      if (!adopt.empty())
-        witness_[j]->update(
-            [&](ValueSet& rj) { rj.insert(adopt.begin(), adopt.end()); });
-
+      detail::adopt_witnessed(*witness_[j], r, j, cfg_.f,
+                              help_.literal_steps());
       return witness_[j]->read();  // L33: r_j <- R_j
     });
   }
@@ -227,12 +210,12 @@ class VerifiableRegister {
   SwmrT<V>* last_value_ = nullptr;         // R*
 
   // Writer-local state (touched only by p1's operation thread).
-  ValueSet written_;  // r*
+  std::set<V> written_;  // r*
 
   // Per-process positive-verify memo (touched only by that process's
   // operation thread; free mode only). Sound because Verify(v)=true is
   // permanent — see verify().
-  std::vector<ValueSet> verified_;
+  std::vector<std::set<V>> verified_;
 };
 
 }  // namespace swsig::core

@@ -16,10 +16,12 @@
 //   on n−f ACCEPT(sn,v): deliver — store (sn,v) if sn is the highest
 //                  delivered so far; send ACK(sn) to w.
 //
-//   Read()   by r: broadcast READ(rid); wait for STATE(rid, sn, v) replies;
-//            return v of the highest pair reported identically by n−f
-//            distinct processes; if no pair reaches n−f support among the
-//            replies, retry with a fresh rid.
+//   Read()   by r: broadcast READ(rid, ids); wait for STATE(rid, pairs)
+//            replies, one stored (sn, v) pair per register named; for each
+//            register return v of the highest pair reported identically by
+//            n−f distinct processes; ask again, with a fresh rid, about the
+//            registers whose replies have not converged. A read of one
+//            register is the k = 1 case of this collect (design note 18).
 //
 // Why it is safe (n > 3f):
 //  * Per sn, only one value can gather n−f echoes (echo-once + quorum
@@ -40,7 +42,9 @@
 // amplify / deliver tallies, the delivered-set replay guard, and the
 // abort-fence state — is detail::BrachaLadder (bracha_ladder.hpp); this
 // file keeps the message I/O policy around it, the owner's client-side
-// state (writer mutex, sn-monotone local view) and the READ/STATE quorum.
+// state (writer mutex, sn-monotone local view), the READ/STATE quorum
+// (detail::QuorumReads, one per space, shared by all its registers) and
+// the delivery gate the core algorithms' helpers wait on.
 //
 // Values are immutable shared handles (Ref): a written value is built once
 // and the same bytes back the WRITE broadcast, every ECHO / ACCEPT / STATE
@@ -77,96 +81,19 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "msgpass/detail/bracha_ladder.hpp"
+#include "msgpass/detail/quorum_reads.hpp"
 #include "msgpass/network.hpp"
 #include "msgpass/server_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "registers/errors.hpp"
 #include "runtime/process.hpp"
-#include "util/sharded_counter.hpp"
 
 namespace swsig::msgpass {
-
-// Client-operation deadline/retry policy. A blocked quorum wait re-issues
-// its request after a bounded-exponential backoff slice — safe because
-// every re-issue is idempotent at the servers (sn-keyed dedup: a retried
-// WRITE/READ can refresh lost messages but never re-certify or split a
-// quorum; design note 14). op_timeout_ms bounds the whole operation: 0
-// means retry forever (the soak default — fault windows heal, so liveness
-// comes from the schedule, and an acknowledged-write guarantee must never
-// be traded for a deadline).
-struct RetryPolicy {
-  bool enabled = true;
-  std::uint64_t base_ms = 40;      // first backoff slice
-  std::uint64_t max_ms = 640;      // backoff cap
-  std::uint64_t op_timeout_ms = 0;  // overall deadline; 0 = none
-};
-
-class EmulatedSpace;
-
-namespace detail {
-
-// One flight-recorder event for a ladder/read phase of register `reg`,
-// keyed (reg, origin, sn) for trace correlation (obs/export.hpp).
-inline void record_phase(obs::EventKind kind, int pid, int reg, int origin,
-                         std::uint64_t sn, std::uint64_t aux = 0) {
-  obs::Event e;
-  e.kind = kind;
-  e.pid = static_cast<std::int16_t>(pid);
-  e.reg = reg;
-  e.origin = origin;
-  e.sn = sn;
-  e.aux = aux;
-  obs::record(e);
-}
-
-// Process-wide retry/abort telemetry (obs::MetricsRegistry), resolved once.
-inline util::ShardedCounter& retry_counter() {
-  static util::ShardedCounter& c =
-      obs::MetricsRegistry::global().counter("msgpass.op_retry");
-  return c;
-}
-inline util::ShardedCounter& timeout_counter() {
-  static util::ShardedCounter& c =
-      obs::MetricsRegistry::global().counter("msgpass.op_timeout");
-  return c;
-}
-inline util::ShardedCounter& abort_counter() {
-  static util::ShardedCounter& c =
-      obs::MetricsRegistry::global().counter("msgpass.write_abort");
-  return c;
-}
-inline util::ShardedCounter& coalesce_counter() {
-  static util::ShardedCounter& c =
-      obs::MetricsRegistry::global().counter("msgpass.read_coalesced");
-  return c;
-}
-
-struct HandlerBase {
-  virtual ~HandlerBase() = default;
-  // Runs on the server thread of the receiving process (bound to its pid).
-  virtual void handle(const Message& m) = 0;
-  // Crash model (driven by the owning Space): wipe the volatile protocol
-  // state process pid held for this register. Stable-storage state (the
-  // echoed/delivered dedup sets) survives — see EmulatedSwmr::crash_process.
-  virtual void crash_process(int pid) = 0;
-  // Recovery: the calling thread is bound as process `self` (rejoined after
-  // a crash); replay the missed certificates from f+1 live peers.
-  virtual void resync_process(int self) = 0;
-  // Client-role recovery after the OWNER restarted (thread bound as pid):
-  // decide the fate of writes pid had in flight when it crashed. With
-  // `recover` false only the retry suppression is lifted (no fence).
-  virtual void owner_restarted(int pid, bool recover) {
-    (void)pid;
-    (void)recover;
-  }
-};
-}  // namespace detail
 
 // One emulated SWMR register: protocol state for all n processes plus the
 // client-side operations. All state is guarded by one mutex; message
@@ -178,35 +105,32 @@ class EmulatedSwmr : public detail::HandlerBase {
   }, "emulated register values need == (quorums count equal values)");
 
   using Ladder = detail::BrachaLadder<T>;
-  using Clock = std::chrono::steady_clock;
+  using Clock = detail::Clock;
 
  public:
+  using Value = T;
   // Immutable shared handle to one value.
   using Ref = std::shared_ptr<const T>;
-  // STATE reply payload: a server's stored (sn, value) pair.
-  using StatePayload = std::pair<std::uint64_t, Ref>;
 
-  EmulatedSwmr(Network& net, int reg_id, int n, int f,
-               runtime::ProcessId owner, T initial, std::string name,
-               runtime::ProcessId sole_reader = runtime::kNoProcess,
-               RetryPolicy retry = {}, int pipeline_depth = 1)
-      : reg_id_(reg_id),
+  // Created by EmulatedSpace, whose quorum reads serve this register's
+  // reads. `sole_reader` restricts read() to one process (SWSR use).
+  EmulatedSwmr(Network& net, detail::QuorumReads& reads, int reg_id, int n,
+               int f, runtime::ProcessId owner, T initial, std::string name,
+               runtime::ProcessId sole_reader, int pipeline_depth)
+      : HandlerBase(reg_id, owner, std::move(name)),
         n_(n),
         f_(f),
-        owner_(owner),
         sole_reader_(sole_reader),
-        name_(std::move(name)),
         initial_(std::make_shared<const T>(std::move(initial))),
-        retry_(retry),
+        retry_(reads.retry()),
         net_(&net),
+        reads_(&reads),
         pipeline_depth_(std::max(pipeline_depth, 1)),
         owner_view_(initial_) {
     state_.resize(static_cast<std::size_t>(n_) + 1, StoredState{0, initial_});
     ladder_.assign(static_cast<std::size_t>(n_) + 1, Ladder(n_, f_));
+    last_read_.resize(static_cast<std::size_t>(n_) + 1, 0);
   }
-
-  const std::string& name() const { return name_; }
-  runtime::ProcessId owner() const { return owner_; }
 
   // Inspection hook for crash/recovery tests and the soak harness: process
   // pid's stored (sn, value) pair.
@@ -290,13 +214,18 @@ class EmulatedSwmr : public detail::HandlerBase {
   // identical replies pin every later read at that sn or higher.
   T read() {
     const runtime::ProcessId self = runtime::ThisProcess::id();
+    require_readable(self);
+    // The read's one copy, made outside the protocol mutex.
+    return *reads_->read(self, {this}).front().second.template get<T>();
+  }
+
+  // Throws registers::PortViolation unless `self` may read this register.
+  void require_readable(runtime::ProcessId self) const {
     if (sole_reader_ != runtime::kNoProcess && self != sole_reader_ &&
         self != owner_) {
       throw registers::PortViolation("read of emulated SWSR '" + name_ +
                                      "' by p" + std::to_string(self));
     }
-    // The read's one copy, made outside the protocol mutex.
-    return *coalesced_quorum_pair(self).second;
   }
 
   // ------------------------------------------------------------- server
@@ -332,12 +261,6 @@ class EmulatedSwmr : public detail::HandlerBase {
       case obs::MsgTag::kAbAck:
         if (self != owner_) return;
         on_aback(m);
-        return;
-      case obs::MsgTag::kRead:
-        serve_read(self, m);
-        return;
-      case obs::MsgTag::kState:
-        accept_state(self, m);
         return;
       default:
         return;
@@ -375,9 +298,42 @@ class EmulatedSwmr : public detail::HandlerBase {
   // monotone by the sn-guarded apply. Requires n−f live repliers (the
   // driver restarts one process at a time, within the fault budget).
   void resync_process(int self) override {
-    const auto [sn, v] = quorum_pair(f_ + 1, deadline_from(Clock::now()));
+    const StateEntry e =
+        reads_->quorum(self, {this}, f_ + 1,
+                       detail::deadline_from(retry_, Clock::now()))
+            .front();
     std::scoped_lock lock(mu_);
-    apply_locked(self, sn, v);
+    apply_locked(self, e.first, e.second.template share<T>());
+  }
+
+  // ----------------------------------------------- read side (QuorumReads)
+
+  StateEntry stored_entry(int pid) const override {
+    std::scoped_lock lock(mu_);
+    const StoredState& st = state_[static_cast<std::size_t>(pid)];
+    return {st.stored_sn, Payload(st.stored_val)};
+  }
+
+  bool holds_value(const Payload& v) const override {
+    return v.get<T>() != nullptr;
+  }
+
+  bool same_value(const Payload& a, const Payload& b) const override {
+    const T* x = a.get<T>();
+    const T* y = b.get<T>();
+    return x == y || *x == *y;
+  }
+
+  void note_read(int pid, std::uint64_t sn) override {
+    std::scoped_lock lock(mu_);
+    std::uint64_t& last = last_read_[static_cast<std::size_t>(pid)];
+    last = std::max(last, sn);
+  }
+
+  bool replica_ahead(int pid) const override {
+    std::scoped_lock lock(mu_);
+    return state_[static_cast<std::size_t>(pid)].stored_sn >
+           last_read_[static_cast<std::size_t>(pid)];
   }
 
   // Owner-side crash recovery (design note 14). Runs bound as `pid` after
@@ -455,27 +411,6 @@ class EmulatedSwmr : public detail::HandlerBase {
     std::uint64_t stored_sn = 0;
     Ref stored_val;
   };
-  // Client side of one READ round: the reading process, who replied, and
-  // which processes vouch for each (sn, value) pair reported.
-  struct ReadWait {
-    struct Support {
-      std::uint64_t sn;
-      Ref value;
-      std::set<int> vouchers;
-    };
-    int reader = runtime::kNoProcess;
-    std::set<int> senders;
-    std::vector<Support> support;
-  };
-  // Per-(register, reader-pid) coalescing state for shared READ quorum
-  // rounds (design note 15): overlapping reads by the same process share
-  // quorum rounds instead of each broadcasting their own.
-  struct ReadRound {
-    std::uint64_t round = 0;       // generations led so far
-    bool in_flight = false;        // some thread is leading a round now
-    std::uint64_t done_round = 0;  // highest generation published
-    std::pair<std::uint64_t, Ref> done;  // its result pair
-  };
   // Owner-side wait slot for one in-flight write sn.
   struct AckWait {
     enum class Fate { kPending, kCompleted, kAborted };
@@ -508,212 +443,22 @@ class EmulatedSwmr : public detail::HandlerBase {
 
   // ------------------------------------------------- the client wait loop
 
-  // An operation started at t0 must finish by this; max() = no deadline.
-  Clock::time_point deadline_from(Clock::time_point t0) const {
-    return retry_.op_timeout_ms > 0
-               ? t0 + std::chrono::milliseconds(retry_.op_timeout_ms)
-               : Clock::time_point::max();
-  }
-
-  // The one client wait loop (design note 14) behind every quorum wait:
-  // reads, the ACK prefix, the pipeline's capacity gate, the coalesced-read
-  // park and the abort fence. Blocks on cv_ under `lock` (mu_) until
-  // done(). Each backoff slice (base_ms doubling to max_ms) that lapses
-  // calls retry(backoff), which re-issues what the wait depends on and may
-  // drop `lock` meanwhile; with retries disabled the wait is one slice up
-  // to the deadline. Every pass checks `deadline`: once it has passed
-  // without done() the loop returns false, and the caller throws through
-  // op_timeout.
+  // The one client wait loop (detail::wait_with_retry) on this register's
+  // mutex and condition variable.
   template <typename Done, typename Retry>
   bool wait_locked(std::unique_lock<std::mutex>& lock,
                    Clock::time_point deadline, Done&& done, Retry&& retry) {
-    std::uint64_t backoff = std::max<std::uint64_t>(retry_.base_ms, 1);
-    for (;;) {
-      if (done()) return true;
-      const auto now = Clock::now();
-      if (now >= deadline) return false;
-      if (!retry_.enabled && deadline == Clock::time_point::max()) {
-        cv_.wait(lock, done);
-        return true;
-      }
-      const auto until =
-          retry_.enabled
-              ? std::min(now + std::chrono::milliseconds(backoff), deadline)
-              : deadline;
-      if (cv_.wait_until(lock, until, done)) return true;
-      if (retry_.enabled && Clock::now() < deadline) {
-        retry(backoff);
-        backoff =
-            std::min(backoff * 2, std::max(retry_.max_ms, retry_.base_ms));
-      }
-    }
+    return detail::wait_with_retry(retry_, cv_, lock, deadline,
+                                   std::forward<Done>(done),
+                                   std::forward<Retry>(retry));
   }
 
-  // Deadline expiry of the operation `what` by `pid`, keyed `key` on the
-  // trace: counts it and throws registers::OpTimeout (an indeterminate
-  // outcome). Releases `lock`.
-  [[noreturn]] void op_timeout(std::unique_lock<std::mutex>& lock, int pid,
+  // Deadline expiry of the write `what` by the owner, keyed `key` on the
+  // trace. Releases `lock`.
+  [[noreturn]] void op_timeout(std::unique_lock<std::mutex>& lock,
                                std::uint64_t key, const std::string& what) {
     lock.unlock();
-    detail::record_phase(obs::EventKind::kOpTimeout, pid, reg_id_, owner_,
-                         key);
-    detail::timeout_counter().add();
-    throw registers::OpTimeout(what + " timed out after " +
-                               std::to_string(retry_.op_timeout_ms) + " ms");
-  }
-
-  // ---------------------------------------------------------------- read
-
-  // Coalesced READ quorum rounds (design note 15): k reads of this register
-  // by the same process that overlap in time share quorum rounds instead of
-  // broadcasting k of them. At most one round per (register, reader) is in
-  // flight: the thread that finds none becomes the leader and runs the
-  // plain n−f quorum; the others pick a target GENERATION — strictly after
-  // their arrival — and adopt the result of the first generation >= it.
-  //
-  // Linearizability is inherited, not re-argued: the adopted result came
-  // from a full n−f quorum round whose READ broadcast happened after the
-  // adopting read was invoked (the generation counter is advanced under mu_
-  // only after the target was fixed) and whose result landed before it
-  // returns — so the quorum round's linearization point lies inside the
-  // adopting read's own interval. Waiters never return a round led before
-  // they arrived; the generation arithmetic is what rules that out.
-  //
-  // If a leader throws (op deadline), it releases leadership and wakes the
-  // waiters; one of them leads a fresh generation — still >= every parked
-  // target, so one successful round releases everyone.
-  std::pair<std::uint64_t, Ref> coalesced_quorum_pair(int self) {
-    const auto deadline = deadline_from(Clock::now());
-    std::unique_lock lock(mu_);
-    ReadRound& rr = read_rounds_[self];  // node-stable reference
-    std::uint64_t target = 0;            // 0 = not parked yet
-    for (;;) {
-      if (target != 0 && rr.done_round >= target) {
-        const std::uint64_t adopted = rr.done_round;
-        auto res = rr.done;
-        lock.unlock();
-        detail::coalesce_counter().add();
-        detail::record_phase(obs::EventKind::kReadCoalesced, self, reg_id_,
-                             owner_, adopted, res.first);
-        return res;
-      }
-      if (!rr.in_flight) {
-        rr.in_flight = true;
-        const std::uint64_t gen = ++rr.round;
-        lock.unlock();
-        std::pair<std::uint64_t, Ref> res;
-        try {
-          res = quorum_pair(n_ - f_, deadline);
-        } catch (...) {
-          std::scoped_lock relock(mu_);
-          rr.in_flight = false;  // hand leadership to a parked waiter
-          cv_.notify_all();
-          throw;
-        }
-        lock.lock();
-        rr.done_round = std::max(rr.done_round, gen);
-        rr.done = res;
-        rr.in_flight = false;
-        cv_.notify_all();
-        lock.unlock();
-        return res;
-      }
-      if (target == 0) target = rr.round + 1;
-      // Parked: the leader does the retrying.
-      if (!wait_locked(
-              lock, deadline,
-              [&] { return rr.done_round >= target || !rr.in_flight; },
-              [](std::uint64_t) {}))
-        op_timeout(lock, self, target, read_op(self));
-    }
-  }
-
-  std::string read_op(int self) const {
-    return "read of '" + name_ + "' by p" + std::to_string(self);
-  }
-
-  // The quorum loop shared by reads and recovery: broadcast READ, return
-  // the highest (sn, value) pair vouched identically by >= `support`
-  // distinct repliers, retrying with fresh rids until one emerges. Reads
-  // use support = n−f (self-certifying, design note 6); recovery uses
-  // support = f+1 — enough to pin at least one correct voucher, i.e. a
-  // certificate the Bracha ladder really delivered.
-  //
-  // Retry layer (design note 14): a reply quorum that fails to assemble
-  // within the current backoff slice — replies lost to drops, partitions,
-  // or a crashed server — re-broadcasts with a FRESH rid (reads have no
-  // server-side effects; stale STATE replies to the abandoned rid are
-  // ignored by accept_state).
-  std::pair<std::uint64_t, Ref> quorum_pair(int support,
-                                            Clock::time_point deadline) {
-    static obs::LogHistogram& quorum_hist =
-        obs::MetricsRegistry::global().histogram("msgpass.read_quorum_us");
-    const int self = runtime::ThisProcess::id();
-    const auto t0 = Clock::now();
-    std::unique_lock lock(mu_);
-    std::uint64_t rid = 0;
-    const auto issue = [&] {  // under lock; drops it for the broadcast
-      reads_.erase(rid);
-      rid = ++read_rid_;
-      reads_[rid].reader = self;  // open the wait slot before broadcasting
-      lock.unlock();
-      detail::record_phase(obs::EventKind::kReadStart, self, reg_id_, owner_,
-                           rid, static_cast<std::uint64_t>(support));
-      Message m;
-      m.reg = reg_id_;
-      m.tag = obs::MsgTag::kRead;
-      m.sn = rid;
-      net_->broadcast(m);
-      detail::record_phase(obs::EventKind::kQuorumWait, self, reg_id_, owner_,
-                           rid, static_cast<std::uint64_t>(n_ - f_));
-      lock.lock();
-    };
-    issue();
-    for (;;) {
-      const bool replied = wait_locked(
-          lock, deadline,
-          [&] {
-            return static_cast<int>(reads_[rid].senders.size()) >= n_ - f_;
-          },
-          [&](std::uint64_t backoff) {  // replies were lost
-            detail::record_phase(obs::EventKind::kOpRetry, self, reg_id_,
-                                 owner_, rid, backoff);
-            detail::retry_counter().add();
-            issue();
-          });
-      if (!replied) {
-        reads_.erase(rid);
-        op_timeout(lock, self, rid, read_op(self));
-      }
-      // Highest pair reported identically by >= support distinct
-      // processes.
-      const typename ReadWait::Support* best = nullptr;
-      for (const auto& s : reads_[rid].support)
-        if (static_cast<int>(s.vouchers.size()) >= support &&
-            (best == nullptr || s.sn > best->sn))
-          best = &s;
-      if (best != nullptr) {
-        std::pair<std::uint64_t, Ref> res{best->sn, best->value};
-        reads_.erase(rid);
-        lock.unlock();
-        quorum_hist.add(
-            std::chrono::duration<double, std::micro>(Clock::now() - t0)
-                .count());
-        detail::record_phase(obs::EventKind::kReadDone, self, reg_id_,
-                             owner_, rid, res.first);
-        return res;
-      }
-      // No sufficiently-supported pair among these replies (stores still
-      // converging): re-issue now, no backoff — replies ARE arriving, the
-      // stores just have not converged yet. The next wait still checks the
-      // deadline.
-      lock.unlock();
-      detail::record_phase(obs::EventKind::kReadRetry, self, reg_id_, owner_,
-                           rid);
-      std::this_thread::yield();
-      lock.lock();
-      issue();
-    }
+    detail::throw_op_timeout(retry_, owner_, reg_id_, owner_, key, what);
   }
 
   // --------------------------------------------------------------- write
@@ -776,13 +521,13 @@ class EmulatedSwmr : public detail::HandlerBase {
     const auto t0 = Clock::now();
     std::unique_lock lock(mu_);
     if (!wait_locked(
-            lock, deadline_from(t0),
+            lock, detail::deadline_from(retry_, t0),
             [&] { return unsettled_locked() < pipeline_depth_; },
             [&](std::uint64_t backoff) {
               resend_locked(lock, std::numeric_limits<std::uint64_t>::max(),
                             backoff);
             }))
-      op_timeout(lock, owner_, 0, write_op(0));
+      op_timeout(lock, 0, write_op(0));
     const std::uint64_t sn = ++write_sn_;
     if (sn >= owner_view_sn_) {
       owner_view_ = v;
@@ -819,7 +564,7 @@ class EmulatedSwmr : public detail::HandlerBase {
     if (it0 == acks_.end()) return;  // already awaited (or timed out)
     const auto t0 = it0->second.t0;
     if (!wait_locked(
-            lock, deadline_from(t0),
+            lock, detail::deadline_from(retry_, t0),
             [&] {
               for (auto it = acks_.begin();
                    it != acks_.end() && it->first <= target; ++it)
@@ -830,8 +575,7 @@ class EmulatedSwmr : public detail::HandlerBase {
               resend_locked(lock, target, backoff);
             })) {
       acks_.erase(target);
-      op_timeout(lock, owner_, target,
-                 write_op(target) + " (outcome indeterminate)");
+      op_timeout(lock, target, write_op(target) + " (outcome indeterminate)");
     }
     const auto it = acks_.find(target);
     if (it == acks_.end()) return;  // raced with a concurrent await(target)
@@ -977,58 +721,15 @@ class EmulatedSwmr : public detail::HandlerBase {
     cv_.notify_all();
   }
 
-  // Server side of read(): reply with process `self`'s stored pair (a
-  // handle to the stored value, not a copy of it).
-  void serve_read(int self, const Message& m) {
-    Message reply;
-    reply.reg = reg_id_;
-    reply.tag = obs::MsgTag::kState;
-    reply.sn = m.sn;  // rid
-    reply.to = m.from;
-    StatePayload state;
-    {
-      std::scoped_lock lock(mu_);
-      const StoredState& st = state_[static_cast<std::size_t>(self)];
-      state = {st.stored_sn, st.stored_val};
-    }
-    reply.payload = Payload::of(std::move(state));
-    net_->send(std::move(reply));
-  }
-
-  // Client side of read(): account a STATE reply received by `self`. A
-  // malformed one (empty or wrong-typed payload, null value handle) is
-  // dropped, and so is one for a read `self` is not running: rids are
-  // per register, and a reply sent to another process — say, to a
-  // Byzantine READ reusing a live rid — is no answer to this read. Replies
-  // vouch for the same pair iff their sns match and their values do — the
-  // same handle or equal content.
-  void accept_state(int self, const Message& m) {
-    const StatePayload* state = m.payload.get<StatePayload>();
-    if (state == nullptr || state->second == nullptr) return;
-    const auto& [sn, v] = *state;
-    std::scoped_lock lock(mu_);
-    auto it = reads_.find(m.sn);
-    if (it == reads_.end() || it->second.reader != self)
-      return;  // reply to a finished or foreign read
-    ReadWait& w = it->second;
-    if (!w.senders.insert(m.from).second) return;  // dup sender
-    auto s = std::find_if(w.support.begin(), w.support.end(), [&](auto& e) {
-      return e.sn == sn && (e.value == v || *e.value == *v);
-    });
-    if (s == w.support.end())
-      s = w.support.insert(s, typename ReadWait::Support{sn, v, {}});
-    s->vouchers.insert(m.from);
-    cv_.notify_all();
-  }
-
   // Applies a delivered (sn, value) to process `self`'s stored state,
-  // sn-monotone — late or reordered deliveries cannot roll it back.
-  // Caller holds mu_.
+  // sn-monotone — late or reordered deliveries cannot roll it back — and
+  // wakes self's delivery-gate waiters when it advances. Caller holds mu_.
   void apply_locked(int self, std::uint64_t sn, const Ref& v) {
     StoredState& st = state_[static_cast<std::size_t>(self)];
     if (sn > st.stored_sn) {
       st.stored_sn = sn;
       st.stored_val = v;
+      reads_->delivered(self);
     }
   }
 
@@ -1107,15 +808,13 @@ class EmulatedSwmr : public detail::HandlerBase {
     return !unsafe_any;
   }
 
-  const int reg_id_;
   const int n_;
   const int f_;
-  const runtime::ProcessId owner_;
   const runtime::ProcessId sole_reader_;  // kNoProcess = SWMR
-  const std::string name_;
   const Ref initial_;  // crash wipes a server's store back to this
   const RetryPolicy retry_;
   Network* const net_;
+  detail::QuorumReads* const reads_;  // the space's; serves read()
   const int pipeline_depth_;  // max unsettled async writes
 
   mutable std::mutex mu_;
@@ -1129,9 +828,9 @@ class EmulatedSwmr : public detail::HandlerBase {
   std::uint64_t write_sn_ = 0;       // owner-local
   Ref owner_view_;                   // owner-local latest (possibly pending)
   std::uint64_t owner_view_sn_ = 0;  // sn owner_view_ corresponds to
-  std::uint64_t read_rid_ = 0;
-  std::map<std::uint64_t, ReadWait> reads_;
-  std::map<int, ReadRound> read_rounds_;      // per reader pid (coalescing)
+  // Per process: the highest write sn its quorum reads of this register
+  // have returned (the delivery gate compares the replica against it).
+  std::vector<std::uint64_t> last_read_;
   std::map<std::uint64_t, AckWait> acks_;     // per in-flight write sn
   std::map<std::uint64_t, FenceWait> fence_;  // per recovering sn (owner)
 };
@@ -1152,6 +851,14 @@ class EmulatedSpace {
   using SwmrFor = EmulatedSwmr<T>;
   template <typename T>
   using SwsrFor = EmulatedSwsr<T>;
+  // A register the delivery gate watches (any EmulatedSwmr<T>*).
+  using Watched = const detail::HandlerBase*;
+
+  // How long one delivery-gate wait lasts at most (await_replica_ahead).
+  // Fixed, not an option: it only bounds how long a help_round() call that
+  // finds nothing to do takes to return, so a caller looping on it can
+  // check for stop.
+  static constexpr std::chrono::milliseconds kGateBound{50};
 
   struct Options {
     int n = 4;
@@ -1172,6 +879,7 @@ class EmulatedSpace {
   explicit EmulatedSpace(Options options)
       : options_(options),
         net_(Network::Options{options.n, options.reorder_seed}),
+        reads_(net_, options.n, options.f, options.retry),
         crashed_(static_cast<std::size_t>(options.n) + 1),
         pool_(net_, options.n,
               [this](int pid, const Message& m) { dispatch(pid, m); }) {
@@ -1239,9 +947,8 @@ class EmulatedSpace {
     std::scoped_lock lock(mu_);
     const int id = static_cast<int>(registry_.size());
     auto reg = std::make_unique<EmulatedSwmr<T>>(
-        net_, id, options_.n, options_.f, owner, std::move(initial),
-        std::move(name), runtime::kNoProcess, options_.retry,
-        options_.pipeline_depth);
+        net_, reads_, id, options_.n, options_.f, owner, std::move(initial),
+        std::move(name), runtime::kNoProcess, options_.pipeline_depth);
     auto& ref = *reg;
     registry_.push_back(std::move(reg));
     return ref;
@@ -1256,11 +963,45 @@ class EmulatedSpace {
     std::scoped_lock lock(mu_);
     const int id = static_cast<int>(registry_.size());
     auto reg = std::make_unique<EmulatedSwsr<T>>(
-        net_, id, options_.n, options_.f, owner, std::move(initial),
-        std::move(name), reader, options_.retry, options_.pipeline_depth);
+        net_, reads_, id, options_.n, options_.f, owner, std::move(initial),
+        std::move(name), reader, options_.pipeline_depth);
     auto& ref = *reg;
     registry_.push_back(std::move(reg));
     return ref;
+  }
+
+  // Reads every register of `regs` (all of one value type) as the calling
+  // process with one quorum exchange: one READ naming them all, one STATE
+  // per replier carrying all their pairs — 2n messages for any number of
+  // registers. Each value is what read() of that register would return;
+  // slot i of the result is regs[i]'s (design note 18).
+  template <typename Reg>
+  std::vector<typename Reg::Value> collect(const std::vector<Reg*>& regs) {
+    const runtime::ProcessId self = runtime::ThisProcess::id();
+    std::vector<detail::HandlerBase*> handlers;
+    handlers.reserve(regs.size());
+    for (Reg* reg : regs) {
+      reg->require_readable(self);
+      handlers.push_back(reg);
+    }
+    std::vector<typename Reg::Value> out;
+    if (handlers.empty()) return out;
+    out.reserve(handlers.size());
+    for (const StateEntry& e : reads_.read(self, handlers))
+      out.push_back(*e.second.template get<typename Reg::Value>());
+    return out;
+  }
+
+  // The delivery gate (docs/ARCHITECTURE.md, "The version / wakeup
+  // protocol"): blocks the calling process p for at most kGateBound until
+  // p's own replica of one of `watched` holds a higher sn than p's last
+  // quorum read of that register returned. True iff one does. A replica
+  // merely changing is not enough — a read can return an older pair than
+  // the replica already holds, and then only the replica-versus-last-read
+  // test still sees the newer write.
+  bool await_replica_ahead(const std::vector<Watched>& watched) {
+    return reads_.await_ahead(runtime::ThisProcess::id(), watched,
+                              kGateBound);
   }
 
   Network& network() { return net_; }
@@ -1285,14 +1026,51 @@ class EmulatedSpace {
     if (crashed_[static_cast<std::size_t>(pid)].load(
             std::memory_order_acquire))
       return;
-    detail::HandlerBase* handler = nullptr;
-    {
-      std::scoped_lock lock(mu_);
-      if (m.reg >= 0 && m.reg < static_cast<int>(registry_.size()))
-        handler = registry_[static_cast<std::size_t>(m.reg)].get();
+    switch (m.tag) {
+      case obs::MsgTag::kRead:
+        serve_read(pid, m);
+        return;
+      case obs::MsgTag::kState:
+        reads_.accept_state(pid, m);
+        return;
+      default:
+        // Handlers drop malformed payloads themselves (Payload::get).
+        if (detail::HandlerBase* handler = handler_of(m.reg))
+          handler->handle(m);
     }
-    // Handlers drop malformed payloads themselves (Payload::get).
-    if (handler) handler->handle(m);
+  }
+
+  detail::HandlerBase* handler_of(int reg) {
+    std::scoped_lock lock(mu_);
+    if (reg < 0 || reg >= static_cast<int>(registry_.size())) return nullptr;
+    return registry_[static_cast<std::size_t>(reg)].get();
+  }
+
+  // Server side of a read: reply to READ(rid, ids) with process `self`'s
+  // stored pair of every register named — handles to the stored values,
+  // not copies of them. A READ that is malformed or names an unknown
+  // register gets no reply at all.
+  void serve_read(int self, const Message& m) {
+    const ReadRequest* ids = m.payload.get<ReadRequest>();
+    if (ids == nullptr || ids->empty()) return;
+    std::vector<detail::HandlerBase*> regs;
+    regs.reserve(ids->size());
+    for (const int id : *ids) {
+      detail::HandlerBase* reg = handler_of(id);
+      if (reg == nullptr) return;
+      regs.push_back(reg);
+    }
+    StateReply state;
+    state.reserve(regs.size());
+    for (const detail::HandlerBase* reg : regs)
+      state.push_back(reg->stored_entry(self));
+    Message reply;
+    reply.reg = m.reg;
+    reply.tag = obs::MsgTag::kState;
+    reply.sn = m.sn;  // rid
+    reply.to = m.from;
+    reply.payload = Payload::of(std::move(state));
+    net_.send(std::move(reply));
   }
 
   std::vector<detail::HandlerBase*> handlers() {
@@ -1305,6 +1083,7 @@ class EmulatedSpace {
 
   Options options_;
   Network net_;
+  detail::QuorumReads reads_;  // every register's reads, and the gate
   std::mutex mu_;
   std::vector<std::unique_ptr<detail::HandlerBase>> registry_;
   std::vector<std::atomic<bool>> crashed_;  // index by pid

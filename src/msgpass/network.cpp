@@ -18,6 +18,7 @@ Network::TypeCounters::TypeCounters() {
     recv[t] = &reg.counter("net.recv." + suffix);
     drop[t] = &reg.counter("net.drop." + suffix);
   }
+  queue_us = &reg.histogram("net.queue_us");
 }
 
 Network::TypeCounters& Network::TypeCounters::get() {
@@ -164,7 +165,10 @@ void Network::enqueue(Message m) {
   Inbox& inbox = inbox_for(m.to);
   {
     std::scoped_lock lock(inbox.mu);
-    inbox.queue.push_back(std::move(m));
+    Queued q{std::move(m)};
+    if (++inbox.enqueued % kQueueSample == 0)
+      q.at = std::chrono::steady_clock::now();
+    inbox.queue.push_back(std::move(q));
   }
   inbox.cv.notify_all();
   sent_.fetch_add(1, std::memory_order_relaxed);
@@ -222,11 +226,10 @@ std::optional<Message> Network::recv(std::stop_token st) {
   if (reorder && inbox.queue.size() > 1)
     index = static_cast<std::size_t>(
         inbox.rng.uniform(0, inbox.queue.size() - 1));
-  Message m = std::move(inbox.queue[index]);
+  Queued q = std::move(inbox.queue[index]);
   inbox.queue.erase(inbox.queue.begin() + static_cast<std::ptrdiff_t>(index));
-  TypeCounters::get().recv[static_cast<std::size_t>(m.tag)]->add();
-  record_msg(obs::EventKind::kMsgRecv, self, m.from, m);
-  return m;
+  lock.unlock();
+  return received(self, std::move(q));
 }
 
 std::optional<Message> Network::try_recv() {
@@ -234,12 +237,25 @@ std::optional<Message> Network::try_recv() {
   Inbox& inbox = inbox_for(self);
   std::unique_lock lock(inbox.mu);
   if (inbox.queue.empty()) return std::nullopt;
-  Message m = std::move(inbox.queue.front());
+  Queued q = std::move(inbox.queue.front());
   inbox.queue.pop_front();
   lock.unlock();
-  TypeCounters::get().recv[static_cast<std::size_t>(m.tag)]->add();
-  record_msg(obs::EventKind::kMsgRecv, self, m.from, m);
-  return m;
+  return received(self, std::move(q));
+}
+
+Message Network::received(runtime::ProcessId self, Queued q) {
+  TypeCounters& tc = TypeCounters::get();
+  tc.recv[static_cast<std::size_t>(q.m.tag)]->add();
+  std::uint64_t queued_ns = 0;
+  if (q.at != std::chrono::steady_clock::time_point{}) {
+    queued_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - q.at)
+            .count());
+    tc.queue_us->add(static_cast<double>(queued_ns) / 1e3);
+  }
+  record_msg(obs::EventKind::kMsgRecv, self, q.m.from, q.m, queued_ns);
+  return std::move(q.m);
 }
 
 std::uint64_t Network::messages_sent() const {

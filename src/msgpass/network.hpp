@@ -22,6 +22,7 @@
 #include "msgpass/faults.hpp"
 #include "msgpass/message.hpp"
 #include "obs/event.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/process.hpp"
 #include "util/rng.hpp"
 #include "util/sharded_counter.hpp"
@@ -81,23 +82,38 @@ class Network {
 
   // Per-message-type counters ("net.send.WRITE", "net.recv.ECHO",
   // "net.drop.ACK", ...) in the global obs::MetricsRegistry, shared by
-  // every Network in the process.
+  // every Network in the process, and the queueing-delay histogram
+  // "net.queue_us": the time a message sat in its receiver's inbox, from
+  // enqueue to dequeue (held-back messages count from when the delay pump
+  // enqueued them, so injected delay is not queueing), for every
+  // kQueueSample-th message of each inbox — timing every one costs two
+  // clock reads and a shared-histogram add per message, several percent
+  // of a register op.
   // Resolved once, here; the per-message cost is one sharded relaxed add.
   struct TypeCounters {
     util::ShardedCounter* send[static_cast<std::size_t>(obs::MsgTag::kCount)];
     util::ShardedCounter* recv[static_cast<std::size_t>(obs::MsgTag::kCount)];
     util::ShardedCounter* drop[static_cast<std::size_t>(obs::MsgTag::kCount)];
+    obs::LogHistogram* queue_us;
     TypeCounters();
     static TypeCounters& get();  // process-wide singleton
   };
 
  private:
+  static constexpr std::uint64_t kQueueSample = 16;
+
+  // A message in an inbox; a sampled one is stamped when it was enqueued.
+  struct Queued {
+    Message m;
+    std::chrono::steady_clock::time_point at{};  // epoch: not sampled
+  };
   struct Inbox {
     std::mutex mu;
     // _any so recv() can wait with a stop_token (no polling): a stop
     // request wakes the waiter exactly like a delivery does.
     std::condition_variable_any cv;
-    std::deque<Message> queue;
+    std::deque<Queued> queue;
+    std::uint64_t enqueued = 0;  // picks the sampled messages
     util::Rng rng{0};
   };
   struct Delayed {
@@ -111,6 +127,9 @@ class Network {
   void deliver(Message m, bool note_send = true);
   void enqueue(Message m);  // final step: into the receiver's inbox
   void pump(std::stop_token st);
+  // Dequeue bookkeeping shared by recv() and try_recv(): counters, the
+  // queueing-delay histogram and the receive event.
+  Message received(runtime::ProcessId self, Queued q);
 
   // True while the pid may not send (crashed). Checked lock-free on every
   // send/broadcast.

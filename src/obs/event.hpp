@@ -21,7 +21,8 @@ enum class EventKind : std::uint8_t {
   kNone = 0,
   // Network plane (pid = recording process; peer = the other endpoint).
   kMsgSend,   // message accepted by the network (before fault decisions)
-  kMsgRecv,   // message pulled from the inbox by a server/client thread
+  kMsgRecv,   // message pulled from the inbox (aux = ns it sat queued, for
+              // the sampled messages; 0 for the rest)
   kMsgDrop,   // fault injector dropped it (aux unused)
   kMsgDelay,  // fault injector held it back (aux = delay in ms)
   // Client operations (pid = invoking process).

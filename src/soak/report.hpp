@@ -66,7 +66,8 @@ struct SoakMetrics {
   double peak_rss_mb = 0;
 
   // Per-message-type traffic deltas over the run ("net.send.WRITE", ...)
-  // and per-phase latency histograms ("msgpass.read_quorum_us", ...), both
+  // and per-phase latency histograms ("msgpass.read_quorum_us", ...,
+  // "net.queue_us"), both
   // sourced from the obs::MetricsRegistry by the runner. Zero-count
   // entries are pruned at capture time.
   std::vector<obs::CounterSnapshot> msg_counters;

@@ -270,6 +270,7 @@ inline SoakOutcome run_soak(msgpass::EmulatedSpace& space,
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   registry.reset_histograms("soak.");
   registry.reset_histograms("msgpass.");
+  registry.reset_histograms("net.");
   obs::LogHistogram& read_hist = registry.histogram("soak.read_us");
   obs::LogHistogram& write_hist = registry.histogram("soak.write_us");
   std::map<std::string, std::uint64_t> net_baseline;
@@ -714,14 +715,16 @@ inline SoakOutcome run_soak(msgpass::EmulatedSpace& space,
       m.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
   }
   // Per-message-type traffic over this run (delta vs the start snapshot;
-  // zero-traffic types pruned) and the protocol-phase latency histograms.
+  // zero-traffic types pruned), the protocol-phase latency histograms and
+  // the network's queueing delay (net.queue_us).
   for (const obs::CounterSnapshot& c : registry.counters("net.")) {
     const auto it = net_baseline.find(c.name);
     const std::uint64_t before = it == net_baseline.end() ? 0 : it->second;
     if (c.value > before) m.msg_counters.push_back({c.name, c.value - before});
   }
-  for (const obs::HistogramSnapshot& h : registry.histograms("msgpass."))
-    if (h.count > 0) m.phase_hists.push_back(h);
+  for (const char* prefix : {"msgpass.", "net."})
+    for (const obs::HistogramSnapshot& h : registry.histograms(prefix))
+      if (h.count > 0) m.phase_hists.push_back(h);
   if (live.violations > 0)
     record_failure("liveness: " + std::to_string(live.violations) +
                    " stall violation(s), max stall " +

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "msgpass/emulated_swmr.hpp"
+#include "registers/errors.hpp"
 #include "runtime/process.hpp"
 
 namespace swsig::msgpass {
@@ -109,10 +113,9 @@ TEST(EmulatedByzantine, NonOwnerWriteMessagesIgnored) {
 TEST(EmulatedByzantine, GarbagePayloadsAreDropped) {
   EmulatedSpace space({.n = 4, .f = 1});
   auto& reg = space.make_swmr<int>(1, 0, "r");
-  using State = EmulatedSwmr<int>::StatePayload;
   const Payload garbage[] = {Payload::of(std::string("not-an-int")),
                              Payload{}, Payload(std::shared_ptr<const int>()),
-                             Payload::of(State{1, nullptr})};
+                             Payload::of(StateReply{{1, Payload{}}})};
   {
     ThisProcess::Binder bind(4);
     for (const obs::MsgTag tag :
@@ -150,9 +153,9 @@ class HoldStates : public FaultInjector {
   bool reorder(runtime::ProcessId) override { return false; }
 };
 
-// Read ids are per reader: a STATE reply counts only for a read by the
-// process it was sent to. Byzantine p4 broadcasts READ under the rid p2's
-// first read will use, before the write; the honest servers' stale
+// A STATE reply counts only for a read by the process it was sent to.
+// Byzantine p4 broadcasts READ under the rid p2's first read will use,
+// before the write; the honest servers' stale
 // (0, initial) replies reach p4 while p2's read is open. Counted toward
 // p2's read they would make n−f identical stale pairs, and p2 would read 0
 // after write(11) completed — a new-old inversion. Retries are off so p2's
@@ -167,7 +170,8 @@ TEST(EmulatedByzantine, RepliesToAnotherProcessCannotFeedARead) {
     Message m;
     m.reg = 0;
     m.tag = obs::MsgTag::kRead;
-    m.sn = 1;  // the first rid of this register
+    m.sn = 1;  // the first rid of this space
+    m.payload = Payload::of(ReadRequest{0});
     space.network().broadcast(m);
   }
   {
@@ -179,6 +183,142 @@ TEST(EmulatedByzantine, RepliesToAnotherProcessCannotFeedARead) {
     EXPECT_EQ(reg.read(), 11);
   }
   space.network().set_fault_injector(nullptr);
+}
+
+// Drops the STATE replies p3's and p4's servers send to p2: a collect by
+// p2 then has only p1's and p2's own replies, one short of n−f, unless
+// some other STATE is (wrongly or rightly) counted. Servers echo the
+// READ's register field, a real id; STATEs the test injects carry -1 and
+// pass.
+class StarveP2 : public FaultInjector {
+ public:
+  FaultDecision on_deliver(const Message& m) override {
+    return {.drop = m.tag == obs::MsgTag::kState && m.to == 2 &&
+                    m.from >= 3 && m.reg >= 0};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+};
+
+// p2 collects two written registers (a = 5, b = 6) under its first rid
+// while StarveP2 holds it one reply short; 50 ms in, Byzantine p4 injects
+// `inject()`. Retries are off and the deadline is 400 ms, so the collect
+// returns only if what p4 injected counted. Returns the collected values,
+// or nullopt on OpTimeout.
+template <typename Inject>
+std::optional<std::vector<int>> starved_collect(Inject&& inject) {
+  EmulatedSpace space(
+      {.n = 4, .f = 1, .retry = {.enabled = false, .op_timeout_ms = 400}});
+  auto& a = space.make_swmr<int>(1, 0, "a");
+  auto& b = space.make_swmr<int>(1, 0, "b");
+  {
+    ThisProcess::Binder bind(1);
+    a.write(5);
+    b.write(6);
+  }
+  quiesce(space.network());
+  StarveP2 starve;
+  space.network().set_fault_injector(&starve);
+  std::optional<std::vector<int>> got;
+  std::jthread reader([&] {
+    ThisProcess::Binder bind(2);
+    try {
+      got = space.collect(std::vector<EmulatedSwmr<int>*>{&a, &b});
+    } catch (const registers::OpTimeout&) {
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    ThisProcess::Binder bind(4);
+    inject(space);
+  }
+  reader.join();
+  space.network().set_fault_injector(nullptr);
+  return got;
+}
+
+// Byzantine p4's STATE for p2's collect (rid 1), built from `entries`.
+void send_state(EmulatedSpace& space, StateReply entries) {
+  Message m;
+  m.to = 2;
+  m.reg = -1;  // not a server reply: StarveP2 lets it through
+  m.tag = obs::MsgTag::kState;
+  m.sn = 1;
+  m.payload = Payload::of(std::move(entries));
+  space.network().send(m);
+}
+
+Payload int_value(int v) { return Payload::of(v); }
+
+// A collect STATE must carry exactly one well-typed pair per register the
+// READ named; anything else is dropped whole, so it neither counts as a
+// reply nor vouches for a pair. The control shows the same injection,
+// well-formed, does complete the starved collect.
+TEST(EmulatedByzantine, MalformedCollectStatesAreDropped) {
+  const auto control = starved_collect([](EmulatedSpace& space) {
+    send_state(space, {{1, int_value(5)}, {1, int_value(6)}});
+  });
+  ASSERT_TRUE(control.has_value()) << "a well-formed STATE should count";
+  EXPECT_EQ(*control, (std::vector<int>{5, 6}));
+  // Three entries for two registers.
+  EXPECT_FALSE(starved_collect([](EmulatedSpace& space) {
+                 send_state(space, {{1, int_value(5)},
+                                    {1, int_value(6)},
+                                    {1, int_value(7)}});
+               }).has_value());
+  // One entry for two registers.
+  EXPECT_FALSE(starved_collect([](EmulatedSpace& space) {
+                 send_state(space, {{1, int_value(5)}});
+               }).has_value());
+  // A wrong-typed entry, and a null value handle.
+  EXPECT_FALSE(starved_collect([](EmulatedSpace& space) {
+                 send_state(space, {{1, int_value(5)},
+                                    {1, Payload::of(std::string("6"))}});
+               }).has_value());
+  EXPECT_FALSE(starved_collect([](EmulatedSpace& space) {
+                 send_state(space, {{1, int_value(5)},
+                                    {1, Payload(std::shared_ptr<const int>())}});
+               }).has_value());
+}
+
+// STATE replies to another process's READ never count for a collect:
+// Byzantine p4 broadcasts a READ naming both registers under p2's live rid,
+// and the honest servers' well-formed replies — addressed to p4 — would
+// complete p2's starved collect if they were counted there.
+TEST(EmulatedByzantine, StatesSentToAnotherProcessDoNotFeedACollect) {
+  EXPECT_FALSE(starved_collect([](EmulatedSpace& space) {
+                 Message m;
+                 m.reg = 0;
+                 m.tag = obs::MsgTag::kRead;
+                 m.sn = 1;  // p2's live rid
+                 m.payload = Payload::of(ReadRequest{0, 1});
+                 space.network().broadcast(m);
+               }).has_value());
+}
+
+// A READ naming an unknown register id gets no reply at all (and no
+// out-of-bounds access), even when it also names a real one; the same
+// READ naming only real registers gets one STATE per process.
+TEST(EmulatedByzantine, ReadNamingUnknownRegisterGetsNoReply) {
+  EmulatedSpace space({.n = 4, .f = 1});
+  space.make_swmr<int>(1, 3, "r");
+  const auto broadcast_read = [&](ReadRequest ids) {
+    ThisProcess::Binder bind(4);
+    Message m;
+    m.reg = 0;
+    m.tag = obs::MsgTag::kRead;
+    m.sn = 1;
+    m.payload = Payload::of(std::move(ids));
+    space.network().broadcast(m);
+  };
+  std::uint64_t before = quiesce(space.network());
+  broadcast_read({0, 999});
+  EXPECT_EQ(quiesce(space.network()) - before, 4u) << "the READ alone";
+  before = quiesce(space.network());
+  broadcast_read({-1});
+  EXPECT_EQ(quiesce(space.network()) - before, 4u) << "the READ alone";
+  before = quiesce(space.network());
+  broadcast_read({0});
+  EXPECT_EQ(quiesce(space.network()) - before, 8u) << "READ + 4 STATEs";
 }
 
 // Messages for unknown register ids are ignored (no out-of-bounds access).

@@ -215,6 +215,40 @@ TEST(EmulatedCost, WriteAndReadMessageCountsMatchDesignNote6) {
   }
 }
 
+// A collect of k registers is one READ naming all k and one STATE per
+// replier carrying k pairs: 2n messages, the cost of a single read
+// (design note 18).
+TEST(EmulatedCost, CollectOfThreeRegistersCostsTwoNMessages) {
+  for (const int n : {4, 7}) {
+    HoldAllButWrite hold;
+    EmulatedSpace space(
+        {.n = n, .f = (n - 1) / 3, .retry = {.enabled = false}});
+    Network& net = space.network();
+    net.set_fault_injector(&hold);
+    std::vector<EmulatedSwmr<int>*> regs;
+    for (int i = 0; i < 3; ++i)
+      regs.push_back(&space.make_swmr<int>(1, i, "r" + std::to_string(i)));
+    const auto quiesce = [&] {
+      return drain_message_count([&] { return net.messages_sent(); },
+                                 std::chrono::milliseconds(5),
+                                 /*stable_polls=*/10);
+    };
+    {
+      ThisProcess::Binder bind(1);
+      regs[1]->write(7);
+    }
+    const std::uint64_t base = quiesce();
+    {
+      ThisProcess::Binder bind(2);
+      EXPECT_EQ(space.collect(regs), (std::vector<int>{0, 7, 2}));
+    }
+    EXPECT_EQ(quiesce() - base, 2 * static_cast<std::uint64_t>(n))
+        << "collect of 3 registers, n=" << n;
+    net.set_fault_injector(nullptr);
+    space.stop();
+  }
+}
+
 TEST_F(EmulatedTest, UpdateIsOwnerRmw) {
   auto& reg = space.make_swmr<std::set<int>>(1, {}, "r");
   {
@@ -704,6 +738,58 @@ TEST(FullStack, StickyRegisterOverMessagePassing) {
   }
   stop = true;
   for (auto& t : helpers) t.request_stop();
+}
+
+// Delivery gate liveness. p3 asks (C_3 <- 1) while ACCEPTs for C_3 to
+// every process but p2 are held: p2's replica delivers C_3 = 1 at once,
+// but p2's quorum read of C_3 still returns the older (0, 0) that p1, p3
+// and p4 vouch for. The gate compares p2's replica with what p2's last
+// read returned, so p2 keeps re-reading until the read catches up and
+// then serves the ask. A gate keyed on "the replica changed since my last
+// round" would wait forever for a delivery that never comes.
+class HoldRoundAccepts : public FaultInjector {
+ public:
+  explicit HoldRoundAccepts(int reg) : reg_(reg) {}
+  FaultDecision on_deliver(const Message& m) override {
+    if (m.reg == reg_ && m.tag == obs::MsgTag::kAccept && m.to != 2)
+      return {.delay = std::chrono::milliseconds(500)};
+    return {};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+
+ private:
+  int reg_;
+};
+
+TEST(DeliveryGate, HelperWhoseReadLagsItsReplicaStillServes) {
+  EmulatedSpace space({.n = 4, .f = 1});
+  using Reg = core::VerifiableRegister<int, EmulatedSpace>;
+  Reg alg(space, {.n = 4, .f = 1, .v0 = 0});
+  auto& c3 = *(*alg.raw().round)[3];
+  HoldRoundAccepts hold(c3.reg_id());
+  space.network().set_fault_injector(&hold);
+  std::jthread asker([&] {
+    ThisProcess::Binder bind(3);
+    c3.update([](core::RoundCounter& c) { ++c; });  // L13: C_3 <- 1
+  });
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (c3.stored_state(2).first == 0 &&
+         std::chrono::steady_clock::now() < until)
+    std::this_thread::yield();
+  ASSERT_EQ(c3.stored_state(2).first, 1u) << "p2 never delivered C_3";
+  ThisProcess::Binder bind(2);
+  // The replica is ahead, so the round runs; its read returns C_3 = 0.
+  EXPECT_FALSE(alg.help_round());
+  bool served = false;
+  while (!served && std::chrono::steady_clock::now() < until)
+    served = alg.help_round();
+  EXPECT_TRUE(served) << "p2 never answered p3's ask";
+  asker.join();
+  {
+    ThisProcess::Binder reader(3);
+    EXPECT_EQ((*alg.raw().channel)[2][3]->read().second, 1u);  // ⟨r_2, 1⟩
+  }
+  space.network().set_fault_injector(nullptr);
 }
 
 // Full-stack history check: two owners write their emulated registers while

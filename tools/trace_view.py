@@ -15,7 +15,10 @@ Events are grouped by ladder key (reg, origin, sn) and printed as one
 timeline per ladder — which process reached which Bracha rung when — with
 stalled ladders (opened, never delivered) flagged and sorted first, so the
 wedged write is the first thing on screen. Non-ladder events (network
-plane, crash/restart/resync) are summarized per kind.
+plane, crash/restart/resync) are summarized per kind, and the network's
+queueing delay — how long a received message sat in its inbox, the aux of
+a recv event in ns, recorded for a sample of messages (0 for the rest) —
+per message type.
 
 --self-test runs the built-in unit checks (wired into CTest as
 trace_view_selftest, mirroring bench_compare_selftest).
@@ -221,6 +224,28 @@ def summarize_other(events, out):
             print(f"  {label}: {counts[label]}", file=out)
 
 
+def percentile(sorted_values, p):
+    """Nearest-rank percentile of an ascending list (p in [0, 100])."""
+    rank = int(p / 100.0 * (len(sorted_values) - 1))
+    return sorted_values[rank]
+
+
+def summarize_queueing(events, out):
+    """Inbox queueing delay (enqueue to dequeue) per message type, from the
+    aux of the sampled recv events (ns; 0 marks an unsampled message)."""
+    by_tag = {}
+    for e in events:
+        if e["kind"] == "recv" and e["aux"] > 0:
+            by_tag.setdefault(e["tag"], []).append(e["aux"] / 1000.0)
+    if not by_tag:
+        return
+    print("network queueing (enqueue to dequeue, us):", file=out)
+    for tag in sorted(by_tag):
+        us = sorted(by_tag[tag])
+        print(f"  {tag}: n={len(us)} p50={percentile(us, 50):.1f} "
+              f"p99={percentile(us, 99):.1f} max={us[-1]:.1f}", file=out)
+
+
 def render(events, out, reg=None, origin=None, last=None):
     ladders = ladders_of(events)
     keys = list(ladders)
@@ -250,6 +275,7 @@ def render(events, out, reg=None, origin=None, last=None):
         render_ladder(k, ladders[k], out)
     summarize_certs(events, out)
     summarize_other(events, out)
+    summarize_queueing(events, out)
     return stalled
 
 
@@ -282,6 +308,10 @@ EV 65.0 1 write_done OTHER 12 1 100 500 0
 EV 66.0 1 write_done OTHER 12 1 101 500 0
 EV 70.0 2 cert_intern OTHER 0 3 5 17 0
 EV 71.0 4 cert_intern OTHER 0 3 5 17 0
+EV 80.0 2 recv STATE 5 0 9 1500 3
+EV 81.0 3 recv STATE 5 0 9 2500 4
+EV 82.0 4 recv READ 5 0 9 400 2
+EV 83.0 4 recv READ 5 0 9 0 3
 this line is garbage
 EV bad 1 echo OTHER 1 1 1 0 0
 """
@@ -298,7 +328,7 @@ def run_self_test():
         print(f"self-test: {'ok  ' if cond else 'FAIL'} {name}")
 
     events, warnings = parse_trace(SAMPLE.splitlines())
-    check("parses well-formed events", len(events) == 25)
+    check("parses well-formed events", len(events) == 29)
     # The prose garbage line is silently skipped (not an EV record); the
     # "EV bad ..." line has 10 fields but a bad float -> one warning.
     check("warns on bad numeric field", len(warnings) == 1)
@@ -361,6 +391,9 @@ def run_self_test():
           "handle 17: slot sender=p3 seq=5 verified by p2,p4" in text)
     check("cert_intern excluded from the generic summary",
           "cert_intern:" not in text)
+    check("queueing delay summarized per message type",
+          "STATE: n=2 p50=1.5 p99=1.5 max=2.5" in text and
+          "READ: n=1 p50=0.4" in text)  # the unsampled recv is skipped
 
     # Filters.
     out = io.StringIO()
