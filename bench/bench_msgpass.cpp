@@ -3,8 +3,8 @@
 // full stack — a verifiable register running on those emulated registers,
 // across n and after a growing history of signed values, with the
 // network's queueing delay (T9b) — the per-write message cost at larger n
-// (T9c), the multi-register collect (T9d), and the async engine:
-// pipelined owner writes and same-pid read coalescing (T9e).
+// (T9c), the multi-register collect (T9d), and the async engine's
+// pipelined owner writes (T9e).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -25,15 +25,11 @@ using bench::max_f;
 
 constexpr int kIters = 40;
 
-// Message counts sampled right after the last client call are
-// scheduling-dependent (write() returns on n−f ACKs with the trailing f
-// servers' traffic still in flight) — and these counts are compared
-// against a committed baseline in CI, so drain the tail first.
-template <typename CountFn>
-std::uint64_t drained(CountFn&& count) {
-  return msgpass::drain_message_count(std::forward<CountFn>(count),
-                                      std::chrono::milliseconds(2));
-}
+// Message counts are taken with EmulatedSpace::quiesce(): sampled right
+// after the last client call they would be scheduling-dependent (write()
+// returns on n−f ACKs with the trailing f servers' traffic still in
+// flight), and these counts are compared against a committed baseline in
+// CI.
 
 struct Row {
   double write_us, read_us;
@@ -44,23 +40,22 @@ Row emulated_register(int n, int f) {
   msgpass::EmulatedSpace space({.n = n, .f = f});
   auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
   Row row{};
-  const auto count = [&] { return space.network().messages_sent(); };
   {
     runtime::ThisProcess::Binder bind(1);
-    const auto before = drained(count);
+    const auto before = space.quiesce();
     std::uint64_t v = 0;
     row.write_us =
         bench::sample_latency(kIters, [&] { reg.write(++v); }).median();
     row.msgs_per_write =
-        static_cast<double>(drained(count) - before) / kIters;
+        static_cast<double>(space.quiesce() - before) / kIters;
   }
   {
     runtime::ThisProcess::Binder bind(2);
-    const auto before = drained(count);
+    const auto before = space.quiesce();
     row.read_us =
         bench::sample_latency(kIters, [&] { reg.read(); }).median();
     row.msgs_per_read =
-        static_cast<double>(drained(count) - before) / kIters;
+        static_cast<double>(space.quiesce() - before) / kIters;
   }
   return row;
 }
@@ -105,11 +100,10 @@ VerifyRow full_stack_verify(int n, int f, int signed_values, int samples) {
   {
     runtime::ThisProcess::Binder bind(2);
     for (int i = 0; i < 8; ++i) reg.verify(last);
-    const auto count = [&] { return space.network().messages_sent(); };
-    const auto before = drained(count);
+    const auto before = space.quiesce();
     row.us = bench::sample_latency(samples, [&] { reg.verify(last); }, 0);
     row.msgs_per_verify =
-        static_cast<double>(drained(count) - before) / samples;
+        static_cast<double>(space.quiesce() - before) / samples;
   }
   stop = true;
   for (auto& t : helpers) t.request_stop();
@@ -127,10 +121,9 @@ double msgs_per_write(int n, int f, int writes) {
   msgpass::EmulatedSpace space({.n = n, .f = f});
   auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
   runtime::ThisProcess::Binder bind(1);
-  const auto count = [&] { return space.network().messages_sent(); };
-  const auto before = drained(count);
+  const auto before = space.quiesce();
   for (int i = 0; i < writes; ++i) reg.write(static_cast<std::uint64_t>(i + 1));
-  return static_cast<double>(drained(count) - before) / writes;
+  return static_cast<double>(space.quiesce() - before) / writes;
 }
 
 // T9d — one collect of k registers by p2 (a single READ naming all k, one
@@ -148,21 +141,19 @@ CollectRow collect(int n, int f, int k) {
     regs.push_back(&space.make_swmr<std::uint64_t>(
         1 + i % n, 0, "r" + std::to_string(i)));
   runtime::ThisProcess::Binder bind(2);
-  const auto count = [&] { return space.network().messages_sent(); };
   CollectRow row;
-  const auto before = drained(count);
+  const auto before = space.quiesce();
   row.us = bench::sample_latency(kIters, [&] { space.collect(regs); }, 0)
                .median();
-  row.msgs = static_cast<double>(drained(count) - before) / kIters;
+  row.msgs = static_cast<double>(space.quiesce() - before) / kIters;
   return row;
 }
 
 // T9e — the async protocol engine (design note 15): depth-k pipelined
 // owner writes as a sliding window (issue k, then await the oldest before
-// each new issue — k ops continuously in flight), and same-pid read
-// coalescing (one quorum round serving k overlapping readers). Each sn
-// keeps its own ladder, so pipelining hides the per-write ACK wait but
-// does not save messages.
+// each new issue — k ops continuously in flight). Each sn keeps its own
+// ladder, so pipelining hides the per-write ACK wait but does not save
+// messages.
 struct PipeRow {
   double write_us = 0;
   double msgs_per_write = 0;
@@ -171,12 +162,11 @@ struct PipeRow {
 PipeRow pipelined_writes(int n, int f, int depth, int writes) {
   msgpass::EmulatedSpace space({.n = n, .f = f, .pipeline_depth = depth});
   auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
-  const auto count = [&] { return space.network().messages_sent(); };
   PipeRow row{};
   runtime::ThisProcess::Binder bind(1);
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) reg.write(++v);  // warm up, outside the count
-  const auto before = drained(count);
+  const auto before = space.quiesce();
   std::vector<std::uint64_t> window;
   std::size_t oldest = 0;
   const double us = bench::time_us([&] {
@@ -188,41 +178,8 @@ PipeRow pipelined_writes(int n, int f, int depth, int writes) {
     while (oldest < window.size()) reg.await(window[oldest++]);
   });
   row.write_us = us / writes;
-  row.msgs_per_write = static_cast<double>(drained(count) - before) / writes;
+  row.msgs_per_write = static_cast<double>(space.quiesce() - before) / writes;
   return row;
-}
-
-// k reader threads bound to the SAME pid hammer overlapping reads: the
-// coalescer lets joiners adopt the next led round's result, so quorum
-// traffic per read drops roughly with the overlap factor. Returns
-// sequential msgs/read divided by coalesced msgs/read.
-double read_coalescing(int n, int f, int readers, int reads_each) {
-  msgpass::EmulatedSpace space({.n = n, .f = f});
-  auto& reg = space.make_swmr<std::uint64_t>(1, 0, "r");
-  {
-    runtime::ThisProcess::Binder bind(1);
-    reg.write(1);
-  }
-  const auto count = [&] { return space.network().messages_sent(); };
-  const auto before = drained(count);
-  std::vector<std::thread> ts;
-  for (int r = 0; r < readers; ++r) {
-    ts.emplace_back([&] {
-      runtime::ThisProcess::Binder bind(2);
-      for (int i = 0; i < reads_each; ++i) reg.read();
-    });
-  }
-  for (auto& t : ts) t.join();
-  const double coalesced_mpr = static_cast<double>(drained(count) - before) /
-                               (static_cast<double>(readers) * reads_each);
-  const auto before_seq = drained(count);
-  {
-    runtime::ThisProcess::Binder bind(2);
-    for (int i = 0; i < reads_each; ++i) reg.read();
-  }
-  const double seq_mpr =
-      static_cast<double>(drained(count) - before_seq) / reads_each;
-  return coalesced_mpr > 0 ? seq_mpr / coalesced_mpr : 0;
 }
 
 }  // namespace
@@ -318,8 +275,7 @@ int main(int argc, char** argv) {
   collects.print();
 
   bench::heading(
-      "T9e — async engine: depth-4 sliding-window pipelined writes, and "
-      "8-way same-pid read coalescing (n=10)");
+      "T9e — async engine: depth-4 sliding-window pipelined writes (n=10)");
   {
     const int n = 10, f = max_f(10), depth = 4, writes = 128;
     const PipeRow pipelined = pipelined_writes(n, f, depth, writes);
@@ -327,13 +283,8 @@ int main(int argc, char** argv) {
     pipe.add_row({"4", util::Table::num(pipelined.write_us),
                   util::Table::num(pipelined.msgs_per_write, 1)});
     pipe.print();
-    const double amort = read_coalescing(n, f, /*readers=*/8,
-                                         /*reads_each=*/kIters);
-    bench::heading("      read coalescing amortization (k=8): " +
-                   util::Table::num(amort, 2) + "x fewer msgs/read");
     report.metric("msgpass.n10.pipelined_write_us_emulated",
                   pipelined.write_us);
-    report.metric("msgpass.n10.read_batch_amortization", amort);
   }
   return 0;
 }

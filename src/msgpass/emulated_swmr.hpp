@@ -41,10 +41,11 @@
 // The server-side state machine itself — echo-once / accept-once /
 // amplify / deliver tallies, the delivered-set replay guard, and the
 // abort-fence state — is detail::BrachaLadder (bracha_ladder.hpp); this
-// file keeps the message I/O policy around it, the owner's client-side
-// state (writer mutex, sn-monotone local view), the READ/STATE quorum
-// (detail::QuorumReads, one per space, shared by all its registers) and
-// the delivery gate the core algorithms' helpers wait on.
+// file keeps the message I/O policy around it and the owner's register-
+// specific state (writer mutex, sn-monotone local view). Everything a
+// process waits on — its quorum reads, its ACK and fence waits, the
+// delivery gate the core algorithms' helpers wait on — is its one client,
+// detail::Client (client.hpp).
 //
 // Values are immutable shared handles (Ref): a written value is built once
 // and the same bytes back the WRITE broadcast, every ECHO / ACCEPT / STATE
@@ -72,10 +73,7 @@
 #include <atomic>
 #include <chrono>
 #include <concepts>
-#include <condition_variable>
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -85,7 +83,7 @@
 #include <vector>
 
 #include "msgpass/detail/bracha_ladder.hpp"
-#include "msgpass/detail/quorum_reads.hpp"
+#include "msgpass/detail/client.hpp"
 #include "msgpass/network.hpp"
 #include "msgpass/server_pool.hpp"
 #include "obs/metrics.hpp"
@@ -95,9 +93,10 @@
 
 namespace swsig::msgpass {
 
-// One emulated SWMR register: protocol state for all n processes plus the
-// client-side operations. All state is guarded by one mutex; message
-// handling runs on per-process server threads owned by the EmulatedSpace.
+// One emulated SWMR register: the server replicas of all n processes plus
+// the owner's client-side operations. mu_ guards the replicas (ladders and
+// stored pairs); message handling runs on per-process server threads owned
+// by the EmulatedSpace. What a client waits on lives in its detail::Client.
 template <typename T>
 class EmulatedSwmr : public detail::HandlerBase {
   static_assert(requires(const T& a, const T& b) {
@@ -105,31 +104,30 @@ class EmulatedSwmr : public detail::HandlerBase {
   }, "emulated register values need == (quorums count equal values)");
 
   using Ladder = detail::BrachaLadder<T>;
-  using Clock = detail::Clock;
 
  public:
   using Value = T;
   // Immutable shared handle to one value.
   using Ref = std::shared_ptr<const T>;
 
-  // Created by EmulatedSpace, whose quorum reads serve this register's
-  // reads. `sole_reader` restricts read() to one process (SWSR use).
-  EmulatedSwmr(Network& net, detail::QuorumReads& reads, int reg_id, int n,
-               int f, runtime::ProcessId owner, T initial, std::string name,
-               runtime::ProcessId sole_reader, int pipeline_depth)
+  // Created by EmulatedSpace, whose per-process clients run this
+  // register's reads and waits. `sole_reader` restricts read() to one
+  // process (SWSR use).
+  EmulatedSwmr(Network& net, const detail::Clients& clients, int reg_id,
+               int n, int f, runtime::ProcessId owner, T initial,
+               std::string name, runtime::ProcessId sole_reader,
+               int pipeline_depth)
       : HandlerBase(reg_id, owner, std::move(name)),
         n_(n),
         f_(f),
         sole_reader_(sole_reader),
         initial_(std::make_shared<const T>(std::move(initial))),
-        retry_(reads.retry()),
         net_(&net),
-        reads_(&reads),
+        clients_(&clients),
         pipeline_depth_(std::max(pipeline_depth, 1)),
         owner_view_(initial_) {
     state_.resize(static_cast<std::size_t>(n_) + 1, StoredState{0, initial_});
     ladder_.assign(static_cast<std::size_t>(n_) + 1, Ladder(n_, f_));
-    last_read_.resize(static_cast<std::size_t>(n_) + 1, 0);
   }
 
   // Inspection hook for crash/recovery tests and the soak harness: process
@@ -150,7 +148,9 @@ class EmulatedSwmr : public detail::HandlerBase {
   void write(T v) {
     require_owner("write");
     std::scoped_lock wl(writer_mu_);
-    await_locked(write_async_locked(std::make_shared<const T>(std::move(v))));
+    const std::uint64_t sn =
+        write_async_locked(std::make_shared<const T>(std::move(v)));
+    client(owner_).await_write(*this, sn);
   }
 
   // Asynchronous write: broadcasts the WRITE and returns its sn without
@@ -168,12 +168,13 @@ class EmulatedSwmr : public detail::HandlerBase {
   // Blocks until every in-flight write with sn' <= sn has settled, then
   // reports sn's own outcome: returns normally on completion, throws
   // registers::WriteAborted if recovery finalized sn as aborted, or
-  // registers::OpTimeout past retry_.op_timeout_ms. Waiting for the whole
-  // prefix keeps client-visible completion sn-monotone: a later write is
-  // never observed settled while an earlier one is still undecided.
+  // registers::OpTimeout past the retry policy's op_timeout_ms. Waiting for
+  // the whole prefix keeps client-visible completion sn-monotone: a later
+  // write is never observed settled while an earlier one is still
+  // undecided.
   void await(std::uint64_t sn) {
     require_owner("await");
-    await_locked(sn);
+    client(owner_).await_write(*this, sn);
   }
 
   // Owner read-modify-write (single-writer, so the owner's local view IS
@@ -185,15 +186,12 @@ class EmulatedSwmr : public detail::HandlerBase {
   T update(F&& fn) {
     require_owner("update");
     std::scoped_lock wl(writer_mu_);
-    T next;
-    {
-      std::scoped_lock lock(mu_);
-      next = *owner_view_;
-      fn(next);
-      if (next == *owner_view_) return next;
-    }
+    const Ref cur = client(owner_).locked([&] { return owner_view_; });
+    T next = *cur;
+    fn(next);
+    if (next == *cur) return next;
     Ref ref = std::make_shared<const T>(std::move(next));
-    await_locked(write_async_locked(ref));
+    client(owner_).await_write(*this, write_async_locked(ref));
     return *ref;
   }
 
@@ -215,8 +213,8 @@ class EmulatedSwmr : public detail::HandlerBase {
   T read() {
     const runtime::ProcessId self = runtime::ThisProcess::id();
     require_readable(self);
-    // The read's one copy, made outside the protocol mutex.
-    return *reads_->read(self, {this}).front().second.template get<T>();
+    // The read's one copy, made outside every lock.
+    return *client(self).read({this}).front().second.template get<T>();
   }
 
   // Throws registers::PortViolation unless `self` may read this register.
@@ -230,6 +228,8 @@ class EmulatedSwmr : public detail::HandlerBase {
 
   // ------------------------------------------------------------- server
 
+  // The server messages. Replies to clients (STATE, ACK, ABACK) go to the
+  // receiving process's detail::Client instead.
   void handle(const Message& m) override {
     const runtime::ProcessId self = runtime::ThisProcess::id();
     switch (m.tag) {
@@ -251,16 +251,9 @@ class EmulatedSwmr : public detail::HandlerBase {
       case obs::MsgTag::kAccept:
         on_vote_msg(self, m, /*is_echo=*/false);
         return;
-      case obs::MsgTag::kAck:
-        on_ack(self, m);
-        return;
       case obs::MsgTag::kAbort:
         if (m.from != owner_) return;  // only the owner fences its sns
         on_abort(self, m);
-        return;
-      case obs::MsgTag::kAbAck:
-        if (self != owner_) return;
-        on_aback(m);
         return;
       default:
         return;
@@ -275,19 +268,13 @@ class EmulatedSwmr : public detail::HandlerBase {
   // without them a rejoined server could echo a second value for an sn it
   // already echoed — becoming equivocation support the safety argument
   // forbids — or re-deliver and re-ACK old sns (see bracha_ladder.hpp).
+  // The writes pid had in flight as a client are its client's
+  // (detail::Client::interrupt).
   void crash_process(int pid) override {
     std::scoped_lock lock(mu_);
     state_[static_cast<std::size_t>(pid)] = StoredState{0, initial_};
     ladder_[static_cast<std::size_t>(pid)].crash();
-    if (pid == owner_) {
-      // In-flight writes just lost their owner: mark them interrupted so
-      // the client's retry timer stops re-broadcasting (the network
-      // squelch already discards its sends) and the blocked writer thread
-      // parks until restart, when owner_restarted decides each fate.
-      for (auto& [sn, w] : acks_)
-        if (w.fate == AckWait::Fate::kPending) w.interrupted = true;
-      cv_.notify_all();
-    }
+    client(pid).replica_is(reg_id_, 0);
   }
 
   // The recovery subsystem: a rejoining server (calling thread bound as
@@ -298,15 +285,12 @@ class EmulatedSwmr : public detail::HandlerBase {
   // monotone by the sn-guarded apply. Requires n−f live repliers (the
   // driver restarts one process at a time, within the fault budget).
   void resync_process(int self) override {
-    const StateEntry e =
-        reads_->quorum(self, {this}, f_ + 1,
-                       detail::deadline_from(retry_, Clock::now()))
-            .front();
+    const StateEntry e = client(self).quorum({this}, f_ + 1).front();
     std::scoped_lock lock(mu_);
     apply_locked(self, e.first, e.second.template share<T>());
   }
 
-  // ----------------------------------------------- read side (QuorumReads)
+  // ------------------------------------------------ read side (clients)
 
   StateEntry stored_entry(int pid) const override {
     std::scoped_lock lock(mu_);
@@ -322,18 +306,6 @@ class EmulatedSwmr : public detail::HandlerBase {
     const T* x = a.get<T>();
     const T* y = b.get<T>();
     return x == y || *x == *y;
-  }
-
-  void note_read(int pid, std::uint64_t sn) override {
-    std::scoped_lock lock(mu_);
-    std::uint64_t& last = last_read_[static_cast<std::size_t>(pid)];
-    last = std::max(last, sn);
-  }
-
-  bool replica_ahead(int pid) const override {
-    std::scoped_lock lock(mu_);
-    return state_[static_cast<std::size_t>(pid)].stored_sn >
-           last_read_[static_cast<std::size_t>(pid)];
   }
 
   // Owner-side crash recovery (design note 14). Runs bound as `pid` after
@@ -361,41 +333,39 @@ class EmulatedSwmr : public detail::HandlerBase {
   // (a per-sn rollback would let an early abort clobber the view of a later
   // completed write). write_sn_ is never rolled back — sns are never
   // reused, or stale echo-once slots would wedge the next write.
-  //
-  // With `recover` false (recovery subsystem disabled), only the retry
-  // suppression is lifted: client retries resume, nothing is decided.
-  void owner_restarted(int pid, bool recover) override {
+  void owner_restarted(int pid) override {
     if (pid != owner_) return;
-    std::vector<std::uint64_t> inflight;  // ascending (map order)
-    {
-      std::scoped_lock lock(mu_);
-      for (auto& [sn, w] : acks_) {
-        if (settled_locked(w)) continue;
-        if (recover)
-          inflight.push_back(sn);
-        else
-          w.interrupted = false;
-      }
-      if (!recover) {
-        cv_.notify_all();
-        return;
-      }
-    }
+    detail::Client& c = client(owner_);
     std::set<std::uint64_t> aborted;
     std::uint64_t live_sn = 0;  // highest in-flight sn that completed
     Ref live;
-    for (const std::uint64_t sn : inflight) {
-      Recovered out = recover_write(sn);
-      if (out.outcome == Recovered::Outcome::kCompleted) {
-        live_sn = sn;
-        live = std::move(out.value);
-      } else if (out.outcome == Recovered::Outcome::kAborted) {
-        aborted.insert(sn);
+    for (const std::uint64_t sn : c.in_flight(reg_id_)) {
+      bool certified;
+      {
+        // The server-side resync just adopted the highest f+1-vouched pair
+        // into our own replica: if it carries sn, the write delivered
+        // somewhere and must complete.
+        std::scoped_lock lock(mu_);
+        certified = state_[static_cast<std::size_t>(owner_)].stored_sn >= sn;
+      }
+      Payload value;
+      switch (c.recover(reg_id_, sn, certified || !c.fence(reg_id_, sn),
+                        value)) {
+        case detail::Client::Recovery::kCompleted:
+          live_sn = sn;
+          live = value.share<T>();
+          break;
+        case detail::Client::Recovery::kAborted:
+          aborted.insert(sn);
+          break;
+        case detail::Client::Recovery::kVanished:
+          break;
       }
     }
-    std::scoped_lock lock(mu_);
-    if (owner_view_sn_ != 0 && aborted.contains(owner_view_sn_)) {
-      const StoredState& own = state_[static_cast<std::size_t>(owner_)];
+    std::scoped_lock lock(mu_);  // replica lock first, then the client's
+    const StoredState& own = state_[static_cast<std::size_t>(owner_)];
+    c.locked([&] {
+      if (owner_view_sn_ == 0 || !aborted.contains(owner_view_sn_)) return;
       if (live && live_sn >= own.stored_sn) {
         owner_view_ = std::move(live);
         owner_view_sn_ = live_sn;
@@ -403,35 +373,13 @@ class EmulatedSwmr : public detail::HandlerBase {
         owner_view_ = own.stored_val;
         owner_view_sn_ = own.stored_sn;
       }
-    }
+    });
   }
 
  private:
   struct StoredState {
     std::uint64_t stored_sn = 0;
     Ref stored_val;
-  };
-  // Owner-side wait slot for one in-flight write sn.
-  struct AckWait {
-    enum class Fate { kPending, kCompleted, kAborted };
-    Ref value;  // for retry re-broadcasts
-    std::set<int> acks;
-    // Owner crashed with this write in flight: suppresses the client's
-    // retry timer until restart (recovery owns the sn meanwhile).
-    bool interrupted = false;
-    // Recovery proved the sn delivered somewhere: retries switch to CWRITE
-    // so they also lift any fences granted before the delivery was found.
-    bool recovered = false;
-    int slot = 0;                // writes already in flight at issue (obs)
-    Clock::time_point t0{};      // issue time (latency)
-    Fate fate = Fate::kPending;
-  };
-  // Owner-side wait slot for one abort fence (recovery only).
-  struct FenceWait {
-    std::set<int> repliers;
-    // Some replier delivered sn or had already sent ACCEPT for it: the
-    // write must complete, not abort (see BrachaLadder::fence).
-    bool unsafe_any = false;
   };
 
   void require_owner(const char* op) const {
@@ -441,162 +389,25 @@ class EmulatedSwmr : public detail::HandlerBase {
                                      std::to_string(runtime::ThisProcess::id()));
   }
 
-  // ------------------------------------------------- the client wait loop
-
-  // The one client wait loop (detail::wait_with_retry) on this register's
-  // mutex and condition variable.
-  template <typename Done, typename Retry>
-  bool wait_locked(std::unique_lock<std::mutex>& lock,
-                   Clock::time_point deadline, Done&& done, Retry&& retry) {
-    return detail::wait_with_retry(retry_, cv_, lock, deadline,
-                                   std::forward<Done>(done),
-                                   std::forward<Retry>(retry));
+  detail::Client& client(int pid) const {
+    return *(*clients_)[static_cast<std::size_t>(pid)];
   }
 
-  // Deadline expiry of the write `what` by the owner, keyed `key` on the
-  // trace. Releases `lock`.
-  [[noreturn]] void op_timeout(std::unique_lock<std::mutex>& lock,
-                               std::uint64_t key, const std::string& what) {
-    lock.unlock();
-    detail::throw_op_timeout(retry_, owner_, reg_id_, owner_, key, what);
-  }
-
-  // --------------------------------------------------------------- write
-
-  bool settled_locked(const AckWait& w) const {
-    return static_cast<int>(w.acks.size()) >= n_ - f_ ||
-           w.fate != AckWait::Fate::kPending;
-  }
-
-  int unsettled_locked() const {
-    int k = 0;
-    for (const auto& [sn, w] : acks_)
-      if (!settled_locked(w)) ++k;
-    return k;
-  }
-
-  std::string write_op(std::uint64_t sn) const {
-    return "write sn " + std::to_string(sn) + " on '" + name_ + "'";
-  }
-
-  // The write path's retry: re-broadcasts every unsettled, non-interrupted
-  // in-flight sn <= limit — WRITE, or CWRITE once recovery proved the sn
-  // delivered. Retries are pure refreshes of lost messages, idempotent at
-  // every server (echo-once re-issues the original echo, delivered servers
-  // just re-ACK), so a retry can never re-certify a quorum or recruit
-  // equivocation support (design note 14). Drops `lock` to send.
-  void resend_locked(std::unique_lock<std::mutex>& lock, std::uint64_t limit,
-                     std::uint64_t backoff) {
-    std::vector<Message> resend;
-    for (const auto& [sn, w] : acks_) {
-      if (sn > limit) break;
-      if (settled_locked(w) || w.interrupted) continue;
-      Message rm;
-      rm.reg = reg_id_;
-      rm.tag = w.recovered ? obs::MsgTag::kCWrite : obs::MsgTag::kWrite;
-      rm.sn = sn;
-      rm.payload = Payload(w.value);
-      resend.push_back(std::move(rm));
-    }
-    if (resend.empty()) return;
-    lock.unlock();
-    for (Message& rm : resend) {
-      detail::record_phase(obs::EventKind::kOpRetry, owner_, reg_id_, owner_,
-                           rm.sn, backoff);
-      detail::retry_counter().add();
-      net_->broadcast(std::move(rm));
-    }
-    lock.lock();
-  }
-
-  // Issue half of the pipelined write path: caller holds writer_mu_.
-  // Blocks only on the capacity gate (unsettled in-flight >= depth), which
-  // drives retries of the in-flight sns so a lossy window cannot wedge an
-  // issuer behind ladders whose awaiters have not started waiting yet.
-  // Allocates the next sn and updates owner_view_ sn-monotonically, so an
-  // owner-local RMW never observes an older value after a higher sn was
-  // handed to the write path. `v` is the value's one shared copy; the
-  // WRITE carries it.
-  std::uint64_t write_async_locked(Ref v) {
-    const auto t0 = Clock::now();
-    std::unique_lock lock(mu_);
-    if (!wait_locked(
-            lock, detail::deadline_from(retry_, t0),
-            [&] { return unsettled_locked() < pipeline_depth_; },
-            [&](std::uint64_t backoff) {
-              resend_locked(lock, std::numeric_limits<std::uint64_t>::max(),
-                            backoff);
-            }))
-      op_timeout(lock, 0, write_op(0));
-    const std::uint64_t sn = ++write_sn_;
-    if (sn >= owner_view_sn_) {
-      owner_view_ = v;
-      owner_view_sn_ = sn;
-    }
-    // Open the ACK wait slot before broadcasting so the ACK handler can
-    // tell the in-flight write from stale/replayed sns.
-    const int slot = unsettled_locked();  // writes already in flight
-    AckWait& w = acks_[sn];
-    w.value = v;
-    w.slot = slot;
-    w.t0 = t0;
-    lock.unlock();
-    detail::record_phase(obs::EventKind::kWriteStart, owner_, reg_id_, owner_,
-                         sn, static_cast<std::uint64_t>(slot));
-    Message m;
-    m.reg = reg_id_;
-    m.tag = obs::MsgTag::kWrite;
-    m.sn = sn;
-    m.payload = Payload(std::move(v));
-    net_->broadcast(std::move(m));
-    detail::record_phase(obs::EventKind::kQuorumWait, owner_, reg_id_, owner_,
-                         sn, static_cast<std::uint64_t>(n_ - f_));
-    return sn;
-  }
-
-  // Settle half: waits for every in-flight sn <= target, then reports
-  // target's fate and releases (only) its slot. See await() for semantics.
-  void await_locked(std::uint64_t target) {
-    static obs::LogHistogram& ack_hist =
-        obs::MetricsRegistry::global().histogram("msgpass.write_ack_wait_us");
-    std::unique_lock lock(mu_);
-    const auto it0 = acks_.find(target);
-    if (it0 == acks_.end()) return;  // already awaited (or timed out)
-    const auto t0 = it0->second.t0;
-    if (!wait_locked(
-            lock, detail::deadline_from(retry_, t0),
-            [&] {
-              for (auto it = acks_.begin();
-                   it != acks_.end() && it->first <= target; ++it)
-                if (!settled_locked(it->second)) return false;
-              return true;
-            },
-            [&](std::uint64_t backoff) {
-              resend_locked(lock, target, backoff);
-            })) {
-      acks_.erase(target);
-      op_timeout(lock, target, write_op(target) + " (outcome indeterminate)");
-    }
-    const auto it = acks_.find(target);
-    if (it == acks_.end()) return;  // raced with a concurrent await(target)
-    const bool was_aborted = it->second.fate == AckWait::Fate::kAborted;
-    acks_.erase(it);
-    lock.unlock();
-    if (was_aborted) {
-      detail::record_phase(obs::EventKind::kWriteAbort, owner_, reg_id_,
-                           owner_, target);
-      detail::abort_counter().add();
-      throw registers::WriteAborted(
-          write_op(target) +
-          " aborted: owner crashed before the value could deliver");
-    }
-    const auto elapsed = Clock::now() - t0;
-    ack_hist.add(std::chrono::duration<double, std::micro>(elapsed).count());
-    detail::record_phase(
-        obs::EventKind::kWriteDone, owner_, reg_id_, owner_, target,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()));
+  // Issue half of the pipelined write path: caller holds writer_mu_. The
+  // owner's client runs the capacity gate and the ACK slot; here, under
+  // its lock, the next sn is allocated and owner_view_ updated
+  // sn-monotonically, so an owner-local RMW never observes an older value
+  // after a higher sn was handed to the write path. `v` is the value's one
+  // shared copy; the WRITE carries it.
+  std::uint64_t write_async_locked(const Ref& v) {
+    return client(owner_).open_write(*this, pipeline_depth_, Payload(v), [&] {
+      const std::uint64_t sn = ++write_sn_;
+      if (sn >= owner_view_sn_) {
+        owner_view_ = v;
+        owner_view_sn_ = sn;
+      }
+      return sn;
+    });
   }
 
   // -------------------------------------------------------- server side
@@ -679,19 +490,6 @@ class EmulatedSwmr : public detail::HandlerBase {
     net_->send(std::move(ack));
   }
 
-  // ACK(sn) at the owner. Only ACKs for writes currently in flight count
-  // (the slot is opened by write_async_locked before the broadcast): late
-  // or replayed ACKs would otherwise recreate map entries that are never
-  // erased.
-  void on_ack(int self, const Message& m) {
-    if (self != owner_) return;
-    std::scoped_lock lock(mu_);
-    const auto it = acks_.find(m.sn);
-    if (it == acks_.end()) return;
-    it->second.acks.insert(m.from);
-    cv_.notify_all();
-  }
-
   // Server side of the abort fence — BrachaLadder::fence holds the safety
   // argument (delivered-or-accepted repliers are unsafe; the rest promise
   // never to support sn again).
@@ -710,129 +508,39 @@ class EmulatedSwmr : public detail::HandlerBase {
     net_->send(std::move(r));
   }
 
-  void on_aback(const Message& m) {
-    const bool* unsafe = m.payload.get<bool>();
-    if (unsafe == nullptr) return;  // malformed payload: dropped
-    std::scoped_lock lock(mu_);
-    const auto it = fence_.find(m.sn);
-    if (it == fence_.end()) return;  // reply to a finished fence
-    it->second.repliers.insert(m.from);
-    if (*unsafe) it->second.unsafe_any = true;
-    cv_.notify_all();
-  }
-
   // Applies a delivered (sn, value) to process `self`'s stored state,
   // sn-monotone — late or reordered deliveries cannot roll it back — and
-  // wakes self's delivery-gate waiters when it advances. Caller holds mu_.
+  // feeds the new sn to self's client, whose delivery gate wakes on it.
+  // Caller holds mu_.
   void apply_locked(int self, std::uint64_t sn, const Ref& v) {
     StoredState& st = state_[static_cast<std::size_t>(self)];
     if (sn > st.stored_sn) {
       st.stored_sn = sn;
       st.stored_val = v;
-      reads_->delivered(self);
+      client(self).replica_is(reg_id_, sn);
     }
-  }
-
-  // ------------------------------------------------------------ recovery
-
-  // Recovery for one interrupted write sn (thread bound as the owner; see
-  // owner_restarted for the safety argument). Decides complete-vs-abort and
-  // applies the outcome to the writer's wait slot; owner_restarted folds
-  // the outcomes into the owner-view rollback decision.
-  struct Recovered {
-    enum class Outcome { kCompleted, kAborted, kVanished };
-    Outcome outcome = Outcome::kVanished;
-    Ref value;
-  };
-  Recovered recover_write(std::uint64_t sn) {
-    bool certified;
-    {
-      // The server-side resync just adopted the highest f+1-vouched pair
-      // into our own replica: if it carries sn, the write delivered
-      // somewhere and must complete.
-      std::scoped_lock lock(mu_);
-      certified = state_[static_cast<std::size_t>(owner_)].stored_sn >= sn;
-    }
-    const bool complete = certified || !fence_write(sn);
-    std::unique_lock lock(mu_);
-    const auto it = acks_.find(sn);
-    if (it == acks_.end())
-      return {};  // writer gave up (op timeout) meanwhile
-    AckWait& w = it->second;
-    w.interrupted = false;
-    cv_.notify_all();
-    if (!complete) {
-      w.fate = AckWait::Fate::kAborted;
-      return {Recovered::Outcome::kAborted, nullptr};
-    }
-    w.recovered = true;
-    // Kick the completion now rather than waiting a backoff slice: the
-    // CWRITE lifts any fences granted mid-recovery and re-drives the
-    // ladder toward the missing ACKs (the writer's own retries continue
-    // as CWRITE from here).
-    Message cm;
-    cm.reg = reg_id_;
-    cm.tag = obs::MsgTag::kCWrite;
-    cm.sn = sn;
-    cm.payload = Payload(w.value);
-    Recovered out{Recovered::Outcome::kCompleted, w.value};
-    lock.unlock();
-    net_->broadcast(std::move(cm));
-    return out;
-  }
-
-  // Broadcast ABORT(sn) until n−f ABACKs arrive, re-broadcasting on every
-  // lapsed backoff slice (retries enabled). There is no deadline: recovery
-  // must decide the sn. Returns true if the fence fully committed (write aborted): every
-  // replier had neither delivered nor accepted sn. False means some
-  // replier is unsafe — complete instead.
-  bool fence_write(std::uint64_t sn) {
-    Message m;
-    m.reg = reg_id_;
-    m.tag = obs::MsgTag::kAbort;
-    m.sn = sn;
-    std::unique_lock lock(mu_);
-    FenceWait& fw = fence_[sn];  // open the wait slot before broadcasting
-    const auto send = [&](std::uint64_t) {
-      lock.unlock();
-      net_->broadcast(m);
-      lock.lock();
-    };
-    send(0);
-    wait_locked(
-        lock, Clock::time_point::max(),
-        [&] { return static_cast<int>(fw.repliers.size()) >= n_ - f_; },
-        send);
-    const bool unsafe_any = fw.unsafe_any;
-    fence_.erase(sn);
-    return !unsafe_any;
   }
 
   const int n_;
   const int f_;
   const runtime::ProcessId sole_reader_;  // kNoProcess = SWMR
   const Ref initial_;  // crash wipes a server's store back to this
-  const RetryPolicy retry_;
   Network* const net_;
-  detail::QuorumReads* const reads_;  // the space's; serves read()
+  const detail::Clients* const clients_;  // the space's, by pid
   const int pipeline_depth_;  // max unsettled async writes
 
+  // Guards the server replicas: state_ and ladder_.
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   // Serializes the owner's writing threads (op + Help) whole-operation —
   // the seqlock engine's writer-mutex discipline (registers/storage.hpp);
   // never touched by readers.
   std::mutex writer_mu_;
   std::vector<StoredState> state_;   // per process
   std::vector<Ladder> ladder_;       // per process
-  std::uint64_t write_sn_ = 0;       // owner-local
-  Ref owner_view_;                   // owner-local latest (possibly pending)
+  // Owner-side, guarded by the owner's client lock (Client::locked).
+  std::uint64_t write_sn_ = 0;
+  Ref owner_view_;                   // latest (possibly pending) value
   std::uint64_t owner_view_sn_ = 0;  // sn owner_view_ corresponds to
-  // Per process: the highest write sn its quorum reads of this register
-  // have returned (the delivery gate compares the replica against it).
-  std::vector<std::uint64_t> last_read_;
-  std::map<std::uint64_t, AckWait> acks_;     // per in-flight write sn
-  std::map<std::uint64_t, FenceWait> fence_;  // per recovering sn (owner)
 };
 
 // SWSR flavor: same protocol, read restricted to one process.
@@ -879,7 +587,7 @@ class EmulatedSpace {
   explicit EmulatedSpace(Options options)
       : options_(options),
         net_(Network::Options{options.n, options.reorder_seed}),
-        reads_(net_, options.n, options.f, options.retry),
+        clients_(make_clients(net_, options)),
         crashed_(static_cast<std::size_t>(options.n) + 1),
         pool_(net_, options.n,
               [this](int pid, const Message& m) { dispatch(pid, m); }) {
@@ -889,6 +597,12 @@ class EmulatedSpace {
   ~EmulatedSpace() { stop(); }
 
   void stop() { pool_.stop(); }
+
+  // Blocks, without polling, until no message is queued, held by the delay
+  // pump or inside a handler, then returns messages_sent() — the yardstick
+  // for exact message counts (Network::quiesce). Needs the servers running
+  // (not after stop()).
+  std::uint64_t quiesce() { return net_.quiesce(); }
 
   // ---------------------------------------------------- crash / restart
   //
@@ -909,6 +623,7 @@ class EmulatedSpace {
     crashed_[static_cast<std::size_t>(pid)].store(true,
                                                   std::memory_order_release);
     for (auto* reg : regs) reg->crash_process(pid);
+    client(pid).interrupt();
   }
 
   // Brings pid back. With recover_on_restart the rejoining server replays
@@ -925,10 +640,13 @@ class EmulatedSpace {
     net_.set_squelched(pid, false);
     crashed_[static_cast<std::size_t>(pid)].store(false,
                                                   std::memory_order_release);
-    if (options_.recover_on_restart) resync(pid);
+    if (!options_.recover_on_restart) {
+      client(pid).resume();
+      return;
+    }
+    resync(pid);
     runtime::ThisProcess::Binder bind(pid);
-    for (auto* reg : handlers())
-      reg->owner_restarted(pid, options_.recover_on_restart);
+    for (auto* reg : handlers()) reg->owner_restarted(pid);
   }
 
   // Quorum resync of every register's state for pid, callable on its own —
@@ -947,7 +665,7 @@ class EmulatedSpace {
     std::scoped_lock lock(mu_);
     const int id = static_cast<int>(registry_.size());
     auto reg = std::make_unique<EmulatedSwmr<T>>(
-        net_, reads_, id, options_.n, options_.f, owner, std::move(initial),
+        net_, clients_, id, options_.n, options_.f, owner, std::move(initial),
         std::move(name), runtime::kNoProcess, options_.pipeline_depth);
     auto& ref = *reg;
     registry_.push_back(std::move(reg));
@@ -963,7 +681,7 @@ class EmulatedSpace {
     std::scoped_lock lock(mu_);
     const int id = static_cast<int>(registry_.size());
     auto reg = std::make_unique<EmulatedSwsr<T>>(
-        net_, reads_, id, options_.n, options_.f, owner, std::move(initial),
+        net_, clients_, id, options_.n, options_.f, owner, std::move(initial),
         std::move(name), reader, options_.pipeline_depth);
     auto& ref = *reg;
     registry_.push_back(std::move(reg));
@@ -987,7 +705,7 @@ class EmulatedSpace {
     std::vector<typename Reg::Value> out;
     if (handlers.empty()) return out;
     out.reserve(handlers.size());
-    for (const StateEntry& e : reads_.read(self, handlers))
+    for (const StateEntry& e : client(self).read(handlers))
       out.push_back(*e.second.template get<typename Reg::Value>());
     return out;
   }
@@ -1000,8 +718,8 @@ class EmulatedSpace {
   // the replica already holds, and then only the replica-versus-last-read
   // test still sees the newer write.
   bool await_replica_ahead(const std::vector<Watched>& watched) {
-    return reads_.await_ahead(runtime::ThisProcess::id(), watched,
-                              kGateBound);
+    return client(runtime::ThisProcess::id()).await_ahead(watched,
+                                                          kGateBound);
   }
 
   Network& network() { return net_; }
@@ -1031,7 +749,9 @@ class EmulatedSpace {
         serve_read(pid, m);
         return;
       case obs::MsgTag::kState:
-        reads_.accept_state(pid, m);
+      case obs::MsgTag::kAck:
+      case obs::MsgTag::kAbAck:
+        client(pid).on_reply(m);
         return;
       default:
         // Handlers drop malformed payloads themselves (Payload::get).
@@ -1073,6 +793,18 @@ class EmulatedSpace {
     net_.send(std::move(reply));
   }
 
+  static detail::Clients make_clients(Network& net, const Options& o) {
+    detail::Clients out(static_cast<std::size_t>(o.n) + 1);
+    for (int pid = 1; pid <= o.n; ++pid)
+      out[static_cast<std::size_t>(pid)] =
+          std::make_unique<detail::Client>(net, pid, o.n, o.f, o.retry);
+    return out;
+  }
+
+  detail::Client& client(int pid) {
+    return *clients_[static_cast<std::size_t>(pid)];
+  }
+
   std::vector<detail::HandlerBase*> handlers() {
     std::scoped_lock lock(mu_);
     std::vector<detail::HandlerBase*> out;
@@ -1083,7 +815,7 @@ class EmulatedSpace {
 
   Options options_;
   Network net_;
-  detail::QuorumReads reads_;  // every register's reads, and the gate
+  detail::Clients clients_;  // one per process, by pid
   std::mutex mu_;
   std::vector<std::unique_ptr<detail::HandlerBase>> registry_;
   std::vector<std::atomic<bool>> crashed_;  // index by pid

@@ -132,36 +132,42 @@ void Network::deliver(Message m, bool note_send) {
   // still sent, and the drop event right after it is the forensic signal.
   if (note_send)
     record_msg(obs::EventKind::kMsgSend, m.from, m.to, m);
-  if (FaultInjector* fi = injector_.load(std::memory_order_acquire)) {
-    const FaultDecision d = fi->on_deliver(m);
-    if (d.drop) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      TypeCounters::get().drop[static_cast<std::size_t>(m.tag)]->add();
-      record_msg(obs::EventKind::kMsgDrop, m.from, m.to, m);
-      return;
+  FaultInjector* fi = injector_.load(std::memory_order_acquire);
+  const FaultDecision d = fi != nullptr ? fi->on_deliver(m) : FaultDecision{};
+  if (d.drop) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    TypeCounters::get().drop[static_cast<std::size_t>(m.tag)]->add();
+    record_msg(obs::EventKind::kMsgDrop, m.from, m.to, m);
+    return;
+  }
+  // In flight from here until its receiver has handled it; a bad receiver
+  // throws first.
+  inbox_for(m.to);
+  in_flight_.fetch_add(1);
+  if (d.delay.count() > 0) {
+    delayed_total_.fetch_add(1, std::memory_order_relaxed);
+    record_msg(obs::EventKind::kMsgDelay, m.from, m.to, m,
+               static_cast<std::uint64_t>(d.delay.count()));
+    {
+      std::scoped_lock lock(delay_mu_);
+      delayed_.push_back(
+          Delayed{std::chrono::steady_clock::now() + d.delay, std::move(m)});
+      std::push_heap(delayed_.begin(), delayed_.end(),
+                     [](const Delayed& a, const Delayed& b) {
+                       return a.due > b.due;  // min-heap by due time
+                     });
     }
-    if (d.delay.count() > 0) {
-      delayed_total_.fetch_add(1, std::memory_order_relaxed);
-      record_msg(obs::EventKind::kMsgDelay, m.from, m.to, m,
-                 static_cast<std::uint64_t>(d.delay.count()));
-      {
-        std::scoped_lock lock(delay_mu_);
-        delayed_.push_back(
-            Delayed{std::chrono::steady_clock::now() + d.delay, std::move(m)});
-        std::push_heap(delayed_.begin(), delayed_.end(),
-                       [](const Delayed& a, const Delayed& b) {
-                         return a.due > b.due;  // min-heap by due time
-                       });
-      }
-      delay_cv_.notify_all();
-      return;
-    }
+    delay_cv_.notify_all();
+    return;
   }
   enqueue(std::move(m));
 }
 
 void Network::enqueue(Message m) {
   TypeCounters::get().send[static_cast<std::size_t>(m.tag)]->add();
+  // Counted before the receiver can see it, so quiesce() never returns
+  // before the count of a message that has already been handled.
+  sent_.fetch_add(1, std::memory_order_relaxed);
   Inbox& inbox = inbox_for(m.to);
   {
     std::scoped_lock lock(inbox.mu);
@@ -171,7 +177,6 @@ void Network::enqueue(Message m) {
     inbox.queue.push_back(std::move(q));
   }
   inbox.cv.notify_all();
-  sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
 // Delay pump: sleeps until the earliest held message is due (or a new one
@@ -240,7 +245,29 @@ std::optional<Message> Network::try_recv() {
   Queued q = std::move(inbox.queue.front());
   inbox.queue.pop_front();
   lock.unlock();
-  return received(self, std::move(q));
+  Message m = received(self, std::move(q));
+  handled();
+  return m;
+}
+
+// Sequentially consistent on both sides: either quiesce() sees the count
+// at zero, or the handler that zeroed it sees the waiter and wakes it
+// under idle_mu_.
+void Network::handled() {
+  if (in_flight_.fetch_sub(1) == 1 && quiescers_.load() > 0) {
+    { std::scoped_lock lock(idle_mu_); }
+    idle_cv_.notify_all();
+  }
+}
+
+std::uint64_t Network::quiesce() {
+  quiescers_.fetch_add(1);
+  {
+    std::unique_lock lock(idle_mu_);
+    idle_cv_.wait(lock, [&] { return in_flight_.load() == 0; });
+  }
+  quiescers_.fetch_sub(1);
+  return messages_sent();
 }
 
 Message Network::received(runtime::ProcessId self, Queued q) {

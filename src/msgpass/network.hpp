@@ -51,8 +51,24 @@ class Network {
   // Blocking receive for the bound process. Returns nullopt on stop.
   std::optional<Message> recv(std::stop_token st);
 
-  // Non-blocking receive.
+  // Non-blocking receive, for driving a network without server threads:
+  // the message counts as handled once it is returned.
   std::optional<Message> try_recv();
+
+  // The bound process finished handling the message its last recv()
+  // returned, sends included. Until then that message counts as in flight.
+  void handled();
+
+  // Blocks, without polling, until no message is in flight — none queued
+  // in an inbox, held by the delay pump or inside a handler — then returns
+  // messages_sent(). A handler's sends happen before its message is
+  // handled, so a cascade keeps the count above zero until it has died
+  // out: client operations return on n−f replies with the trailing
+  // servers' traffic still running, and tests and benchmarks that count
+  // messages wait here for that tail. Needs every inbox served (the
+  // server threads running); traffic that client threads start meanwhile
+  // delays the return.
+  std::uint64_t quiesce();
 
   // Attaches (or, with nullptr, detaches) a fault injector. The injector
   // must outlive its attachment; the first attach starts the delay pump
@@ -149,32 +165,12 @@ class Network {
   std::condition_variable_any delay_cv_;
   std::vector<Delayed> delayed_;  // min-heap by due
   std::jthread pump_;             // started lazily by set_fault_injector
+  // Quiescence: messages delivered (not dropped) and not yet handled, and
+  // the quiesce() callers to wake when that count reaches zero.
+  std::atomic<std::int64_t> in_flight_{0};
+  std::atomic<int> quiescers_{0};
+  std::mutex idle_mu_;
+  std::condition_variable idle_cv_;
 };
-
-// Polls `count` — typically [&]{ return net.messages_sent(); }, or an
-// aggregate across shards — until it is stable for `stable_polls`
-// consecutive intervals, then returns the stable value. Client write
-// operations return on n−f ACKs, so protocol traffic from the trailing f
-// servers is still in flight when the call returns; benchmarks and tests
-// that assert on message counts use this to drain that tail first.
-// Multiple stable polls are required so a briefly descheduled server
-// thread holding a still-cascading message doesn't end the wait early.
-template <typename CountFn>
-std::uint64_t drain_message_count(
-    CountFn&& count, std::chrono::milliseconds poll = std::chrono::milliseconds(5),
-    int stable_polls = 3) {
-  std::uint64_t prev = count();
-  for (int stable = 0; stable < stable_polls;) {
-    std::this_thread::sleep_for(poll);
-    const std::uint64_t cur = count();
-    if (cur == prev) {
-      ++stable;
-    } else {
-      stable = 0;
-      prev = cur;
-    }
-  }
-  return prev;
-}
 
 }  // namespace swsig::msgpass

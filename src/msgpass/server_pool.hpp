@@ -22,8 +22,9 @@ class ServerPool {
  public:
   using Handler = std::function<void(int self, const Message&)>;
 
-  // Spawns one server thread per process 1..n; each binds its pid and feeds
-  // received messages to `handle`. The pool must outlive nothing that
+  // Spawns one server thread per process 1..n; each binds its pid, feeds
+  // received messages to `handle` and reports each one handled to the
+  // network (Network::quiesce). The pool must outlive nothing that
   // `handle` touches — callers stop() it before tearing protocol state down.
   // All n threads share ONE handler instance (the protocols' handlers are
   // stateless closures over their space, and with pipelined owners every
@@ -36,7 +37,9 @@ class ServerPool {
         runtime::ThisProcess::Binder bind(pid);
         while (!st.stop_requested()) {
           auto m = net.recv(st);
-          if (m) (*handle)(pid, *m);
+          if (!m) continue;
+          (*handle)(pid, *m);
+          net.handled();
         }
       });
     }

@@ -46,9 +46,6 @@ enum class EventKind : std::uint8_t {
   kOpRetry,    // deadline lapsed, op re-issued (aux = backoff ms just waited)
   kOpTimeout,  // op gave up at its overall deadline (retries disabled/spent)
   kWriteAbort,  // owner's recovery fence finalized the write as aborted
-  // Read coalescing (pid = the reader that adopted another round's result;
-  // sn = the adopted round generation, aux = the adopted write sn).
-  kReadCoalesced,
   // Partition plane (pid = the cut-off process; aux = PartitionMode).
   kPartitionCut,
   kPartitionHeal,
@@ -84,7 +81,6 @@ inline const char* kind_name(EventKind k) {
     case EventKind::kOpRetry: return "op_retry";
     case EventKind::kOpTimeout: return "op_timeout";
     case EventKind::kWriteAbort: return "write_abort";
-    case EventKind::kReadCoalesced: return "read_coalesced";
     case EventKind::kPartitionCut: return "partition_cut";
     case EventKind::kPartitionHeal: return "partition_heal";
     case EventKind::kCertIntern: return "cert_intern";

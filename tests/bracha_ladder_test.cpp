@@ -240,11 +240,10 @@ TEST(LadderOnEmulated, ReplayedWriteAndAcceptStormAreInert) {
     reg.write("v1");  // sn 1: delivered at all 4 servers once traffic drains
   }
   Network& net = space.network();
-  const auto count = [&] { return net.messages_sent(); };
-  drain_message_count(count);
+  space.quiesce();
 
   {
-    const std::uint64_t base = count();
+    const std::uint64_t base = net.messages_sent();
     ThisProcess::Binder bind(1);  // the Byzantine owner itself
     Message m;
     m.reg = 0;
@@ -254,10 +253,10 @@ TEST(LadderOnEmulated, ReplayedWriteAndAcceptStormAreInert) {
     net.broadcast(m);
     // Fan-out (4) + one re-ACK per delivered server (4): the equivocated
     // value recruited no echo anywhere.
-    EXPECT_EQ(drain_message_count(count) - base, 8u);
+    EXPECT_EQ(space.quiesce() - base, 8u);
   }
   {
-    const std::uint64_t base = count();
+    const std::uint64_t base = net.messages_sent();
     for (const int pid : {2, 3}) {  // f+1 distinct forged accept-senders
       ThisProcess::Binder bind(pid);
       Message m;
@@ -269,7 +268,7 @@ TEST(LadderOnEmulated, ReplayedWriteAndAcceptStormAreInert) {
     }
     // Two fan-outs, zero reaction: without the delivered-set guard these
     // votes would reach f+1 and re-trigger the amplification + ACK storm.
-    EXPECT_EQ(drain_message_count(count) - base, 8u);
+    EXPECT_EQ(space.quiesce() - base, 8u);
   }
   ThisProcess::Binder bind(4);
   EXPECT_EQ(reg.read(), "v1");

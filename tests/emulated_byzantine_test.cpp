@@ -21,17 +21,6 @@ namespace {
 
 using runtime::ThisProcess;
 
-// Waits until the network sent no new messages for several consecutive
-// poll intervals, then returns the total sent count — the yardstick for
-// "and nothing else happened" assertions. Ten stable 5 ms polls: a server
-// thread descheduled while holding a still-cascading message would have to
-// stall more than 50 ms to slip a straggler past the baseline, so the
-// exact-count assertions stay sharp without being flake-prone.
-std::uint64_t quiesce(Network& net) {
-  return drain_message_count([&] { return net.messages_sent(); },
-                             std::chrono::milliseconds(5), /*stable_polls=*/10);
-}
-
 // Byzantine writer sends DIFFERENT values for the same sequence number to
 // different processes (network-level equivocation, the attack the
 // echo-once-per-sn rule exists for). Correct readers may see the old value
@@ -215,7 +204,7 @@ std::optional<std::vector<int>> starved_collect(Inject&& inject) {
     a.write(5);
     b.write(6);
   }
-  quiesce(space.network());
+  space.quiesce();
   StarveP2 starve;
   space.network().set_fault_injector(&starve);
   std::optional<std::vector<int>> got;
@@ -310,15 +299,15 @@ TEST(EmulatedByzantine, ReadNamingUnknownRegisterGetsNoReply) {
     m.payload = Payload::of(std::move(ids));
     space.network().broadcast(m);
   };
-  std::uint64_t before = quiesce(space.network());
+  std::uint64_t before = space.quiesce();
   broadcast_read({0, 999});
-  EXPECT_EQ(quiesce(space.network()) - before, 4u) << "the READ alone";
-  before = quiesce(space.network());
+  EXPECT_EQ(space.quiesce() - before, 4u) << "the READ alone";
+  before = space.quiesce();
   broadcast_read({-1});
-  EXPECT_EQ(quiesce(space.network()) - before, 4u) << "the READ alone";
-  before = quiesce(space.network());
+  EXPECT_EQ(space.quiesce() - before, 4u) << "the READ alone";
+  before = space.quiesce();
   broadcast_read({0});
-  EXPECT_EQ(quiesce(space.network()) - before, 8u) << "READ + 4 STATEs";
+  EXPECT_EQ(space.quiesce() - before, 8u) << "READ + 4 STATEs";
 }
 
 // Messages for unknown register ids are ignored (no out-of-bounds access).
@@ -371,7 +360,7 @@ TEST(EmulatedByzantine, ReplayedAcceptsAfterDeliveryAreInert) {
     ThisProcess::Binder bind(1);
     reg.write(8);  // sn=1 delivers at every process
   }
-  const std::uint64_t before = quiesce(space.network());
+  const std::uint64_t before = space.quiesce();
   for (int pid : {2, 3}) {  // f+1 distinct senders replay the real ACCEPT
     ThisProcess::Binder bind(pid);
     Message m;
@@ -383,7 +372,7 @@ TEST(EmulatedByzantine, ReplayedAcceptsAfterDeliveryAreInert) {
   }
   // Exactly the 2 replay broadcasts (x4 recipients) and nothing else: any
   // re-amplification or duplicate ACK would add to the count.
-  EXPECT_EQ(quiesce(space.network()) - before, 8u);
+  EXPECT_EQ(space.quiesce() - before, 8u);
   ThisProcess::Binder bind(2);
   EXPECT_EQ(reg.read(), 8);
 }

@@ -191,25 +191,19 @@ TEST(EmulatedCost, WriteAndReadMessageCountsMatchDesignNote6) {
     Network& net = space.network();
     net.set_fault_injector(&hold);
     auto& reg = space.make_swmr<int>(1, 0, "r");
-    // Ten stable 5 ms polls outlast the 10 ms hold.
-    const auto quiesce = [&] {
-      return drain_message_count([&] { return net.messages_sent(); },
-                                 std::chrono::milliseconds(5),
-                                 /*stable_polls=*/10);
-    };
     const auto nn = static_cast<std::uint64_t>(n);
-    std::uint64_t base = quiesce();
+    std::uint64_t base = space.quiesce();
     {
       ThisProcess::Binder bind(1);
       reg.write(7);
     }
-    EXPECT_EQ(quiesce() - base, 2 * nn * nn + 2 * nn) << "write, n=" << n;
-    base = quiesce();
+    EXPECT_EQ(space.quiesce() - base, 2 * nn * nn + 2 * nn) << "write, n=" << n;
+    base = space.quiesce();
     {
       ThisProcess::Binder bind(2);
       EXPECT_EQ(reg.read(), 7);
     }
-    EXPECT_EQ(quiesce() - base, 2 * nn) << "read, n=" << n;
+    EXPECT_EQ(space.quiesce() - base, 2 * nn) << "read, n=" << n;
     net.set_fault_injector(nullptr);
     space.stop();
   }
@@ -228,25 +222,48 @@ TEST(EmulatedCost, CollectOfThreeRegistersCostsTwoNMessages) {
     std::vector<EmulatedSwmr<int>*> regs;
     for (int i = 0; i < 3; ++i)
       regs.push_back(&space.make_swmr<int>(1, i, "r" + std::to_string(i)));
-    const auto quiesce = [&] {
-      return drain_message_count([&] { return net.messages_sent(); },
-                                 std::chrono::milliseconds(5),
-                                 /*stable_polls=*/10);
-    };
     {
       ThisProcess::Binder bind(1);
       regs[1]->write(7);
     }
-    const std::uint64_t base = quiesce();
+    const std::uint64_t base = space.quiesce();
     {
       ThisProcess::Binder bind(2);
       EXPECT_EQ(space.collect(regs), (std::vector<int>{0, 7, 2}));
     }
-    EXPECT_EQ(quiesce() - base, 2 * static_cast<std::uint64_t>(n))
+    EXPECT_EQ(space.quiesce() - base, 2 * static_cast<std::uint64_t>(n))
         << "collect of 3 registers, n=" << n;
     net.set_fault_injector(nullptr);
     space.stop();
   }
+}
+
+// quiesce() waits for held traffic, not only for full inboxes: right after
+// write_async returns, every message of the ladder but the WRITEs sits in
+// the delay pump, and quiesce() must return only once all of them have
+// been handled — every replica delivered and every ACK counted.
+TEST(EmulatedQuiesce, WaitsUntilHeldMessagesAreHandled) {
+  HoldAllButWrite hold;
+  EmulatedSpace space({.n = 4, .f = 1, .retry = {.enabled = false}});
+  Network& net = space.network();
+  auto& reg = space.make_swmr<int>(1, 0, "r");
+  const std::uint64_t base = space.quiesce();
+  net.set_fault_injector(&hold);
+  std::uint64_t sn = 0;
+  {
+    ThisProcess::Binder bind(1);
+    sn = reg.write_async(7);
+  }
+  EXPECT_EQ(space.quiesce() - base, 2u * 4 * 4 + 2u * 4);
+  EXPECT_EQ(net.queued_messages(), 0u);
+  for (int pid = 1; pid <= 4; ++pid)
+    EXPECT_EQ(reg.stored_state(pid), std::make_pair(std::uint64_t{1}, 7))
+        << "p" << pid;
+  {
+    ThisProcess::Binder bind(1);
+    reg.await(sn);
+  }
+  net.set_fault_injector(nullptr);
 }
 
 TEST_F(EmulatedTest, UpdateIsOwnerRmw) {
@@ -381,7 +398,7 @@ TEST(EmulatedOwnerView, AgreesWithQuorumUnderConcurrentWriters) {
     b.join();
     // Let the trailing f servers' protocol traffic drain so the quorum
     // read below is the converged highest-sn value.
-    drain_message_count([&] { return space.network().messages_sent(); });
+    space.quiesce();
     int local;
     {
       ThisProcess::Binder bind(1);
@@ -519,6 +536,37 @@ TEST(EmulatedRetry, OpTimeoutBoundsANonConvergingRead) {
   EXPECT_TRUE(timed_out.load());
 }
 
+// Drops every ACK: writes never settle (retries re-ACK into the void).
+class DropAcks : public FaultInjector {
+ public:
+  FaultDecision on_deliver(const Message& m) override {
+    return {.drop = m.tag == obs::MsgTag::kAck};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+};
+
+// A write that times out in the pipeline's capacity gate never got an sn:
+// the timeout names the gate, not a "write sn 0".
+TEST(EmulatedRetry, CapacityGateTimeoutNamesTheGate) {
+  EmulatedSpace::Options opt{.n = 4, .f = 1};
+  opt.retry.op_timeout_ms = 200;
+  EmulatedSpace space(opt);
+  auto& reg = space.make_swmr<int>(1, 0, "r");
+  DropAcks drop;
+  space.network().set_fault_injector(&drop);
+  ThisProcess::Binder bind(1);
+  reg.write_async(1);  // depth 1: fills the pipeline for good
+  std::string what;
+  try {
+    reg.write_async(2);
+  } catch (const registers::OpTimeout& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("capacity gate"), std::string::npos) << what;
+  EXPECT_EQ(what.find("sn 0"), std::string::npos) << what;
+  space.network().set_fault_injector(nullptr);
+}
+
 // ---------------------------------------------- pipelined writes (note 15)
 
 // A burst of async writes deeper than the pipeline: every sn settles (its
@@ -558,16 +606,13 @@ TEST(EmulatedPipeline, DepthOneIsTheBlockingProtocol) {
   EXPECT_EQ(reg.read(), 5);
 }
 
-// Read coalescing (design note 15): concurrent readers of one process
-// share quorum rounds instead of each broadcasting its own READ. The
-// recorded history of overlapping reads racing a writer must still be
-// linearizable, and the coalesce counter must show the sharing actually
-// happened (otherwise the test silently degenerates to sequential reads).
+// Overlapping reads by threads of one process, racing a writer: each
+// thread runs its own quorum through the process's one client, and the
+// recorded history must be linearizable.
 TEST(EmulatedPipeline, CoalescedReadBurstsLinearize) {
   EmulatedSpace space({.n = 4, .f = 1});
   auto& reg = space.make_swmr<int>(1, 0, "r");
   lincheck::HistoryRecorder rec;
-  const std::uint64_t coalesced0 = detail::coalesce_counter().value();
 
   std::thread writer([&] {
     ThisProcess::Binder bind(1);
@@ -580,8 +625,7 @@ TEST(EmulatedPipeline, CoalescedReadBurstsLinearize) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
-      // All four threads bind as process 2: same-pid concurrent reads are
-      // the coalescing unit (joiners adopt the next led round).
+      // All four threads bind as process 2: one client, four open reads.
       ThisProcess::Binder bind(2);
       for (int i = 0; i < 32; ++i) {
         rec.record("r", "read", "", [&] { return reg.read(); },
@@ -592,8 +636,6 @@ TEST(EmulatedPipeline, CoalescedReadBurstsLinearize) {
   writer.join();
   for (auto& t : readers) t.join();
 
-  EXPECT_GT(detail::coalesce_counter().value(), coalesced0)
-      << "no read ever shared a round: the burst did not overlap";
   const auto ops = rec.operations();
   ASSERT_EQ(ops.size(), 24u + 4u * 32u);
   const lincheck::SpecFactory factory = [](const std::string&) {
@@ -789,6 +831,68 @@ TEST(DeliveryGate, HelperWhoseReadLagsItsReplicaStillServes) {
     ThisProcess::Binder reader(3);
     EXPECT_EQ((*alg.raw().channel)[2][3]->read().second, 1u);  // ⟨r_2, 1⟩
   }
+  space.network().set_fault_injector(nullptr);
+}
+
+// One process, one client: p1 has three threads blocked at once — a
+// write's ACK wait on `a`, a read of `b` and a delivery-gate wait on `c` —
+// all on its client's one lock and condition variable. ACKs and STATEs to
+// p1 are dropped until the gate has returned, so the write and the read
+// are still blocked when it does; then all three complete.
+class CutRepliesToP1 : public FaultInjector {
+ public:
+  std::atomic<bool> cut{true};
+  FaultDecision on_deliver(const Message& m) override {
+    return {.drop = cut && m.to == 1 &&
+                    (m.tag == obs::MsgTag::kAck ||
+                     m.tag == obs::MsgTag::kState)};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+};
+
+TEST(EmulatedClient, AckReadAndGateWaitsOfOneProcessAllComplete) {
+  EmulatedSpace space({.n = 4, .f = 1});
+  auto& a = space.make_swmr<int>(1, 0, "a");
+  auto& b = space.make_swmr<int>(2, 0, "b");
+  auto& c = space.make_swmr<int>(3, 0, "c");
+  {
+    ThisProcess::Binder bind(2);
+    b.write(5);
+  }
+  CutRepliesToP1 cut;
+  space.network().set_fault_injector(&cut);
+  std::atomic<bool> wrote{false}, read{false}, gated{false};
+  int got = -1;
+  std::jthread writer([&] {
+    ThisProcess::Binder bind(1);
+    a.write(1);
+    wrote = true;
+  });
+  std::jthread reader([&] {
+    ThisProcess::Binder bind(1);
+    got = b.read();
+    read = true;
+  });
+  std::jthread gate([&] {
+    ThisProcess::Binder bind(1);
+    while (!space.await_replica_ahead({&c})) {
+    }
+    gated = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    ThisProcess::Binder bind(3);
+    c.write(9);  // p1's replica of c delivers sn 1: the gate opens
+  }
+  gate.join();
+  EXPECT_TRUE(gated.load());
+  EXPECT_FALSE(wrote.load()) << "the write finished without its ACKs";
+  EXPECT_FALSE(read.load()) << "the read finished without its STATEs";
+  cut.cut = false;  // retries now land
+  writer.join();
+  reader.join();
+  EXPECT_TRUE(wrote.load());
+  EXPECT_EQ(got, 5);
   space.network().set_fault_injector(nullptr);
 }
 

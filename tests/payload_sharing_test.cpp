@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <thread>
 
 #include "msgpass/emulated_swmr.hpp"
@@ -48,17 +47,11 @@ struct Counted {
   }
 };
 
-std::uint64_t quiesce(const std::function<std::uint64_t()>& sent) {
-  return drain_message_count(sent, std::chrono::milliseconds(5),
-                             /*stable_polls=*/10);
-}
-
 // Copies made by one write by p1 plus one read by p2, trailing protocol
 // traffic included.
 int copies_per_write_and_read(EmulatedSpace& space) {
-  const auto sent = [&] { return space.network().messages_sent(); };
   auto& reg = space.make_swmr<Counted>(1, Counted(0), "r");
-  quiesce(sent);
+  space.quiesce();
   Counted::copies = 0;
   {
     ThisProcess::Binder bind(1);
@@ -68,7 +61,7 @@ int copies_per_write_and_read(EmulatedSpace& space) {
     ThisProcess::Binder bind(2);
     EXPECT_EQ(reg.read().v, 42);
   }
-  quiesce(sent);
+  space.quiesce();
   return Counted::copies.load();
 }
 
@@ -92,7 +85,6 @@ TEST(PayloadSharing, EmulatedCopiesDoNotGrowWithN) {
 // the number of writes.
 TEST(PayloadSharing, LiveValuesDoNotGrowWithWrites) {
   EmulatedSpace space({.n = 4, .f = 1});
-  const auto sent = [&] { return space.network().messages_sent(); };
   auto& reg = space.make_swmr<Counted>(1, Counted(0), "r");
   int next = 0;
   const auto live_after = [&](int writes) {
@@ -100,7 +92,7 @@ TEST(PayloadSharing, LiveValuesDoNotGrowWithWrites) {
       ThisProcess::Binder bind(1);
       for (int i = 0; i < writes; ++i) reg.write(Counted(++next));
     }
-    quiesce(sent);
+    space.quiesce();
     return Counted::live.load();
   };
   const int after20 = live_after(20);
@@ -166,7 +158,7 @@ TEST(PayloadSharing, ForeignHandleOfHonestValueTalliesWithIt) {
     reg.write(43);
   }
   space.network().set_fault_injector(nullptr);
-  quiesce([&] { return space.network().messages_sent(); });
+  space.quiesce();
   for (int pid = 1; pid <= 4; ++pid) {
     EXPECT_NE(reg.stored_state(pid).second, 666) << "p" << pid;
     ThisProcess::Binder bind(pid);

@@ -41,10 +41,8 @@ PHASE_ORDER = [
 ]
 PHASE_KINDS = set(PHASE_ORDER)
 # Retry-layer events ride their op's (reg, origin, sn) key and are shown
-# inside the ladder timeline, but are not protocol rungs. read_coalesced
-# (a reader adopting another same-pid round's result) is keyed by round
-# generation, never a rung, so it lands in the non-ladder summary.
-EXTRA_KINDS = {"op_retry", "op_timeout", "write_abort", "read_coalesced"}
+# inside the ladder timeline, but are not protocol rungs.
+EXTRA_KINDS = {"op_retry", "op_timeout", "write_abort"}
 TIMELINE_KINDS = PHASE_KINDS | EXTRA_KINDS
 # Partition events carry the cut direction in aux (soak::PartitionMode).
 PARTITION_MODES = {0: "symmetric", 1: "inbound", 2: "outbound"}
@@ -301,7 +299,6 @@ EV 42.0 1 write_abort OTHER 9 1 44 0 0
 EV 50.0 2 op_retry OTHER 7 1 999 80 0
 EV 51.0 4 partition_cut OTHER -1 4 12 1 0
 EV 52.0 4 partition_heal OTHER -1 4 12 1 0
-EV 53.0 2 read_coalesced OTHER 8 1 3 43 0
 EV 60.0 1 write_start OTHER 12 1 100 0 0
 EV 61.0 1 write_start OTHER 12 1 101 1 0
 EV 65.0 1 write_done OTHER 12 1 100 500 0
@@ -328,7 +325,7 @@ def run_self_test():
         print(f"self-test: {'ok  ' if cond else 'FAIL'} {name}")
 
     events, warnings = parse_trace(SAMPLE.splitlines())
-    check("parses well-formed events", len(events) == 29)
+    check("parses well-formed events", len(events) == 28)
     # The prose garbage line is silently skipped (not an EV record); the
     # "EV bad ..." line has 10 fields but a bad float -> one warning.
     check("warns on bad numeric field", len(warnings) == 1)
@@ -350,8 +347,6 @@ def run_self_test():
     check("retry events do not advance the rung",
           last_phase(ladders[aborted_key]) == "write_start")
     check("rungless retry group is not a ladder", (7, 1, 999) not in ladders)
-    check("rungless read_coalesced group is not a ladder",
-          (8, 1, 3) not in ladders)
 
     # The pipelined owner: two ladders of reg 12 / p1 whose in-flight spans
     # ([60,65] and [61,66]) overlap; everything else is sequential.
@@ -382,8 +377,6 @@ def run_self_test():
     check("non-ladder summary includes send.WRITE", "send.WRITE: 1" in text)
     check("non-ladder summary includes crash", "crash: 1" in text)
     check("non-ladder summary counts retries", "op_retry: 2" in text)
-    check("non-ladder summary counts coalesced reads",
-          "read_coalesced: 1" in text)
     check("partition events carry the cut direction",
           "partition_cut.inbound: 1" in text and
           "partition_heal.inbound: 1" in text)
