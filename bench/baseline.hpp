@@ -14,14 +14,24 @@
 // Conventions: metric keys are dot-separated paths ("read.n4.plain_us");
 // lower is better, except keys ending in "_per_s", "_ops" or "_speedup",
 // which bench_compare.py treats as higher-is-better.
+//
+// Every dump also states where it was measured: a "meta" object with the
+// machine's hardware thread count (nproc) and the build type, which the
+// build passes in as SWSIG_BUILD_TYPE. bench_compare.py prints both sides'
+// meta and warns when they differ.
 #pragma once
 
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#ifndef SWSIG_BUILD_TYPE
+#define SWSIG_BUILD_TYPE "unknown"
+#endif
 
 namespace swsig::bench {
 
@@ -59,7 +69,9 @@ class Reporter {
       std::cerr << "bench: cannot write " << path_ << "\n";
       return;
     }
-    out << "{\n  \"bench\": \"" << name_ << "\",\n  \"metrics\": {";
+    out << "{\n  \"bench\": \"" << name_ << "\",\n  \"meta\": {\"nproc\": "
+        << std::thread::hardware_concurrency() << ", \"build_type\": \""
+        << SWSIG_BUILD_TYPE << "\"},\n  \"metrics\": {";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       out << (i == 0 ? "\n" : ",\n");
       out << "    \"" << metrics_[i].first << "\": " << fmt(metrics_[i].second);

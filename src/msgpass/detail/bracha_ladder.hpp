@@ -39,7 +39,9 @@
 // and its echoed handle are released; only the sn itself stays, in the
 // delivered set. Releasing the echoed handle is safe because on_write,
 // on_vote and fence all consult `delivered` before `echoed`, so a
-// delivered sn's echo slot is never read again.
+// delivered sn's echo slot is never read again. The delivered set is a
+// watermark (DeliveredSns), so it grows with the gaps in delivery, not
+// with the history.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +50,40 @@
 #include <set>
 #include <vector>
 
+#include "msgpass/detail/pid_set.hpp"
+
 namespace swsig::msgpass::detail {
+
+// The delivered sns of one ladder: every sn in 1..floor, plus a sparse set
+// of the others (above floor + 1, or sn 0). Sns are numbered from 1 and
+// mostly deliver in order, so lookups are one compare and the sparse set
+// holds only the sns delivered past a gap, until the gap fills.
+class DeliveredSns {
+ public:
+  bool contains(std::uint64_t sn) const {
+    return (sn != 0 && sn <= floor_) || sparse_.contains(sn);
+  }
+
+  void insert(std::uint64_t sn) {
+    if (sn != floor_ + 1) {
+      if (!contains(sn)) sparse_.insert(sn);
+      return;
+    }
+    ++floor_;
+    for (auto it = sparse_.find(floor_ + 1); it != sparse_.end();
+         it = sparse_.find(floor_ + 1)) {
+      sparse_.erase(it);
+      ++floor_;
+    }
+  }
+
+  std::uint64_t floor() const { return floor_; }
+  std::size_t sparse() const { return sparse_.size(); }
+
+ private:
+  std::uint64_t floor_ = 0;
+  std::set<std::uint64_t> sparse_;
+};
 
 template <typename T>
 class BrachaLadder {
@@ -111,14 +146,13 @@ class BrachaLadder {
     Candidate& c = candidate(sn, v);
     (is_echo ? c.echoes : c.accepts).insert(voter);
     if (!c.sent_accept &&
-        (static_cast<int>(c.echoes.size()) >= n_ - f_ ||
-         static_cast<int>(c.accepts.size()) >= f_ + 1)) {
+        (c.echoes.size() >= n_ - f_ || c.accepts.size() >= f_ + 1)) {
       c.sent_accept = true;
       out.send_accept = true;
-      out.amplified = static_cast<int>(c.echoes.size()) < n_ - f_;
+      out.amplified = c.echoes.size() < n_ - f_;
       out.value = c.value;
     }
-    if (static_cast<int>(c.accepts.size()) >= n_ - f_) {
+    if (c.accepts.size() >= n_ - f_) {
       out.deliver = true;
       out.value = c.value;
       delivered_.insert(sn);
@@ -164,12 +198,16 @@ class BrachaLadder {
   // Inspection (tests, forensics).
   bool has_delivered(std::uint64_t sn) const { return delivered_.contains(sn); }
   bool is_fenced(std::uint64_t sn) const { return blocked_.contains(sn); }
+  // The delivered set's shape: every sn in 1..floor is delivered, and
+  // sparse_delivered() others are kept one by one.
+  std::uint64_t delivered_floor() const { return delivered_.floor(); }
+  std::size_t sparse_delivered() const { return delivered_.sparse(); }
 
  private:
   struct Candidate {
     Ref value;
-    std::set<int> echoes;
-    std::set<int> accepts;
+    PidSet echoes;
+    PidSet accepts;
     bool sent_accept = false;
   };
 
@@ -194,7 +232,7 @@ class BrachaLadder {
   // re-issue the ORIGINAL echo.
   std::map<std::uint64_t, Ref> echoed_;
   // Delivered sns (persists): the replay guard.
-  std::set<std::uint64_t> delivered_;
+  DeliveredSns delivered_;
   // Abort-fenced sns (persists): the PR-8 promise.
   std::set<std::uint64_t> blocked_;
   // Per sn: candidate values (usually 1; >1 only under equivocation).

@@ -17,7 +17,10 @@
 // Lock order: code may hold a register's replica lock (EmulatedSwmr::mu_)
 // while it takes a client lock — the delivery path feeds the replica's sn
 // to its process's client — never the reverse. A client never calls into a
-// replica under its own lock, so the gate tests only client state.
+// replica under its own lock, so the gate tests only client state. Replies
+// (STATE, ACK, ABACK) reach on_reply on the thread that sends them (the
+// network's client endpoint), so a reply is sent holding no replica lock
+// and no client lock.
 //
 // This file also holds the retry/deadline policy and HandlerBase, the face
 // of a register that the space's servers and clients use.
@@ -31,12 +34,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "msgpass/detail/pid_set.hpp"
 #include "msgpass/message.hpp"
 #include "msgpass/network.hpp"
 #include "obs/metrics.hpp"
@@ -127,7 +130,8 @@ class HandlerBase {
 
   // Runs on the server thread of the receiving process (bound to its pid).
   // READ goes to the space's server (EmulatedSpace::serve_read); STATE,
-  // ACK and ABACK go to the receiving process's client.
+  // ACK and ABACK never come here: the network hands them to the receiving
+  // process's client.
   virtual void handle(const Message& m) = 0;
   // Crash model (driven by the owning Space): wipe the volatile protocol
   // state process pid held for this register. Stable-storage state (the
@@ -257,10 +261,7 @@ class Client {
     for (;;) {
       const bool replied = wait_with_retry(
           lock, deadline,
-          [&] {
-            return static_cast<int>(reads_.at(rid).senders.size()) >=
-                   n_ - f_;
-          },
+          [&] { return reads_.at(rid).senders.size() >= n_ - f_; },
           [&](std::uint64_t backoff) {  // replies were lost
             record_phase(obs::EventKind::kOpRetry, self_, head.reg_id(),
                          head.owner(), rid, backoff);
@@ -279,7 +280,7 @@ class Client {
       for (std::size_t x = 0; x < pending.size(); ++x) {
         const Support* best = nullptr;
         for (const Support& s : w.support[x])
-          if (static_cast<int>(s.vouchers.size()) >= support &&
+          if (s.vouchers.size() >= support &&
               (best == nullptr || s.sn > best->sn))
             best = &s;
         if (best != nullptr)
@@ -313,7 +314,8 @@ class Client {
   }
 
   // A reply addressed to this process: STATE for one of its reads, ACK or
-  // ABACK for one of its writes or fences. Each counts only for an
+  // ABACK for one of its writes or fences, applied on the delivering thread
+  // (the sender's, or the delay pump's). Each counts only for an
   // operation this process has open — it is looked up among this client's
   // own slots, so a reply sent to another process (say, to a Byzantine
   // READ reusing a live rid) answers nothing here, and late or replayed
@@ -328,8 +330,8 @@ class Client {
         const auto it = writes_.find({m.reg, m.sn});
         if (it == writes_.end()) return;
         // Settled at n−f: only that ACK can end a wait.
-        if (it->second.acks.insert(m.from).second &&
-            static_cast<int>(it->second.acks.size()) == n_ - f_)
+        if (it->second.acks.insert(m.from) &&
+            it->second.acks.size() == n_ - f_)
           wake(lock);
         return;
       }
@@ -340,8 +342,8 @@ class Client {
         const auto it = fences_.find({m.reg, m.sn});
         if (it == fences_.end()) return;  // reply to a finished fence
         if (*unsafe) it->second.unsafe_any = true;
-        if (it->second.repliers.insert(m.from).second &&
-            static_cast<int>(it->second.repliers.size()) == n_ - f_)
+        if (it->second.repliers.insert(m.from) &&
+            it->second.repliers.size() == n_ - f_)
           wake(lock);
         return;
       }
@@ -525,7 +527,7 @@ class Client {
     send(0);
     wait_with_retry(
         lock, Clock::time_point::max(),
-        [&] { return static_cast<int>(fw.repliers.size()) >= n_ - f_; },
+        [&] { return fw.repliers.size() >= n_ - f_; },
         send);
     const bool unsafe_any = fw.unsafe_any;
     fences_.erase({reg, sn});
@@ -567,19 +569,19 @@ class Client {
   struct Support {
     std::uint64_t sn;
     Payload value;
-    std::set<int> vouchers;
+    PidSet vouchers;
   };
   // One open READ: the registers it names, who replied, and per register
   // which processes vouch for each pair.
   struct ReadWait {
     std::vector<HandlerBase*> regs;
-    std::set<int> senders;
+    PidSet senders;
     std::vector<std::vector<Support>> support;  // parallel to regs
   };
   // Owner-side wait slot for one in-flight write sn.
   struct Write {
     Payload value;  // for retry re-broadcasts
-    std::set<int> acks;
+    PidSet acks;
     // Owner crashed with this write in flight: suppresses the client's
     // retry timer until restart (recovery owns the sn meanwhile).
     bool interrupted = false;
@@ -592,7 +594,7 @@ class Client {
   };
   // Owner-side wait slot for one abort fence (recovery only).
   struct Fence {
-    std::set<int> repliers;
+    PidSet repliers;
     // Some replier delivered sn or had already sent ACCEPT for it: the
     // write must complete, not abort (see BrachaLadder::fence).
     bool unsafe_any = false;
@@ -665,7 +667,7 @@ class Client {
     if (reply->size() != w.regs.size()) return;
     for (std::size_t x = 0; x < reply->size(); ++x)
       if (!w.regs[x]->holds_value((*reply)[x].second)) return;
-    if (!w.senders.insert(m.from).second) return;  // dup sender
+    if (!w.senders.insert(m.from)) return;  // dup sender
     for (std::size_t x = 0; x < reply->size(); ++x) {
       const auto& [sn, v] = (*reply)[x];
       std::vector<Support>& candidates = w.support[x];
@@ -679,7 +681,7 @@ class Client {
       s->vouchers.insert(m.from);
     }
     // Only the n−f-th reply can end the read's wait.
-    if (static_cast<int>(w.senders.size()) == n_ - f_) wake(lock);
+    if (w.senders.size() == n_ - f_) wake(lock);
   }
 
   // Wakes every wait of this client after a change to what it tests, made
@@ -698,7 +700,7 @@ class Client {
   }
 
   bool settled(const Write& w) const {
-    return static_cast<int>(w.acks.size()) >= n_ - f_ || w.aborted;
+    return w.acks.size() >= n_ - f_ || w.aborted;
   }
 
   int unsettled(int reg) const {

@@ -84,6 +84,7 @@
 
 #include "msgpass/detail/bracha_ladder.hpp"
 #include "msgpass/detail/client.hpp"
+#include "msgpass/detail/pid_set.hpp"
 #include "msgpass/network.hpp"
 #include "msgpass/server_pool.hpp"
 #include "obs/metrics.hpp"
@@ -229,7 +230,8 @@ class EmulatedSwmr : public detail::HandlerBase {
   // ------------------------------------------------------------- server
 
   // The server messages. Replies to clients (STATE, ACK, ABACK) go to the
-  // receiving process's detail::Client instead.
+  // receiving process's detail::Client instead, on the delivering thread;
+  // so send_ack and on_abort send holding no lock.
   void handle(const Message& m) override {
     const runtime::ProcessId self = runtime::ThisProcess::id();
     switch (m.tag) {
@@ -584,9 +586,11 @@ class EmulatedSpace {
     int pipeline_depth = 1;
   };
 
+  // Throws std::invalid_argument for n > 63 (detail::PidSet).
   explicit EmulatedSpace(Options options)
-      : options_(options),
-        net_(Network::Options{options.n, options.reorder_seed}),
+      : options_(checked(options)),
+        net_(Network::Options{options.n, options.reorder_seed},
+             [this](const Message& m) { on_reply(m); }),
         clients_(make_clients(net_, options)),
         crashed_(static_cast<std::size_t>(options.n) + 1),
         pool_(net_, options.n,
@@ -596,7 +600,12 @@ class EmulatedSpace {
 
   ~EmulatedSpace() { stop(); }
 
-  void stop() { pool_.stop(); }
+  // Stops the server threads and the network's delay pump, the threads
+  // that act on the space's state from inside it.
+  void stop() {
+    pool_.stop();
+    net_.stop();
+  }
 
   // Blocks, without polling, until no message is queued, held by the delay
   // pump or inside a handler, then returns messages_sent() — the yardstick
@@ -738,26 +747,34 @@ class EmulatedSpace {
         std::to_string(pid) + " outside 1.." + std::to_string(options_.n));
   }
 
+  static const Options& checked(const Options& o) {
+    detail::require_tally_fits(o.n, "EmulatedSpace");
+    return o;
+  }
+
+  // A crashed process neither receives nor reacts (and since all its
+  // protocol sends happen from its server and client, it does not send
+  // either).
+  bool crashed(int pid) const {
+    return crashed_[static_cast<std::size_t>(pid)].load(
+        std::memory_order_acquire);
+  }
+
+  // Server traffic, on pid's server thread.
   void dispatch(int pid, const Message& m) {
-    // Crashed process: neither receives nor reacts (and since all its
-    // protocol sends happen from this handler, it does not send either).
-    if (crashed_[static_cast<std::size_t>(pid)].load(
-            std::memory_order_acquire))
+    if (crashed(pid)) return;
+    if (m.tag == obs::MsgTag::kRead) {
+      serve_read(pid, m);
       return;
-    switch (m.tag) {
-      case obs::MsgTag::kRead:
-        serve_read(pid, m);
-        return;
-      case obs::MsgTag::kState:
-      case obs::MsgTag::kAck:
-      case obs::MsgTag::kAbAck:
-        client(pid).on_reply(m);
-        return;
-      default:
-        // Handlers drop malformed payloads themselves (Payload::get).
-        if (detail::HandlerBase* handler = handler_of(m.reg))
-          handler->handle(m);
     }
+    // Handlers drop malformed payloads themselves (Payload::get).
+    if (detail::HandlerBase* handler = handler_of(m.reg)) handler->handle(m);
+  }
+
+  // The network's client endpoint: a STATE, ACK or ABACK for process m.to,
+  // on the delivering thread.
+  void on_reply(const Message& m) {
+    if (!crashed(m.to)) client(m.to).on_reply(m);
   }
 
   detail::HandlerBase* handler_of(int reg) {

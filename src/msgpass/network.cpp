@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -44,7 +45,8 @@ inline void record_msg(obs::EventKind kind, int pid, int peer,
 
 }  // namespace
 
-Network::Network(Options options) : options_(options) {
+Network::Network(Options options, Endpoint replies)
+    : options_(options), replies_(std::move(replies)) {
   if (options_.n < 1) throw std::invalid_argument("network needs n >= 1");
   inboxes_.reserve(static_cast<std::size_t>(options_.n) + 1);
   squelched_.reserve(static_cast<std::size_t>(options_.n) + 1);
@@ -57,6 +59,18 @@ Network::Network(Options options) : options_(options) {
     inboxes_.back()->rng =
         util::Rng(options_.reorder_seed + static_cast<std::uint64_t>(pid));
   }
+}
+
+// The pump goes first: it uses the members declared after it.
+Network::~Network() { stop(); }
+
+void Network::stop() {
+  std::jthread pump;
+  {
+    std::scoped_lock lock(delay_mu_);
+    pump = std::move(pump_);
+  }
+  // pump's destructor requests the stop and joins, outside delay_mu_.
 }
 
 Network::Inbox& Network::inbox_for(runtime::ProcessId pid) {
@@ -168,14 +182,31 @@ void Network::enqueue(Message m) {
   // Counted before the receiver can see it, so quiesce() never returns
   // before the count of a message that has already been handled.
   sent_.fetch_add(1, std::memory_order_relaxed);
+  if (replies_ && obs::is_reply(m.tag)) {
+    // Received and handled right here, by the addressee's client.
+    const runtime::ProcessId to = m.to;
+    replies_(received(to, Queued{std::move(m)}));
+    handled();
+    return;
+  }
   Inbox& inbox = inbox_for(m.to);
+  bool wake_receiver;
   {
     std::scoped_lock lock(inbox.mu);
     Queued q{std::move(m)};
     if (++inbox.enqueued % kQueueSample == 0)
       q.at = std::chrono::steady_clock::now();
     inbox.queue.push_back(std::move(q));
+    wake_receiver = std::exchange(inbox.parked, false);
   }
+  if (wake_receiver) inbox.cv.notify_one();
+}
+
+void Network::wake(runtime::ProcessId pid) {
+  Inbox& inbox = inbox_for(pid);
+  // Taking the lock orders this wake after a receiver's stop check: either
+  // it has not checked yet and will see the stop, or it is already waiting.
+  { std::scoped_lock lock(inbox.mu); }
   inbox.cv.notify_all();
 }
 
@@ -186,10 +217,14 @@ void Network::pump(std::stop_token st) {
   const auto heap_cmp = [](const Delayed& a, const Delayed& b) {
     return a.due > b.due;
   };
+  const std::stop_callback on_stop(st, [this] {
+    { std::scoped_lock lock(delay_mu_); }
+    delay_cv_.notify_all();
+  });
   std::unique_lock lock(delay_mu_);
   while (!st.stop_requested()) {
     if (delayed_.empty()) {
-      delay_cv_.wait(lock, st, [&] { return !delayed_.empty(); });
+      delay_cv_.wait(lock);
       continue;
     }
     const bool flush_all = injector_.load(std::memory_order_acquire) == nullptr;
@@ -209,7 +244,7 @@ void Network::pump(std::stop_token st) {
     // would leave the reference dangling — the pump then re-sleeps on a
     // garbage deadline forever and parked messages never flush.
     const auto due = delayed_.front().due;
-    delay_cv_.wait_until(lock, st, due, [] { return false; });
+    delay_cv_.wait_until(lock, due);
   }
 }
 
@@ -217,11 +252,14 @@ std::optional<Message> Network::recv(std::stop_token st) {
   const runtime::ProcessId self = runtime::ThisProcess::id();
   Inbox& inbox = inbox_for(self);
   std::unique_lock lock(inbox.mu);
-  // Stop-token-aware wait: returns false (with the queue still empty) when
-  // the token is stopped before a message arrives. No timed polling — the
-  // stop request itself wakes the wait.
-  if (!inbox.cv.wait(lock, st, [&] { return !inbox.queue.empty(); }))
-    return std::nullopt;
+  // No timed polling: a delivery to the parked receiver, or the caller's
+  // stop callback (wake()), ends the wait.
+  while (inbox.queue.empty()) {
+    if (st.stop_requested()) return std::nullopt;
+    inbox.parked = true;
+    inbox.cv.wait(lock);
+    inbox.parked = false;
+  }
   bool reorder = options_.reorder_seed != 0;
   if (!reorder) {
     FaultInjector* fi = injector_.load(std::memory_order_acquire);

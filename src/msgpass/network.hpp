@@ -5,6 +5,17 @@
 // delivery is modeled by thread scheduling (and an optional seeded
 // reordering of each inbox). There is no synchrony assumption anywhere —
 // receivers block until something arrives.
+//
+// Two destinations per process. Server traffic (WRITE, ECHO, READ, ...)
+// queues in the addressee's inbox for its server thread; an enqueue wakes
+// that thread only if it is parked on an empty inbox. Replies
+// (obs::is_reply: STATE, ACK, ABACK) go to the client endpoint given at
+// construction, applied on the delivering thread — the sender's, or the
+// delay pump's for a held-back reply — after the fault injector's drop and
+// delay decisions, exactly where an enqueue would have happened. Rule: send
+// a reply holding no lock the endpoint takes (for EmulatedSpace, no
+// replica lock and no client lock). Without an endpoint replies queue like
+// everything else.
 #pragma once
 
 #include <atomic>
@@ -12,6 +23,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -38,7 +50,19 @@ class Network {
     std::uint64_t reorder_seed = 0;
   };
 
-  explicit Network(Options options);
+  // Where replies go; see the top of this file.
+  using Endpoint = std::function<void(const Message&)>;
+
+  explicit Network(Options options, Endpoint replies = {});
+  ~Network();
+
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
+
+  // Stops and joins the delay pump; what it still holds is never
+  // delivered. The pump applies held-back replies to the endpoint, so an
+  // owner stops it before tearing down what the endpoint touches.
+  void stop();
 
   // Sends m to m.to; the sender identity is stamped from the calling
   // thread's bound process (authenticated channels).
@@ -48,8 +72,14 @@ class Network {
   // symmetry: the sender is also a server).
   void broadcast(Message m);
 
-  // Blocking receive for the bound process. Returns nullopt on stop.
+  // Blocking receive for the bound process. Returns nullopt once `st` is
+  // stopped. A parked receiver sees the stop only when woken: the caller
+  // registers one std::stop_callback calling wake(pid) for as long as it
+  // receives (detail::ServerPool does).
   std::optional<Message> recv(std::stop_token st);
+
+  // Wakes pid's receiver if it is parked, so it rechecks its stop token.
+  void wake(runtime::ProcessId pid);
 
   // Non-blocking receive, for driving a network without server threads:
   // the message counts as handled once it is returned.
@@ -104,7 +134,8 @@ class Network {
   // enqueued them, so injected delay is not queueing), for every
   // kQueueSample-th message of each inbox — timing every one costs two
   // clock reads and a shared-histogram add per message, several percent
-  // of a register op.
+  // of a register op. Replies handed to the client endpoint never sit in
+  // an inbox, so net.queue_us covers server traffic only.
   // Resolved once, here; the per-message cost is one sharded relaxed add.
   struct TypeCounters {
     util::ShardedCounter* send[static_cast<std::size_t>(obs::MsgTag::kCount)];
@@ -125,10 +156,12 @@ class Network {
   };
   struct Inbox {
     std::mutex mu;
-    // _any so recv() can wait with a stop_token (no polling): a stop
-    // request wakes the waiter exactly like a delivery does.
-    std::condition_variable_any cv;
+    std::condition_variable cv;
     std::deque<Queued> queue;
+    // The receiver waits on cv for an empty queue to fill: the one enqueue
+    // that finds it set clears it and notifies; every other enqueue skips
+    // the notify.
+    bool parked = false;
     std::uint64_t enqueued = 0;  // picks the sampled messages
     util::Rng rng{0};
   };
@@ -141,7 +174,8 @@ class Network {
   // note_send records the flight-recorder send event; broadcast() passes
   // false after recording one consolidated event for the whole fan-out.
   void deliver(Message m, bool note_send = true);
-  void enqueue(Message m);  // final step: into the receiver's inbox
+  // Final step: into the receiver's inbox, or to the endpoint for a reply.
+  void enqueue(Message m);
   void pump(std::stop_token st);
   // Dequeue bookkeeping shared by recv() and try_recv(): counters, the
   // queueing-delay histogram and the receive event.
@@ -152,6 +186,7 @@ class Network {
   bool is_squelched(runtime::ProcessId pid) const;
 
   Options options_;
+  Endpoint replies_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;  // index by pid
   std::vector<std::unique_ptr<std::atomic<bool>>> squelched_;  // by pid
   std::atomic<std::uint64_t> squelched_count_{0};
@@ -162,7 +197,7 @@ class Network {
   // Held-back (delayed) messages, re-delivered by the pump thread.
   // (mutable: queued_messages() is logically const.)
   mutable std::mutex delay_mu_;
-  std::condition_variable_any delay_cv_;
+  std::condition_variable delay_cv_;
   std::vector<Delayed> delayed_;  // min-heap by due
   std::jthread pump_;             // started lazily by set_fault_injector
   // Quiescence: messages delivered (not dropped) and not yet handled, and

@@ -23,9 +23,11 @@ class ServerPool {
   using Handler = std::function<void(int self, const Message&)>;
 
   // Spawns one server thread per process 1..n; each binds its pid, feeds
-  // received messages to `handle` and reports each one handled to the
-  // network (Network::quiesce). The pool must outlive nothing that
-  // `handle` touches — callers stop() it before tearing protocol state down.
+  // the messages its inbox receives (server traffic; replies go to the
+  // network's client endpoint, if it has one) to `handle` and reports each
+  // one handled to the network (Network::quiesce). The pool must outlive
+  // nothing that `handle` touches — callers stop() it before tearing
+  // protocol state down.
   // All n threads share ONE handler instance (the protocols' handlers are
   // stateless closures over their space, and with pipelined owners every
   // server thread multiplexes many concurrent ladders — n identical
@@ -35,9 +37,12 @@ class ServerPool {
     for (int pid = 1; pid <= n; ++pid) {
       threads_.emplace_back([&net, pid, handle = handle_](std::stop_token st) {
         runtime::ThisProcess::Binder bind(pid);
+        // One stop callback for the thread's lifetime: a stop wakes the
+        // parked receiver (Network::recv).
+        const std::stop_callback on_stop(st, [&net, pid] { net.wake(pid); });
         while (!st.stop_requested()) {
-          auto m = net.recv(st);
-          if (!m) continue;
+          const auto m = net.recv(st);
+          if (!m) break;
           (*handle)(pid, *m);
           net.handled();
         }

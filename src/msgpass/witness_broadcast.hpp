@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "msgpass/detail/bracha_ladder.hpp"
+#include "msgpass/detail/pid_set.hpp"
 #include "msgpass/network.hpp"
 #include "msgpass/server_pool.hpp"
 #include "obs/recorder.hpp"
@@ -42,8 +43,9 @@ class WitnessBroadcast {
     int f = 1;
   };
 
+  // Throws std::invalid_argument for n > 63 (detail::PidSet).
   WitnessBroadcast(Options options, std::uint64_t reorder_seed = 0)
-      : options_(options),
+      : options_(checked(options)),
         net_(Network::Options{options.n, reorder_seed}),
         state_(static_cast<std::size_t>(options.n) + 1),
         pool_(net_, options.n,
@@ -88,6 +90,11 @@ class WitnessBroadcast {
 
  private:
   using Ladder = detail::BrachaLadder<std::uint64_t>;
+
+  static const Options& checked(const Options& o) {
+    detail::require_tally_fits(o.n, "WitnessBroadcast");
+    return o;
+  }
   using Key = std::pair<int, std::uint64_t>;  // (origin, seq)
 
   struct PerProcess {

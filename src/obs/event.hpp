@@ -100,6 +100,13 @@ enum class MsgTag : std::uint8_t {
   kCount
 };
 
+// The replies: what a server sends back to one process's client. A
+// msgpass::Network built with a client endpoint hands these to it on the
+// delivering thread instead of queueing them for the addressee's server.
+inline constexpr bool is_reply(MsgTag t) {
+  return t == MsgTag::kState || t == MsgTag::kAck || t == MsgTag::kAbAck;
+}
+
 inline const char* tag_name(MsgTag t) {
   switch (t) {
     case MsgTag::kOther: return "OTHER";

@@ -11,13 +11,18 @@
 // nothing beyond at most a per-server re-ACK.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "msgpass/detail/bracha_ladder.hpp"
 #include "msgpass/emulated_swmr.hpp"
 #include "runtime/process.hpp"
+#include "util/rng.hpp"
 
 namespace swsig::msgpass {
 namespace {
@@ -223,6 +228,69 @@ TEST(BrachaLadder, FenceReportsUnsafeAfterAcceptOrDelivery) {
   Ladder echoed_only(4, 1);
   echoed_only.on_write(5, false, one);
   EXPECT_FALSE(echoed_only.fence(5));
+}
+
+// The delivered set is a watermark (every sn in 1..floor, plus a sparse set
+// of the others). Against a reference std::set over a seeded random
+// delivery order of sns 0..999 — with sn 0, gaps held open by fences, and
+// crashes along the way — it answers every lookup the same, and once the
+// completion re-issues fill the gaps only sn 0 stays outside the floor.
+TEST(BrachaLadder, DeliveredWatermarkMatchesAReferenceSet) {
+  constexpr std::uint64_t kSns = 1000;
+  const Ref v = val(1);
+  const auto deliver = [&](Ladder& lad, std::uint64_t sn) {
+    for (int voter = 1; voter <= 3; ++voter) lad.on_vote(sn, v, voter, false);
+  };
+  const auto is_gap = [](std::uint64_t sn) { return sn % 10 == 3; };
+  Ladder lad(4, 1);
+  std::set<std::uint64_t> ref;
+  const auto agree = [&] {
+    for (std::uint64_t sn = 0; sn <= kSns; ++sn)
+      if (lad.has_delivered(sn) != ref.contains(sn)) return false;
+    return lad.sparse_delivered() + lad.delivered_floor() == ref.size();
+  };
+  std::vector<std::uint64_t> order(kSns);
+  std::iota(order.begin(), order.end(), 0);
+  util::Rng rng(7);
+  std::shuffle(order.begin(), order.end(), rng);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::uint64_t sn = order[i];
+    if (is_gap(sn)) {
+      EXPECT_FALSE(lad.fence(sn)) << sn;
+      deliver(lad, sn);  // fenced: the votes stay inert
+    } else {
+      deliver(lad, sn);
+      ref.insert(sn);
+    }
+    if (i % 97 == 0) lad.crash();
+    if (i % 50 == 0) {
+      ASSERT_TRUE(agree()) << "after " << i << " deliveries";
+    }
+  }
+  ASSERT_TRUE(agree());
+  EXPECT_EQ(lad.delivered_floor(), 2u);  // sn 3 is the first gap
+  for (std::uint64_t sn = 3; sn < kSns; sn += 10) {
+    ASSERT_EQ(lad.on_write(sn, /*complete=*/true, v).action,
+              Ladder::WriteAction::kEcho);
+    deliver(lad, sn);
+    ref.insert(sn);
+  }
+  ASSERT_TRUE(agree());
+  EXPECT_EQ(lad.delivered_floor(), kSns - 1);
+  EXPECT_EQ(lad.sparse_delivered(), 1u);  // sn 0, which no write uses
+}
+
+TEST(BrachaLadder, InOrderDeliveryKeepsNothingAboveTheFloor) {
+  Ladder lad(4, 1);
+  const Ref v = val(1);
+  for (std::uint64_t sn = 1; sn <= 1000; ++sn) {
+    for (int voter = 1; voter <= 3; ++voter) lad.on_vote(sn, v, voter, false);
+    ASSERT_EQ(lad.sparse_delivered(), 0u) << sn;
+  }
+  EXPECT_EQ(lad.delivered_floor(), 1000u);
+  EXPECT_TRUE(lad.has_delivered(1000));
+  EXPECT_FALSE(lad.has_delivered(0));
+  EXPECT_FALSE(lad.has_delivered(1001));
 }
 
 // ------------------------------------------------------- substrate tests

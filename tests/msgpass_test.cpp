@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,7 +23,9 @@
 #include "lincheck/history.hpp"
 #include "lincheck/register_specs.hpp"
 #include "msgpass/emulated_swmr.hpp"
+#include "msgpass/detail/pid_set.hpp"
 #include "msgpass/network.hpp"
+#include "msgpass/server_pool.hpp"
 #include "msgpass/witness_broadcast.hpp"
 #include "runtime/harness.hpp"
 #include "runtime/process.hpp"
@@ -89,6 +92,77 @@ TEST(Network, TryRecvEmptyInbox) {
   Network net({.n = 2});
   ThisProcess::Binder bind(1);
   EXPECT_EQ(net.try_recv(), std::nullopt);
+}
+
+// With a client endpoint, a reply (STATE, ACK, ABACK) reaches it before
+// send() returns and never enters the addressee's inbox; server traffic
+// still queues. Both count as sent and leave nothing in flight.
+TEST(Network, RepliesLandOnTheClientEndpoint) {
+  std::vector<Message> replies;
+  Network net({.n = 3}, [&](const Message& m) { replies.push_back(m); });
+  {
+    ThisProcess::Binder bind(1);
+    for (const obs::MsgTag tag :
+         {obs::MsgTag::kState, obs::MsgTag::kAck, obs::MsgTag::kAbAck}) {
+      const std::size_t before = replies.size();
+      Message m;
+      m.to = 2;
+      m.tag = tag;
+      net.send(m);
+      ASSERT_EQ(replies.size(), before + 1) << obs::tag_name(tag);
+      EXPECT_EQ(replies.back().tag, tag);
+      EXPECT_EQ(replies.back().from, 1);
+      EXPECT_EQ(replies.back().to, 2);
+    }
+    Message echo;
+    echo.to = 2;
+    echo.tag = obs::MsgTag::kEcho;
+    net.send(echo);
+  }
+  EXPECT_EQ(replies.size(), 3u);  // the ECHO did not go to the endpoint
+  ThisProcess::Binder bind(2);
+  const auto queued = net.try_recv();
+  ASSERT_TRUE(queued.has_value());
+  EXPECT_EQ(queued->tag, obs::MsgTag::kEcho);
+  EXPECT_EQ(net.try_recv(), std::nullopt);  // no reply was queued
+  EXPECT_EQ(net.quiesce(), 4u);
+}
+
+// ServerPool::stop() wakes server threads parked on empty inboxes.
+TEST(Network, ServerPoolStopsWithIdleInboxes) {
+  Network net({.n = 4});
+  for (int round = 0; round < 100; ++round) {
+    detail::ServerPool pool(net, 4, [](int, const Message&) {});
+    if (round % 2 == 1)  // let the threads park first
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    pool.stop();
+  }
+  SUCCEED();
+}
+
+// The quorum tallies are 64-bit pid sets: n = 64 is a configuration error
+// that names the limit, and a duplicate voter counts once.
+TEST(PidSet, SixtyFourProcessesAreRejected) {
+  for (const auto& make : std::vector<std::function<void()>>{
+           [] { EmulatedSpace space({.n = 64, .f = 21}); },
+           [] { WitnessBroadcast wb({.n = 64, .f = 21}); }}) {
+    try {
+      make();
+      ADD_FAILURE() << "n = 64 accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("limit of 63"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(PidSet, DuplicateVoterCountsOnce) {
+  detail::PidSet voters;
+  EXPECT_TRUE(voters.insert(3));
+  EXPECT_FALSE(voters.insert(3));
+  EXPECT_TRUE(voters.insert(63));
+  EXPECT_EQ(voters.size(), 2);
+  EXPECT_THROW(voters.insert(64), std::out_of_range);
 }
 
 // ------------------------------------------------------- emulated SWMR
@@ -537,6 +611,59 @@ TEST(EmulatedRetry, OpTimeoutBoundsANonConvergingRead) {
 }
 
 // Drops every ACK: writes never settle (retries re-ACK into the void).
+// Drops every READ: a read's only replies are the ones a test forges.
+class DropReads : public FaultInjector {
+ public:
+  FaultDecision on_deliver(const Message& m) override {
+    return {.drop = m.tag == obs::MsgTag::kRead};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+};
+
+// p4 reads while p1..p3 keep sending it identical STATEs for its rid 1;
+// true iff the read returned their value before its 300 ms deadline.
+bool forged_states_complete_read(bool crash_reader) {
+  EmulatedSpace space(
+      {.n = 4, .f = 1, .retry = {.enabled = false, .op_timeout_ms = 300}});
+  auto& reg = space.make_swmr<int>(1, 0, "r");
+  DropReads drop;
+  space.network().set_fault_injector(&drop);
+  if (crash_reader) space.crash(4);
+  std::atomic<bool> done{false};
+  bool completed = false;
+  std::jthread reader([&] {
+    ThisProcess::Binder bind(4);
+    try {
+      completed = reg.read() == 7;
+    } catch (const registers::OpTimeout&) {
+    }
+    done = true;
+  });
+  while (!done) {
+    for (int pid = 1; pid <= 3; ++pid) {
+      ThisProcess::Binder bind(pid);
+      Message m;
+      m.to = 4;
+      m.tag = obs::MsgTag::kState;
+      m.sn = 1;
+      m.payload = Payload::of(StateReply{{5, Payload::of(7)}});
+      space.network().send(m);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  reader.join();
+  space.network().set_fault_injector(nullptr);
+  return completed;
+}
+
+// Replies are applied to the addressee's client on the sending thread,
+// behind the space's crash check: the forged STATEs complete p4's read,
+// but while p4 is crashed they are dropped and the read times out.
+TEST(EmulatedCrash, RepliesToACrashedProcessAreDropped) {
+  EXPECT_TRUE(forged_states_complete_read(/*crash_reader=*/false));
+  EXPECT_FALSE(forged_states_complete_read(/*crash_reader=*/true));
+}
+
 class DropAcks : public FaultInjector {
  public:
   FaultDecision on_deliver(const Message& m) override {

@@ -206,9 +206,9 @@ TEST(ObsHistogram, BucketBoundsContainValue) {
 }
 
 // Percentile reconstruction against util::Samples' exact percentiles: the
-// geometric-midpoint estimate must stay within one bucket's relative width
-// (2^(1/8) ~ 9%) of the exact value, across a latency-like log-spread
-// sample.
+// geometric-midpoint estimate must stay within half a bucket's relative
+// width (sqrt(1 + 1/kSub) - 1 ~ 1.6%) of the exact value, across a
+// latency-like log-spread sample.
 TEST(ObsHistogram, PercentilesTrackExactSamples) {
   LogHistogram hist;
   util::Samples exact;
@@ -227,7 +227,7 @@ TEST(ObsHistogram, PercentilesTrackExactSamples) {
   for (double p : {50.0, 99.0, 99.9}) {
     const double got = hist.quantile(p);
     const double want = exact.percentile(p);
-    EXPECT_NEAR(got / want, 1.0, 0.10)
+    EXPECT_NEAR(got / want, 1.0, 0.02)
         << "p" << p << ": hist " << got << " vs exact " << want;
   }
   hist.reset();

@@ -19,6 +19,11 @@ the relative ratio meaningless) skips that metric with a warning instead
 of printing an infinite ratio. --self-test runs the built-in unit checks
 (wired into CTest as bench_compare_selftest).
 
+Hardware: each dump states where it was measured in a "meta" object
+(nproc, build_type; bench/baseline.hpp). Both sides' meta is printed, and
+a warning says when they differ, since the numbers then compare machines or
+builds as much as code. Dumps without meta (older baselines) still load.
+
 Stale baselines: when BASELINE is a committed bench/baselines/BENCH_<name>.json
 whose last commit is older than the last commit touching
 bench/bench_<name>.cpp, a warning says the baseline predates its bench and
@@ -61,6 +66,34 @@ def load_metrics(path: str) -> dict:
             continue
         out[key] = fv
     return out
+
+
+def load_meta(path: str) -> dict:
+    """The dump's "meta" object, or {} when it has none."""
+    with open(path) as f:
+        meta = json.load(f).get("meta")
+    return meta if isinstance(meta, dict) else {}
+
+
+def describe_meta(meta: dict) -> str:
+    if not meta:
+        return "none recorded"
+    return " ".join(f"{key}={meta[key]}" for key in sorted(meta))
+
+
+def meta_warning(base: dict, cur: dict):
+    """The warning for dumps measured on different hardware or builds, or
+    None (also when either side records no meta)."""
+    if not base or not cur:
+        return None
+    differ = [key for key in sorted(set(base) | set(cur))
+              if base.get(key) != cur.get(key)]
+    if not differ:
+        return None
+    return ("bench_compare: WARNING: the dumps differ in " +
+            ", ".join(f"{key} ({base.get(key)} vs {cur.get(key)})"
+                      for key in differ) +
+            "; the comparison is not like for like")
 
 
 def last_commit_time(path: str):
@@ -115,6 +148,12 @@ def main(argv=None) -> int:
     stale = baseline_staleness(args.baseline)
     if stale:
         print(stale)
+    base_meta, cur_meta = load_meta(args.baseline), load_meta(args.current)
+    print(f"bench_compare: baseline meta: {describe_meta(base_meta)}")
+    print(f"bench_compare: current meta:  {describe_meta(cur_meta)}")
+    mismatch = meta_warning(base_meta, cur_meta)
+    if mismatch:
+        print(mismatch)
     base = load_metrics(args.baseline)
     cur = load_metrics(args.current)
     shared = sorted(set(base) & set(cur))
@@ -168,10 +207,13 @@ def run_self_test() -> int:
             failures.append(name)
 
     with tempfile.TemporaryDirectory() as td:
-        def dump(name: str, metrics: dict) -> str:
+        def dump(name: str, metrics: dict, meta=None) -> str:
             path = os.path.join(td, name)
+            doc = {"bench": "selftest", "metrics": metrics}
+            if meta is not None:
+                doc["meta"] = meta
             with open(path, "w") as f:
-                json.dump({"bench": "selftest", "metrics": metrics}, f)
+                json.dump(doc, f)
             return path
 
         base = dump("base.json", {"a_us": 100.0, "zero_us": 0.0,
@@ -217,6 +259,29 @@ def run_self_test() -> int:
               stale_warning("read", 200, 100) is None)
         check("baseline and source from one commit is quiet",
               stale_warning("read", 150, 150) is None)
+        release4 = {"nproc": 4, "build_type": "Release"}
+        check("equal meta is quiet",
+              meta_warning(release4, dict(release4)) is None)
+        check("a different nproc warns and names it",
+              "nproc (4 vs 2)" in (meta_warning(
+                  release4, {"nproc": 2, "build_type": "Release"}) or ""))
+        check("a different build type warns",
+              meta_warning(release4, {"nproc": 4, "build_type": "Debug"})
+              is not None)
+        check("a side without meta is quiet",
+              meta_warning({}, release4) is None and
+              meta_warning(release4, {}) is None)
+        check("a dump without meta loads with empty meta",
+              load_meta(base) == {} and describe_meta({}) == "none recorded")
+        meta4 = dump("meta4.json", {"a_us": 100.0}, release4)
+        meta2 = dump("meta2.json", {"a_us": 100.0},
+                     {"nproc": 2, "build_type": "Release"})
+        check("meta is read from a dump", load_meta(meta4) == release4)
+        check("differing meta warns but does not fail the comparison",
+              main([meta4, meta2]) == 0)
+        check("a dump with meta compares against one without",
+              main([base, meta4]) == 0)
+
         check("unknown commit time (no git history) is quiet",
               stale_warning("read", None, 200) is None and
               stale_warning("read", 100, None) is None)
