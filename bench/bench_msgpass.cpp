@@ -1,8 +1,9 @@
 // T9 — The closing corollary, measured: emulated SWMR registers over
 // Byzantine message passing (write/read latency, messages per op), the
-// full stack — a verifiable register running on those emulated registers,
-// across n and after a growing history of signed values, with the
-// network's queueing delay (T9b) — the per-write message cost at larger n
+// full stack — Verify and Sign of a verifiable register running on those
+// emulated registers, across n and after a growing history of signed
+// values, with the network's queueing delay (T9b) — the per-write message
+// cost at larger n
 // (T9c), the multi-register collect (T9d), and the async engine's
 // pipelined owner writes (T9e).
 #include <atomic>
@@ -60,17 +61,20 @@ Row emulated_register(int n, int f) {
   return row;
 }
 
-// T9b — Verify over the full stack: Algorithm 1 on emulated registers, one
-// Help() thread per process. p1 writes and signs `signed_values` values;
-// then p2 verifies the last one `samples` times (after 8 unsampled calls,
-// which also let the helpers adopt the whole history into their witness
-// sets). Messages are counted over the sampled calls only.
-struct VerifyRow {
-  util::Samples us;
+// T9b — Verify and Sign over the full stack: Algorithm 1 on emulated
+// registers, one Help() thread per process. p1 writes and signs
+// `signed_values` values; then p2 verifies the last one `samples` times
+// (after 8 unsampled calls, which also let the helpers adopt the whole
+// history into their witness sets), and p1 signs `samples` fresh values,
+// each written just before (the write is not timed). Messages are counted
+// over the sampled Verify calls only.
+struct StackRow {
+  util::Samples verify_us;
   double msgs_per_verify = 0;
+  util::Samples sign_us;
 };
 
-VerifyRow full_stack_verify(int n, int f, int signed_values, int samples) {
+StackRow full_stack(int n, int f, int signed_values, int samples) {
   msgpass::EmulatedSpace space({.n = n, .f = f});
   using Reg = core::VerifiableRegister<std::uint64_t, msgpass::EmulatedSpace>;
   Reg::Config cfg;
@@ -96,14 +100,23 @@ VerifyRow full_stack_verify(int n, int f, int signed_values, int samples) {
       reg.sign(v);
     }
   }
-  VerifyRow row;
+  StackRow row;
   {
     runtime::ThisProcess::Binder bind(2);
     for (int i = 0; i < 8; ++i) reg.verify(last);
     const auto before = space.quiesce();
-    row.us = bench::sample_latency(samples, [&] { reg.verify(last); }, 0);
+    row.verify_us =
+        bench::sample_latency(samples, [&] { reg.verify(last); }, 0);
     row.msgs_per_verify =
         static_cast<double>(space.quiesce() - before) / samples;
+  }
+  {
+    runtime::ThisProcess::Binder bind(1);
+    for (int i = 1; i <= samples; ++i) {
+      const std::uint64_t v = last + static_cast<std::uint64_t>(i);
+      reg.write(v);
+      row.sign_us.add(bench::time_us([&] { reg.sign(v); }));
+    }
   }
   stop = true;
   for (auto& t : helpers) t.request_stop();
@@ -208,9 +221,10 @@ int main(int argc, char** argv) {
   bench::heading(
       "T9b — full stack: verifiable register OVER emulated registers "
       "(Verify us: median and IQR of " +
-      std::to_string(kVerifySamples) + " calls on one signed value)");
+      std::to_string(kVerifySamples) + " calls on one signed value; Sign us: "
+      "median of as many Signs of fresh values)");
   util::Table stack({"n", "f", "signed values", "verify us", "IQR us",
-                     "msgs/verify"});
+                     "msgs/verify", "sign us"});
   obs::LogHistogram& queue = obs::MetricsRegistry::global().histogram(
       "net.queue_us");
   double queue_p50 = 0, queue_p99 = 0;  // over the n=4 row
@@ -219,14 +233,17 @@ int main(int argc, char** argv) {
     const int f = max_f(n);
     if (n == 4 && signed_values == 1)
       obs::MetricsRegistry::global().reset_histograms("net.");
-    const VerifyRow r = full_stack_verify(n, f, signed_values, kVerifySamples);
+    const StackRow r = full_stack(n, f, signed_values, kVerifySamples);
     stack.add_row({util::Table::num(n), util::Table::num(f),
                    util::Table::num(signed_values),
-                   util::Table::num(r.us.median()), util::Table::num(iqr(r.us)),
-                   util::Table::num(r.msgs_per_verify, 1)});
-    report.metric(key + ".verify_us", r.us.median());
-    report.metric(key + ".verify_iqr_us", iqr(r.us));
+                   util::Table::num(r.verify_us.median()),
+                   util::Table::num(iqr(r.verify_us)),
+                   util::Table::num(r.msgs_per_verify, 1),
+                   util::Table::num(r.sign_us.median())});
+    report.metric(key + ".verify_us", r.verify_us.median());
+    report.metric(key + ".verify_iqr_us", iqr(r.verify_us));
     report.metric(key + ".msgs_per_verify", r.msgs_per_verify);
+    report.metric(key + ".sign_us", r.sign_us.median());
     if (n == 4 && signed_values == 1) {
       queue_p50 = queue.p50();
       queue_p99 = queue.p99();
@@ -238,7 +255,7 @@ int main(int argc, char** argv) {
     verify_row(n, 1, "msgpass.fullstack.n" + std::to_string(n));
   // History sensitivity: the witness sets every helper round and every
   // answer carry hold all the values signed so far.
-  for (int values : {100, 1000})
+  for (int values : {100, 1000, 10000})
     verify_row(4, values,
                "msgpass.fullstack.n4.after" + std::to_string(values));
   stack.print();

@@ -17,7 +17,6 @@
 // design notes 1-5).
 #pragma once
 
-#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -41,8 +40,8 @@ class AuthenticatedRegister {
 
   using Value = V;
   using ValueSet = SharedSet<V>;  // witness sets (shared_set.hpp)
-  using Stamped = std::pair<SeqNo, V>;       // ⟨ℓ, v⟩
-  using StampedSet = std::set<Stamped>;      // contents of R_1
+  using Stamped = std::pair<SeqNo, V>;      // ⟨ℓ, v⟩
+  using StampedSet = SharedSet<Stamped>;    // contents of R_1, persistent too
   using HelpTuple = std::pair<ValueSet, RoundCounter>;  // ⟨r_j, c_j⟩
 
   // Free-mode fast paths; see core/detail/helping.hpp.
@@ -72,6 +71,8 @@ class AuthenticatedRegister {
     for (int i = 1; i <= n; ++i) help_.make_channels(i, {{}, 0});
     help_.make_rounds();  // C_k round counters
     verified_.resize(n + 1);
+    helper_r1_.resize(n + 1);
+    tally_.assign(n + 1, detail::WitnessTally<ValueSet>(n));
   }
 
   const Config& config() const { return cfg_; }
@@ -95,8 +96,9 @@ class AuthenticatedRegister {
     // L5: "if r is a set of tuples ⟨ℓ,v⟩" — with typed registers the only
     // malformed state a Byzantine writer can reach is the empty set.
     if (!r.empty()) {
-      // L6: select the pair maximal in the lexicographic order of fn. 8.
-      const Stamped& top = *std::max_element(r.begin(), r.end());
+      // L6: select the pair maximal in the lexicographic order of fn. 8,
+      // which is the set's own order.
+      const Stamped& top = r.back();
       if (verify(top.second)) return top.second;  // L7-8
     }
     return cfg_.v0;  // L9
@@ -152,11 +154,9 @@ class AuthenticatedRegister {
   bool help_round() {
     return help_.help_round([&](int j) {
       // L29-30: r1 = values the writer has written (stamps stripped),
-      // built once rather than by one copy-on-write insert per value.
-      const StampedSet r = writer_set_->read();
-      std::set<V> written;
-      for (const Stamped& sv : r) written.insert(sv.second);
-      const ValueSet r1(std::move(written));
+      // derived once per version of R_1.
+      const ValueSet r1 =
+          helper_r1_[static_cast<std::size_t>(j)].of(writer_set_->read());
       // For j = 1 the writer answers with the values of its own R_1
       // (Lemma 103, case j = 1).
       if (j == 1) return r1;  // L31
@@ -168,8 +168,8 @@ class AuthenticatedRegister {
       ri[1] = r1;
       // L33-34: become a witness of v if the writer wrote v, or f+1
       // processes (including possibly the writer) are witnesses of v.
-      detail::adopt_witnessed(*witness_[j], ri, j, cfg_.f,
-                              help_.literal_steps());
+      tally_[static_cast<std::size_t>(j)].adopt(*witness_[j], ri, j, cfg_.f,
+                                                help_.literal_steps());
       return witness_[j]->read();  // L35
     });
   }
@@ -186,6 +186,28 @@ class AuthenticatedRegister {
   }
 
  private:
+  // The values of R_1 with the stamps stripped, derived once per version of
+  // R_1 for one helper: a version that extends the last one adds its delta;
+  // any other (a Byzantine writer's rewrite) is derived afresh, as a new
+  // lineage.
+  struct Written {
+    StampedSet from;
+    ValueSet values;
+
+    const ValueSet& of(const StampedSet& r1) {
+      if (r1.shares_storage_with(from)) return values;
+      if (!r1.for_each_added_since(from, [&](const Stamped& sv) {
+            values.insert(sv.second);
+          })) {
+        std::set<V> all;
+        for (const Stamped& sv : r1) all.insert(sv.second);
+        values = ValueSet(all);
+      }
+      from = r1;
+      return values;
+    }
+  };
+
   // True iff >= n−f registers currently attest v, counting the writer's
   // R_1 (values of its stamped set) as slot 1.
   bool witness_scan(const V& v) {
@@ -213,6 +235,11 @@ class AuthenticatedRegister {
 
   // Per-process positive-verify memo (free mode only; see verify()).
   std::vector<std::set<V>> verified_;
+
+  // Per-process r1 derivation and delta adoption state of L33-34 (touched
+  // only by that process's helper thread).
+  std::vector<Written> helper_r1_;
+  std::vector<detail::WitnessTally<ValueSet>> tally_;
 };
 
 }  // namespace swsig::core

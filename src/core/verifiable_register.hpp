@@ -43,8 +43,8 @@ class VerifiableRegister {
   using SwmrT = typename SpaceT::template SwmrFor<T>;
 
   using Value = V;
-  // Register-held witness sets share storage across copies (shared_set.hpp),
-  // so a read costs no history-sized copy.
+  // Register-held witness sets are persistent (shared_set.hpp): a read and
+  // an insert cost no history-sized copy.
   using ValueSet = SharedSet<V>;
   // ⟨r_j, c_j⟩ tuple stored in the helping channels R_jk.
   using HelpTuple = std::pair<ValueSet, RoundCounter>;
@@ -66,6 +66,7 @@ class VerifiableRegister {
     const int n = cfg_.n;
     witness_.resize(n + 1, nullptr);
     verified_.resize(n + 1);
+    tally_.assign(n + 1, detail::WitnessTally<ValueSet>(n));
     for (int i = 1; i <= n; ++i) {
       witness_[i] = &space.template make_swmr<ValueSet>(i, {}, "R" + std::to_string(i));
       help_.make_channels(i, {{}, 0});  // R_ij
@@ -170,8 +171,8 @@ class VerifiableRegister {
       const std::vector<ValueSet> r = help_.read_all(witness_);
       // L31-32: become a witness of v if the writer signed v (v ∈ r1) or
       // at least f+1 processes are already witnesses of v.
-      detail::adopt_witnessed(*witness_[j], r, j, cfg_.f,
-                              help_.literal_steps());
+      tally_[static_cast<std::size_t>(j)].adopt(*witness_[j], r, j, cfg_.f,
+                                                help_.literal_steps());
       return witness_[j]->read();  // L33: r_j <- R_j
     });
   }
@@ -216,6 +217,10 @@ class VerifiableRegister {
   // operation thread; free mode only). Sound because Verify(v)=true is
   // permanent — see verify().
   std::vector<std::set<V>> verified_;
+
+  // Per-process delta adoption state of L31-32 (touched only by that
+  // process's helper thread).
+  std::vector<detail::WitnessTally<ValueSet>> tally_;
 };
 
 }  // namespace swsig::core

@@ -180,7 +180,7 @@ class AtomicSnapshot {
         // (the owner knows its own writes; v0 if none).
         const auto r = reg.raw().writer_set->read();
         if (r.empty()) return reg.config().v0;
-        return std::max_element(r.begin(), r.end())->second;
+        return r.back().second;
       }
       return reg.read();
     }
