@@ -16,11 +16,17 @@
 // which bench_compare.py treats as higher-is-better.
 //
 // Every dump also states where it was measured: a "meta" object with the
-// machine's hardware thread count (nproc) and the build type, which the
-// build passes in as SWSIG_BUILD_TYPE. bench_compare.py prints both sides'
-// meta and warns when they differ.
+// machine's hardware thread count (nproc), the build type, which the build
+// passes in as SWSIG_BUILD_TYPE, and steal_frac, the share of the
+// machine's CPU time the hypervisor stole between the Reporter's
+// construction and the dump (from /proc/stat; absent where that file is
+// not). bench_compare.py prints both sides' meta, warns when nproc or the
+// build type differ, and warns when either side's steal is above 5%: a
+// neighbour's load then moves the numbers as much as the code does.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -35,9 +41,26 @@
 
 namespace swsig::bench {
 
+// The machine's CPU time so far, in /proc/stat ticks: {steal, total}, or
+// {0, 0} when the file cannot be read.
+inline std::array<std::uint64_t, 2> cpu_ticks() {
+  std::ifstream in("/proc/stat");
+  std::string cpu;
+  std::uint64_t field = 0, total = 0, steal = 0;
+  in >> cpu;  // "cpu": the all-CPU line comes first
+  // user nice system idle iowait irq softirq steal (guest time is already
+  // counted in user and nice).
+  for (int i = 0; i < 8 && in >> field; ++i) {
+    total += field;
+    if (i == 7) steal = field;
+  }
+  return {steal, total};
+}
+
 class Reporter {
  public:
-  Reporter(int argc, char** argv, std::string name) : name_(std::move(name)) {
+  Reporter(int argc, char** argv, std::string name)
+      : name_(std::move(name)), ticks0_(cpu_ticks()) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--json") {
@@ -71,7 +94,13 @@ class Reporter {
     }
     out << "{\n  \"bench\": \"" << name_ << "\",\n  \"meta\": {\"nproc\": "
         << std::thread::hardware_concurrency() << ", \"build_type\": \""
-        << SWSIG_BUILD_TYPE << "\"},\n  \"metrics\": {";
+        << SWSIG_BUILD_TYPE << "\"";
+    const auto ticks = cpu_ticks();
+    if (ticks[1] > ticks0_[1])
+      out << ", \"steal_frac\": "
+          << fmt(static_cast<double>(ticks[0] - ticks0_[0]) /
+                 static_cast<double>(ticks[1] - ticks0_[1]));
+    out << "},\n  \"metrics\": {";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       out << (i == 0 ? "\n" : ",\n");
       out << "    \"" << metrics_[i].first << "\": " << fmt(metrics_[i].second);
@@ -95,6 +124,7 @@ class Reporter {
   }
 
   std::string name_;
+  std::array<std::uint64_t, 2> ticks0_;  // cpu_ticks() at construction
   std::string path_;
   bool enabled_ = false;
   bool written_ = false;

@@ -95,19 +95,16 @@ class StickyReliableBroadcast final : public ReliableBroadcast {
 
   bool help_round() override {
     const int self = runtime::ThisProcess::id();
-    // Version-gated wakeup (free mode): every event that can create helping
-    // work (a broadcast, an echo, a reader's round bump) is a register
-    // write in this space, so an unchanged space-wide write epoch since our
-    // last completed round means all n × max_broadcasts slot rounds would
-    // be no-ops — skip them.
-    const bool gate = space_->free_mode();
-    std::uint64_t epoch = 0;
-    if (gate && !epoch_gate_.changed(*space_, self, epoch)) return false;
+    // Epoch gate (free mode): every event that can create helping work (a
+    // broadcast, an echo, a reader's round bump) is a register write in
+    // this space, so an unchanged space-wide write epoch since our last
+    // round means all n × max_broadcasts slot rounds would be no-ops —
+    // skip them.
+    if (!epoch_gate_.changed(*space_, self)) return false;
     bool any = false;
     for (int sender = 1; sender <= cfg_.n; ++sender)
       for (auto& s : slots_[static_cast<std::size_t>(sender)])
         any |= s->help(self);
-    if (gate) epoch_gate_.record(self, epoch);
     return any;
   }
 
@@ -284,9 +281,7 @@ class SignedReliableBroadcast final : public ReliableBroadcast {
     const int self = runtime::ThisProcess::id();
     // Same space-epoch skip as the sticky backend: a new publishable record
     // always arrives as a register write.
-    const bool gate = space_->free_mode();
-    std::uint64_t epoch = 0;
-    if (gate && !epoch_gate_.changed(*space_, self, epoch)) return false;
+    if (!epoch_gate_.changed(*space_, self)) return false;
     bool progress = false;
     for (int sender = 1; sender <= cfg_.n; ++sender) {
       for (int seq = 0; seq < cfg_.max_broadcasts; ++seq) {
@@ -305,7 +300,6 @@ class SignedReliableBroadcast final : public ReliableBroadcast {
         progress = true;
       }
     }
-    if (gate) epoch_gate_.record(self, epoch);
     return progress;
   }
 

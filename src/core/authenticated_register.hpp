@@ -44,9 +44,8 @@ class AuthenticatedRegister {
   using StampedSet = SharedSet<Stamped>;    // contents of R_1, persistent too
   using HelpTuple = std::pair<ValueSet, RoundCounter>;  // ⟨r_j, c_j⟩
 
-  // Free-mode fast paths; see core/detail/helping.hpp.
+  // The helping protocol and its wait paths (core/detail/helping.hpp).
   using Help = detail::Helping<HelpTuple, SpaceT>;
-  static constexpr bool kVersionGate = Help::kVersionGate;
 
   struct Config {
     int n = 4;
@@ -108,12 +107,12 @@ class AuthenticatedRegister {
   // over R_1 and the readers' witness sets.
   bool verify(const V& v) {
     const int k = help_.require_reader("Verify");
-    // Free-mode fast paths — same soundness arguments as
+    // Shortcuts (Helping::shortcuts()) — same soundness arguments as
     // VerifiableRegister::verify: positive Verify verdicts are permanent
     // (cacheable per process), and >= n−f attesting registers — counting
     // the writer's R_1 as slot 1, exactly as L33 does — imply >= f+1
     // honest attesters, which is the evidence standard of L22.
-    const bool fast = help_.fast_path();
+    const bool fast = help_.shortcuts();
     auto& seen = verified_[static_cast<std::size_t>(k)];
     if (fast && seen.contains(v)) return true;
     if (fast && witness_scan(v)) {
@@ -169,7 +168,7 @@ class AuthenticatedRegister {
       // L33-34: become a witness of v if the writer wrote v, or f+1
       // processes (including possibly the writer) are witnesses of v.
       tally_[static_cast<std::size_t>(j)].adopt(*witness_[j], ri, j, cfg_.f,
-                                                help_.literal_steps());
+                                                help_.literal());
       return witness_[j]->read();  // L35
     });
   }
@@ -233,7 +232,7 @@ class AuthenticatedRegister {
 
   SeqNo seq_ = 0;  // ℓ — writer-local (p1's operation thread only)
 
-  // Per-process positive-verify memo (free mode only; see verify()).
+  // Per-process positive-verify memo (shortcuts only; see verify()).
   std::vector<std::set<V>> verified_;
 
   // Per-process r1 derivation and delta adoption state of L33-34 (touched

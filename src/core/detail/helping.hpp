@@ -11,28 +11,25 @@
 //   find askers      Alg. 1 L27-29, Alg. 2 L26-28, Alg. 3 L31-33
 //   answer, record   Alg. 1 L34-36, Alg. 2 L36-38, Alg. 3 L38-40
 //
-// Free-mode fast paths (docs/ARCHITECTURE.md, "The version / wakeup
-// protocol"): on substrates whose registers expose a monotone version()
-// (registers::Space, not msgpass) and in free mode, the collect loop caches
-// each channel's ⟨tuple, version⟩ and the helper skips a round whose input
-// versions are unchanged. Both are observationally equivalent to the
-// paper-literal loops (an unchanged version implies an unchanged value) but
-// skip metered reads, so deterministic mode never takes them: its step
-// sequence stays byte-identical (pinned by deterministic_schedule_test).
-//
-// On msgpass::EmulatedSpace, which has neither versions nor a free_mode(),
-// two other mechanisms take their place: each loop that reads one register
-// per pid is one multi-register collect (read_all; design note 18 argues
-// why the order inside the batch cannot matter), and the helper round and
-// the reader's next collect pass wait on the process's own replicas
-// (kDeliveryGate) instead of polling the network.
+// Every wait here has two paths (docs/ARCHITECTURE.md, "The wakeup gate").
+// The literal path re-reads every register each pass, the paper's loop:
+// deterministic runs take it, because their pinned traces fix the step
+// sequence (deterministic_schedule_test), and so does a space without the
+// gate, such as perfbench's TimedSpace. The gated path re-reads only what
+// the substrate's wakeup gate says may hold a write the caller has not
+// read, and a helper round runs only then. On shared memory that is exact
+// (an unchanged write counter implies an unchanged value); on msgpass a
+// skipped pass is only a delay. Each loop that reads one register per pid
+// is one read_all, a single collect where the substrate has one (design
+// note 18 argues why the order inside the batch cannot matter).
 #pragma once
 
-#include <algorithm>
+#include <chrono>
 #include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -45,26 +42,31 @@
 
 namespace swsig::core::detail {
 
-// version() of a register, or 0 on substrates without versions, which never
-// take the fast path.
-template <typename Reg>
-std::uint64_t version_of(const Reg& reg) {
-  if constexpr (requires {
-                  { reg.version() } -> std::convertible_to<std::uint64_t>;
-                })
-    return reg.version();
-  else
-    return 0;
-}
-
-// Substrates with a delivery gate (msgpass::EmulatedSpace): the calling
-// process can wait, boundedly, until its own replica of one of `watched`
-// holds a newer write than its last quorum read of that register returned.
+// The wakeup gate, a substrate concept: for registers it watches, tell the
+// caller whether one may hold a write the caller has not read since its
+// record `seen`, waiting up to `bound` for one. SpaceT::kGateBound is how
+// long a gated help round waits. registers::Space and
+// msgpass::EmulatedSpace implement it.
 template <typename SpaceT>
-concept HasDeliveryGate =
-    requires(SpaceT& s, const std::vector<typename SpaceT::Watched>& w) {
-      { s.await_replica_ahead(w) } -> std::convertible_to<bool>;
-    };
+concept WakeupGate = requires(SpaceT& s, typename SpaceT::Seen& seen,
+                              std::span<const typename SpaceT::Watched> w) {
+  { s.await_change(seen, w, SpaceT::kGateBound) } -> std::convertible_to<bool>;
+};
+
+// The gate's types, or stand-ins for a space without it (never used), and
+// whether it blocks (msgpass) or answers at once (shared memory).
+template <typename SpaceT>
+struct GateTypes {
+  struct Seen {};
+  using Watched = const void*;
+  static constexpr bool kWaits = false;
+};
+template <WakeupGate SpaceT>
+struct GateTypes<SpaceT> {
+  using Seen = typename SpaceT::Seen;
+  using Watched = typename SpaceT::Watched;
+  static constexpr bool kWaits = SpaceT::kGateBound.count() > 0;
+};
 
 // Reads every non-null register of `regs`; slot i of the result is regs[i]'s
 // value (T{} for a null slot). On a substrate with a multi-register collect
@@ -93,39 +95,6 @@ auto read_all(SpaceT& space, const std::vector<Reg*>& regs) {
   return out;
 }
 
-// Cache of the last ⟨value, version⟩ read from registers 1..n, for the fast
-// path only. Disabled (never consulted) when constructed with n = 0.
-template <typename Value>
-class VersionedCache {
- public:
-  explicit VersionedCache(int n)
-      : entries_(n > 0 ? static_cast<std::size_t>(n) + 1 : 0) {}
-
-  bool enabled() const { return !entries_.empty(); }
-
-  // Returns register j's current value, re-reading it only if its version
-  // moved since the cached read. The version is sampled *before* the read,
-  // so a write racing the read at worst marks the cached value stale one
-  // pass early — never hides a newer value forever.
-  template <typename Reg>
-  const Value& fetch(int j, Reg& reg) {
-    Entry& e = entries_[static_cast<std::size_t>(j)];
-    const std::uint64_t ver = version_of(reg);
-    if (e.version != ver) {
-      e.version = ver;
-      e.value = reg.read();
-    }
-    return e.value;
-  }
-
- private:
-  struct Entry {
-    Value value{};
-    std::optional<std::uint64_t> version;  // nullopt until the first read
-  };
-  std::vector<Entry> entries_;
-};
-
 // HelpTuple is the ⟨r_j, c_j⟩ pair an algorithm's channels carry.
 template <typename HelpTuple, typename SpaceT>
 class Helping {
@@ -136,17 +105,20 @@ class Helping {
   using SwsrT = typename SpaceT::template SwsrFor<T>;
   using Channels = std::vector<std::vector<SwsrT<HelpTuple>*>>;  // R_ij
   using Rounds = std::vector<SwmrT<RoundCounter>*>;              // C_k
+  // The gated path exists on a space with the wakeup gate.
+  static constexpr bool kGate = WakeupGate<SpaceT>;
+  static constexpr bool kGateWaits = GateTypes<SpaceT>::kWaits;
+  using Seen = typename GateTypes<SpaceT>::Seen;
+  using Watched = typename GateTypes<SpaceT>::Watched;
 
-  // The free-mode fast paths need per-register versions and a free_mode()
-  // flag from the substrate; compiled out for substrates without them.
-  static constexpr bool kVersionGate =
-      requires(SpaceT& s, SwsrT<HelpTuple>& c, SwmrT<RoundCounter>& r) {
-        { s.free_mode() } -> std::convertible_to<bool>;
-        { c.version() } -> std::convertible_to<std::uint64_t>;
-        { r.version() } -> std::convertible_to<std::uint64_t>;
-      };
-  // The msgpass counterpart: helpers and readers wait on local delivery.
-  static constexpr bool kDeliveryGate = HasDeliveryGate<SpaceT>;
+  // True on shared memory, the substrate with a free mode, whose reads are
+  // local loads: there Verify and Read may look at the witness registers
+  // directly (shortcuts()). Named for what it selected when per-register
+  // versions existed only there; perfbench asserts it equal on its traced
+  // and untraced spaces.
+  static constexpr bool kVersionGate = requires(SpaceT& s) {
+    { s.free_mode() } -> std::convertible_to<bool>;
+  };
 
   // Checks the algorithm's resilience precondition. Creates no register:
   // each algorithm calls make_channels() and make_rounds() where its paper
@@ -182,24 +154,19 @@ class Helping {
     return detail::read_all(*space_, regs);
   }
 
-  // True when the version-gated fast paths may be used: substrate supports
-  // them (kVersionGate) and the space runs free-mode real concurrency.
-  bool fast_path() const {
+  // True in deterministic runs, whose pinned traces fix the paper-literal
+  // step sequence: the literal loops, and one witness update per adopted
+  // value in Help(). Substrates without a free mode always run free.
+  bool literal() const {
     if constexpr (kVersionGate)
-      return space_->free_mode();
-    else
-      return false;
-  }
-
-  // True in deterministic (replayable) runs, whose pinned traces fix the
-  // paper-literal step sequence of Help(): one witness update per adopted
-  // value. Substrates without free_mode() always run free.
-  bool literal_steps() const {
-    if constexpr (requires(SpaceT& s) { s.free_mode(); })
       return !space_->free_mode();
     else
       return false;
   }
+
+  // True on shared memory in free mode (see kVersionGate): Verify's
+  // positive memo and the witness-quorum scans of Verify and Read.
+  bool shortcuts() const { return kVersionGate && !literal(); }
 
   void require_self(int pid, const char* op) const {
     if (runtime::ThisProcess::id() != pid)
@@ -217,20 +184,21 @@ class Helping {
   // ------------------------------------------------------------ reader side
 
   // The asking side of one reader operation (a Verify, or Algorithm 3's
-  // Read), bound to reader p_k. Keeps the operation's free-mode channel
-  // cache across its rounds: the wait loop re-reads only a channel whose
-  // version changed, which collapses the O(n)-reads-per-retry spin to
-  // O(changed). Deterministic mode keeps the paper-literal re-read loop.
+  // Read), bound to reader p_k. Keeps what it read of each channel across
+  // the operation's rounds: the gated path re-reads only a channel the
+  // gate says may have changed, which collapses the O(n)-reads-per-retry
+  // spin to O(changed).
   class Ask {
    public:
     Ask(Helping& h, int k)
-        : h_(&h), k_(k), cache_(h.fast_path() ? h.n_ : 0) {}
+        : h_(&h), k_(k), seen_(h.n_ + 1), cache_(h.n_ + 1) {}
 
     // One round: ask, then collect until some p_j with !skip(j) answered
     // this round, and return ⟨j, its tuple⟩. The smallest such pid of a
-    // pass is taken (the paper allows any). Between passes in free mode,
-    // `scan()` may end the wait: it returns true when the caller's witness
-    // quorum completed meanwhile, and then round() returns nullopt.
+    // pass is taken (the paper allows any). Between passes, with
+    // shortcuts(), `scan()` may end the wait: it returns true when the
+    // caller's witness quorum completed meanwhile, and then round()
+    // returns nullopt.
     template <typename Skip, typename Scan>
     std::optional<std::pair<int, HelpTuple>> round(Skip&& skip, Scan&& scan) {
       // Alg. 1 L13 / 2 L12 / 3 L9: C_k <- C_k + 1 (single owner step; see
@@ -238,56 +206,90 @@ class Helping {
       const RoundCounter ck =
           h_->round_[k_]->update([](RoundCounter& c) { ++c; });
       // Alg. 1 L14-17 / 2 L13-16 / 3 L10-14: repeat reading R_jk of every
-      // p_j not yet counted until some such p_j has c_j >= C_k.
-      // The channels this pass reads (null for a p_j skipped).
-      std::vector<SwsrT<HelpTuple>*> column(
-          static_cast<std::size_t>(h_->n_) + 1);
+      // p_j not yet counted (fixed for the round) until some such p_j has
+      // c_j >= C_k. A pass reads the column.
+      const auto n = static_cast<std::size_t>(h_->n_) + 1;
+      std::vector<SwsrT<HelpTuple>*> counted(n), column(n);
+      for (std::size_t j = 1; j < n; ++j)
+        if (!skip(static_cast<int>(j))) counted[j] = h_->channel_[j][k_];
+      std::vector<Watched> watched;  // what the wait between passes watches
+      if constexpr (kGateWaits) watched = watch(counted);
       for (;;) {
-        std::fill(column.begin(), column.end(), nullptr);
-        for (int j = 1; j <= h_->n_; ++j) {
-          if (skip(j)) continue;
-          auto& channel = *h_->channel_[j][k_];
-          if (cache_.enabled()) {
-            const HelpTuple& t = cache_.fetch(j, channel);
-            if (t.second >= ck) return std::pair{j, t};
-            continue;
-          }
-          column[static_cast<std::size_t>(j)] = &channel;
-        }
-        if (!cache_.enabled()) {
-          // Alg. 1 L16 / 2 L15 / 3 L13, one collect over the column.
-          std::vector<HelpTuple> t = h_->read_all(column);
-          // Alg. 1 L17 / 2 L16 / 3 L14 (∃ p_j: c_j >= C_k)
-          for (int j = 1; j <= h_->n_; ++j)
-            if (column[static_cast<std::size_t>(j)] != nullptr &&
-                t[static_cast<std::size_t>(j)].second >= ck)
-              return std::pair{j, std::move(t[static_cast<std::size_t>(j)])};
-        }
-        // The witness quorum may complete while we wait on helpers (the
-        // cache is enabled exactly on the fast path).
-        if (cache_.enabled() && scan()) return std::nullopt;
-        if constexpr (kDeliveryGate) {
-          // Next pass once an answer has reached our own replica of some
-          // channel still counted: until then a pass would re-read what
-          // the last one returned.
-          std::vector<typename SpaceT::Watched> watched;
-          for (auto* c : column)
-            if (c != nullptr) watched.push_back(c);
-          while (!h_->space_->await_replica_ahead(watched)) {
-          }
-        } else {
-          std::this_thread::yield();  // free-mode politeness
-        }
+        for (std::size_t j = 1; j < n; ++j)
+          column[j] =
+              counted[j] && reread(j, *counted[j]) ? counted[j] : nullptr;
+        // Alg. 1 L16 / 2 L15 / 3 L13, one collect over the column.
+        std::vector<HelpTuple> t = h_->read_all(column);
+        for (std::size_t j = 1; j < n; ++j)
+          if (column[j] != nullptr) cache_[j] = std::move(t[j]);
+        // Alg. 1 L17 / 2 L16 / 3 L14 (∃ p_j: c_j >= C_k)
+        for (std::size_t j = 1; j < n; ++j)
+          if (counted[j] != nullptr && cache_[j]->second >= ck)
+            return std::pair{static_cast<int>(j), *cache_[j]};
+        // The witness quorum may complete while we wait on helpers.
+        if (h_->shortcuts() && scan()) return std::nullopt;
+        // Between passes. The next pass's reread() checks decide what it
+        // reads; a gate that waits (msgpass) first waits for a counted
+        // channel to move.
+        if constexpr (kGateWaits)
+          h_->await_change(wait_seen_, watched);
+        else
+          std::this_thread::yield();
       }
     }
 
    private:
+    // Whether this pass reads p_j's channel c: always on the literal
+    // path; on the gated path when it was never read or may have changed.
+    bool reread(std::size_t j, SwsrT<HelpTuple>& c) {
+      if constexpr (kGate) {
+        if (!h_->literal()) {
+          const Watched w = &c;
+          return h_->space_->await_change(seen_[j], std::span(&w, 1),
+                                          std::chrono::milliseconds(0)) ||
+                 !cache_[j];
+        }
+      }
+      return true;
+    }
+
     Helping* h_;
     int k_;
-    VersionedCache<HelpTuple> cache_;
+    std::vector<Seen> seen_;  // per channel, the gate's record
+    Seen wait_seen_;          // between passes, over the counted channels
+    std::vector<std::optional<HelpTuple>> cache_;  // last read, per channel
   };
 
   Ask ask(int k) { return Ask(*this, k); }
+
+  // The non-null registers of `regs`, as the gate watches them (once a wait).
+  template <typename Reg>
+  static std::vector<Watched> watch(const std::vector<Reg*>& regs) {
+    std::vector<Watched> w;
+    for (Reg* r : regs)
+      if (r != nullptr) w.push_back(r);
+    return w;
+  }
+
+  // Between two passes of a wait loop over `watched`: true when the next
+  // pass should re-read them. The literal path always does, after a yield.
+  // The gated path asks the substrate's gate. A gate that never waits
+  // (shared memory) answers exactly, so its false skips the pass; one that
+  // waits up to kGateBound (msgpass) keeps its record per process, and
+  // another thread of the process may have read the change first, so a
+  // lapsed bound re-reads rather than waits again.
+  bool await_change(Seen& seen, std::span<const Watched> watched) {
+    if constexpr (kGate) {
+      if (!literal()) {
+        if (space_->await_change(seen, watched, SpaceT::kGateBound))
+          return true;
+        std::this_thread::yield();
+        return kGateWaits;
+      }
+    }
+    std::this_thread::yield();
+    return true;
+  }
 
   // ------------------------------------------------------------ helper side
 
@@ -316,42 +318,30 @@ class Helping {
       throw std::logic_error("Help requires a thread bound to p1..pn");
     HelpState& hs = help_state_[static_cast<std::size_t>(j)];
 
-    // Version-gated wakeup (free mode): if the sum of the input versions is
-    // unchanged since our last completed round, re-running the round would
-    // repeat the identical reads and decisions — for Algorithms 1-2, L28's
-    // asker set is empty — so skip it without a single metered read. The
-    // aggregate is sampled before the reads below, so a register written
-    // mid-round is picked up on the next call; our own writes bump it,
-    // which costs at most one extra (idle) round before the state quiesces.
-    const bool gate = fast_path();
-    std::uint64_t agg = 0;
-    if (gate) {
-      if (!hs.settled) {
-        std::uint64_t in = 0;
-        if (inputs(j, [&](auto& reg) { in += version_of(reg); }))
-          agg += in;
-        else {
-          hs.settled = true;
-          hs.round_agg.reset();  // aggregate composition changed
+    // The gated path runs a round only once one of its inputs — the round
+    // counters, and what inputs() names — may hold a write this helper has
+    // not read; otherwise it returns false, at once on shared memory (the
+    // round would repeat the last one's reads and decisions: for
+    // Algorithms 1-2, L28's asker set is empty) and after kGateBound on
+    // msgpass. The gate records what it saw before the round's reads, so a
+    // write landing mid-round wakes the next call; our own writes cost at
+    // most one extra idle round. The watch list is built once and cut to
+    // the round counters when inputs() settles: helper states sit side by
+    // side, so the steady state writes none of them.
+    if constexpr (kGate) {
+      if (!literal()) {
+        const auto rounds = static_cast<std::size_t>(n_ - 1);
+        if (hs.watched.empty()) {
+          hs.watched.assign(round_.begin() + 2, round_.end());
+          if (!inputs(j, [&](auto& reg) { hs.watched.push_back(&reg); }))
+            hs.watched.erase(hs.watched.begin() + rounds, hs.watched.end());
+        } else if (hs.watched.size() > rounds &&
+                   !inputs(j, [](auto&) {})) {
+          hs.watched.erase(hs.watched.begin() + rounds, hs.watched.end());
         }
+        if (!space_->await_change(hs.seen, hs.watched, SpaceT::kGateBound))
+          return false;
       }
-      for (int k = 2; k <= n_; ++k) agg += round_version(k);
-      if (hs.round_agg == agg) return false;
-    }
-    // Delivery gate (msgpass): the same inputs, watched through this
-    // process's own replicas. A round runs once one of them holds a newer
-    // write than our last quorum read of it returned; after the gate's
-    // bound with none, the round is skipped — only a delay, because the
-    // write reaches our replica eventually (Bracha totality) and a later
-    // read then returns it (docs/ARCHITECTURE.md, "The version / wakeup
-    // protocol").
-    if constexpr (kDeliveryGate) {
-      std::vector<typename SpaceT::Watched> watched(round_.begin() + 2,
-                                                    round_.end());
-      if (!hs.settled &&
-          !inputs(j, [&](auto& reg) { watched.push_back(&reg); }))
-        hs.settled = true;
-      if (!space_->await_replica_ahead(watched)) return false;
     }
 
     unasked(j);
@@ -373,19 +363,15 @@ class Helping {
         hs.prev_ck[k] = c;               // Alg. 1 L36 / 2 L38 / 3 L40
       }
     }
-    if (gate) hs.round_agg = agg;
     return !askers.empty();
   }
 
  private:
   struct HelpState {
     std::map<int, RoundCounter> prev_ck;  // Alg. 1 L25 / 2 L24 / 3 L23
-    // Aggregate input version at the last completed help round.
-    std::optional<std::uint64_t> round_agg;
-    bool settled = false;  // inputs() returned false: watch C_k only
+    Seen seen;                     // the gate's record of them
+    std::vector<Watched> watched;  // the inputs: C_k, then inputs()'s
   };
-
-  std::uint64_t round_version(int k) const { return version_of(*round_[k]); }
 
   SpaceT* space_;
   int n_;

@@ -23,7 +23,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -45,9 +44,8 @@ class StickyRegister {
   using Slot = std::optional<V>;  // ⊥ is std::nullopt
   using HelpTuple = std::pair<Slot, RoundCounter>;  // ⟨u_j, c_j⟩
 
-  // Free-mode fast paths; see core/detail/helping.hpp.
+  // The helping protocol and its wait paths (core/detail/helping.hpp).
   using Help = detail::Helping<HelpTuple, SpaceT>;
-  static constexpr bool kVersionGate = Help::kVersionGate;
 
   struct Config {
     int n = 4;
@@ -81,18 +79,17 @@ class StickyRegister {
     help_.require_self(1, "Write");
     if (echo_[1]->read().has_value()) return;  // L1: already wrote once
     echo_[1]->write(Slot{v});                  // L2: E1 <- v
-    // Free mode: re-read only witness slots whose version moved while
-    // awaiting the quorum (observationally equivalent, fewer metered reads).
-    detail::VersionedCache<Slot> cache(help_.fast_path() ? cfg_.n : 0);
-    for (;;) {                                 // L3-5: await n−f witnesses
+    // L3-5: await n−f witnesses. The gated path re-reads once a witness
+    // slot may have changed (Helping::await_change).
+    typename Help::Seen seen;
+    const auto watched = Help::watch(witness_);
+    for (;;) {
       int count = 0;
-      for (int i = 1; i <= cfg_.n; ++i) {
-        const Slot ri = cache.enabled() ? cache.fetch(i, *witness_[i])
-                                        : witness_[i]->read();  // L4
+      for (const Slot& ri : help_.read_all(witness_))  // L4
         if (ri.has_value() && *ri == v) ++count;
-      }
       if (count >= cfg_.n - cfg_.f) return;    // L5-6
-      std::this_thread::yield();
+      while (!help_.await_change(seen, watched)) {
+      }
     }
   }
 
@@ -102,24 +99,24 @@ class StickyRegister {
   // unique written value, or std::nullopt for ⊥.
   Slot read() {
     const int k = help_.require_reader("Read");
-    // Free-mode fast path: scan the witness registers directly. If some v
-    // holds >= n−f witness slots, return it without entering the round
-    // protocol (no counter bump, no helper wakeup). Sound because at most
-    // one value can ever reach n−f witness slots: two such quorums
-    // intersect in >= n−2f >= f+1 processes, hence in an honest process,
-    // and honest witness slots are write-once — so a second value's quorum
-    // is impossible at any time. The value returned satisfies exactly the
-    // L20-21 return condition (n−f distinct processes witnessing v), read
-    // from the same registers the helpers would have relayed. ⊥ results
-    // MUST still use the full protocol: concluding "no write" requires
-    // f+1 distinct processes asserting ⊥ *after* the read began (L22),
-    // which only the round counter provides.
-    if (help_.fast_path()) {
+    // Shortcut (Helping::shortcuts()): scan the witness registers
+    // directly. If some v holds >= n−f witness slots, return it without
+    // entering the round protocol (no counter bump, no helper wakeup).
+    // Sound because at most one value can ever reach n−f witness slots:
+    // two such quorums intersect in >= n−2f >= f+1 processes, hence in an
+    // honest process, and honest witness slots are write-once — so a
+    // second value's quorum is impossible at any time. The value returned
+    // satisfies exactly the L20-21 return condition (n−f distinct
+    // processes witnessing v), read from the same registers the helpers
+    // would have relayed. ⊥ results MUST still use the full protocol:
+    // concluding "no write" requires f+1 distinct processes asserting ⊥
+    // *after* the read began (L22), which only the round counter provides.
+    if (help_.shortcuts()) {
       if (Slot v = witness_scan(); v.has_value()) return v;
     }
     std::set<int> set_bot;       // set⊥  — L7
     std::map<int, V> setval;     // setval as pj -> value
-    Slot found;                  // free-mode quorum scan result
+    Slot found;                  // witness quorum scan result
     auto ask = help_.ask(k);
     for (;;) {                   // L8
       // L9-14: ask, then wait for an answer from some p_j in S, the
@@ -155,15 +152,14 @@ class StickyRegister {
   // One iteration of the while-loop body of Help() — L24-40; the asker
   // detection and answers (L31-33, L38-40) are the shared helping protocol.
   //
-  // Wakeup gates (the free-mode version gate, and the delivery gate over
-  // msgpass). Unlike Algorithms 1-2, the sticky helper does echo/witness
-  // work (L25-30) even without askers, so the gate also watches every echo
-  // and witness slot. Once this helper has both echoed and witnessed,
-  // L25-30 and L34-36 are permanent no-ops (its slots are write-once and
-  // already set), so the only inputs that can still demand work are the
-  // round counters — the watch shrinks from 3n−1 registers to n−1. The
-  // helper keeps serving askers forever; settling only prunes the wakeup
-  // scan.
+  // The wakeup gate. Unlike Algorithms 1-2, the sticky helper does
+  // echo/witness work (L25-30) even without askers, so the gate also
+  // watches every echo and witness slot. Once this helper has both echoed
+  // and witnessed, L25-30 and L34-36 are permanent no-ops (its slots are
+  // write-once and already set), so the only inputs that can still demand
+  // work are the round counters — the watch shrinks from 3n−1 registers
+  // to n−1. The helper keeps serving askers forever; settling only prunes
+  // the wakeup scan.
   bool help_round() {
     return help_.help_round(
         [&](int j) {
@@ -236,7 +232,7 @@ class StickyRegister {
     }
   }
 
-  // Free-mode quorum scan over the witness registers; Slot{v} iff some v
+  // Quorum scan over the witness registers (shortcut); Slot{v} iff some v
   // holds >= n−f slots right now (see read() for the soundness argument).
   Slot witness_scan() {
     std::map<V, int> tally;

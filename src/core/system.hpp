@@ -102,7 +102,7 @@ class FreeSystem {
           } else if (backoff) {
             ++idle_streak;
             if (idle_streak > 64) {
-              // Version-gated wakeup: park until some register in the
+              // Park on the write epoch until some register in the
               // space is written (writers notify) instead of busy-polling.
               // The timeout bounds stop-request latency.
               space_.wait_write_epoch(epoch,

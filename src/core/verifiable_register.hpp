@@ -49,8 +49,7 @@ class VerifiableRegister {
   // ⟨r_j, c_j⟩ tuple stored in the helping channels R_jk.
   using HelpTuple = std::pair<ValueSet, RoundCounter>;
 
-  // Free-mode fast paths (version-gated helper wakeup, cached channel
-  // collection); see core/detail/helping.hpp.
+  // The helping protocol and its wait paths (core/detail/helping.hpp).
   using Help = detail::Helping<HelpTuple, SpaceT>;
   static constexpr bool kVersionGate = Help::kVersionGate;
 
@@ -109,8 +108,8 @@ class VerifiableRegister {
   // correct processes (Theorem 43).
   bool verify(const V& v) {
     const int k = help_.require_reader("Verify");
-    // Free-mode fast paths (gated off in deterministic mode — the pinned
-    // traces pin the paper-literal step sequence):
+    // Shortcuts on shared memory in free mode (Helping::shortcuts();
+    // deterministic runs pin the paper-literal step sequence):
     //  * per-process verified cache: Verify(v)=true means a successful
     //    Sign(v) happened before, which is permanent — a later Verify(v)
     //    by the same process may return true without re-running the
@@ -123,7 +122,7 @@ class VerifiableRegister {
     //    Sign(v) happened. This is the same attestation condition L23
     //    certifies, read from the registers the helpers would relay. The
     //    scan also runs while the round waits on helpers.
-    const bool fast = help_.fast_path();
+    const bool fast = help_.shortcuts();
     auto& seen = verified_[static_cast<std::size_t>(k)];
     if (fast && seen.contains(v)) return true;
     if (fast && witness_scan(v)) {
@@ -172,7 +171,7 @@ class VerifiableRegister {
       // L31-32: become a witness of v if the writer signed v (v ∈ r1) or
       // at least f+1 processes are already witnesses of v.
       tally_[static_cast<std::size_t>(j)].adopt(*witness_[j], r, j, cfg_.f,
-                                                help_.literal_steps());
+                                                help_.literal());
       return witness_[j]->read();  // L33: r_j <- R_j
     });
   }
@@ -214,7 +213,7 @@ class VerifiableRegister {
   std::set<V> written_;  // r*
 
   // Per-process positive-verify memo (touched only by that process's
-  // operation thread; free mode only). Sound because Verify(v)=true is
+  // operation thread; shortcuts only). Sound because Verify(v)=true is
   // permanent — see verify().
   std::vector<std::set<V>> verified_;
 

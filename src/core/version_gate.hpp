@@ -1,58 +1,49 @@
-// Free-mode fast path shared by the composite objects above the register
-// algorithms: the space-wide write-epoch gate.
+// Free-mode skip shared by the composite objects above the register
+// algorithms (AtomicSnapshot, the ReliableBroadcast backends,
+// SignedStickyRegister), whose helping work can only arise from *some*
+// register write in their space: the space-wide write-epoch gate. The
+// register algorithms wait on the substrate's wakeup gate instead
+// (core/detail/helping.hpp); docs/ARCHITECTURE.md, "The wakeup gate", says
+// why these objects keep the epoch.
 //
-// In free mode a helper whose work can only arise from some register write
-// first samples the space's write epoch and returns immediately when it is
-// unchanged since its last completed round. This is observationally
-// equivalent to the paper-literal loop (no write, no new work) but skips
-// metered register reads, so deterministic mode never takes it: its step
-// sequence must stay byte-identical (pinned by deterministic_schedule_test).
-// The register algorithms' own per-register version gate and cached channel
-// collection live with their helping protocol, core/detail/helping.hpp.
+// Usage in a help_round() bound as `pid`:
+//   if (!epoch_gate_.changed(space, pid)) return false;
+//   ... full helping round ...
+// A skipped round is observationally equivalent to the paper-literal loop
+// (no write, no new work) but skips metered register reads, so
+// deterministic mode never skips: its step sequence must stay
+// byte-identical (pinned by deterministic_schedule_test). The epoch is
+// recorded when sampled, before the round's reads, so a write landing
+// mid-round is picked up by the next call; the caller's own writes bump
+// the epoch, which costs one extra (idle) round before quiescing.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace swsig::core::detail {
 
-// Space-wide write-epoch gate for composite objects whose helping work can
-// only arise from *some* register write in their space (AtomicSnapshot,
-// the ReliableBroadcast backends, SignedStickyRegister). One seen-epoch
-// slot per process; each process's helper thread touches only its own.
-//
-// Usage in a help_round() bound as `pid` (free mode only — callers gate on
-// space.free_mode()):
-//   std::uint64_t epoch = 0;
-//   if (gate && !epoch_gate_.changed(space, pid, epoch)) return false;
-//   ... full helping round ...
-//   if (gate) epoch_gate_.record(pid, epoch);
-// The epoch is sampled before the round's reads, so a write landing
-// mid-round is picked up by the next call; the caller's own writes bump
-// the epoch, which costs one extra (idle) round before quiescing.
 class SpaceEpochGate {
  public:
   explicit SpaceEpochGate(int n) : seen_(static_cast<std::size_t>(n) + 1) {}
 
-  // Samples the space's write epoch into `epoch`; false when it is
-  // unchanged since record() for this pid (caller should skip the round).
+  // False when the space's write epoch is unchanged since this pid's last
+  // call that returned true (the caller skips its round); always true in
+  // deterministic runs.
   template <typename SpaceT>
-  bool changed(SpaceT& space, int pid, std::uint64_t& epoch) {
-    epoch = space.write_epoch();
-    const Seen& s = seen_[static_cast<std::size_t>(pid)];
-    return !s.valid || epoch != s.epoch;
-  }
-
-  void record(int pid, std::uint64_t epoch) {
-    seen_[static_cast<std::size_t>(pid)] = {epoch, true};
+  bool changed(SpaceT& space, int pid) {
+    if (!space.free_mode()) return true;
+    const std::uint64_t epoch = space.write_epoch();
+    std::optional<std::uint64_t>& seen = seen_[static_cast<std::size_t>(pid)];
+    if (seen == epoch) return false;
+    seen = epoch;
+    return true;
   }
 
  private:
-  struct Seen {
-    std::uint64_t epoch = 0;
-    bool valid = false;
-  };
-  std::vector<Seen> seen_;
+  // One seen epoch per pid; each process's helper touches only its own.
+  std::vector<std::optional<std::uint64_t>> seen_;
 };
 
 }  // namespace swsig::core::detail

@@ -309,15 +309,10 @@ class SignedStickyRegister {
     const int j = runtime::ThisProcess::id();
     if (j < 1 || j > cfg_.n)
       throw std::logic_error("help_round requires a bound thread");
-    // Version-gated wakeup (free mode): echo work only arises from a write
+    // Epoch gate (free mode): echo work only arises from a write
     // to the publish register or another echo — both bump the space epoch.
-    const bool gate = space_->free_mode();
-    std::uint64_t epoch = 0;
-    if (gate && !epoch_gate_.changed(*space_, j, epoch)) return false;
-    if (echo_[static_cast<std::size_t>(j)]->read().has_value()) {
-      if (gate) epoch_gate_.record(j, epoch);
-      return false;
-    }
+    if (!epoch_gate_.changed(*space_, j)) return false;
+    if (echo_[static_cast<std::size_t>(j)]->read().has_value()) return false;
 
     Slot candidate = publish_->read();
     if (!(candidate.has_value() && candidate->sig.signer == 1 &&
@@ -341,14 +336,10 @@ class SignedStickyRegister {
         }
       }
     }
-    if (!candidate.has_value()) {
-      if (gate) epoch_gate_.record(j, epoch);
-      return false;
-    }
+    if (!candidate.has_value()) return false;
     echo_[static_cast<std::size_t>(j)]->update([&](Slot& e) {
       if (!e.has_value()) e = candidate;
     });
-    if (gate) epoch_gate_.record(j, epoch);
     return true;
   }
 

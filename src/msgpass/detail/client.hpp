@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -370,7 +371,7 @@ class Client {
   // The delivery gate: blocks for at most `bound` until this process's
   // replica of one of `watched` holds a higher sn than its last quorum
   // read of that register returned. True iff one does.
-  bool await_ahead(const std::vector<const HandlerBase*>& watched,
+  bool await_ahead(std::span<const HandlerBase* const> watched,
                    std::chrono::milliseconds bound) {
     std::unique_lock lock(mu_);
     ++gate_waiters_;

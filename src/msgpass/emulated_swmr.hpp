@@ -77,6 +77,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -561,13 +562,16 @@ class EmulatedSpace {
   using SwmrFor = EmulatedSwmr<T>;
   template <typename T>
   using SwsrFor = EmulatedSwsr<T>;
-  // A register the delivery gate watches (any EmulatedSwmr<T>*).
+  // The wakeup gate (docs/ARCHITECTURE.md, "The wakeup gate";
+  // registers::Space has the other implementation). A watched register:
+  // any EmulatedSwmr<T>*.
   using Watched = const detail::HandlerBase*;
-
-  // How long one delivery-gate wait lasts at most (await_replica_ahead).
-  // Fixed, not an option: it only bounds how long a help_round() call that
-  // finds nothing to do takes to return, so a caller looping on it can
-  // check for stop.
+  // A caller's record is its process's: the client's last quorum read of
+  // each register, kept by every read the process makes.
+  struct Seen {};
+  // How long a gated help_round() waits here at most. Fixed, not an
+  // option: it only bounds how long a call that finds nothing to do takes
+  // to return, so a caller looping on it can check for stop.
   static constexpr std::chrono::milliseconds kGateBound{50};
 
   struct Options {
@@ -719,16 +723,15 @@ class EmulatedSpace {
     return out;
   }
 
-  // The delivery gate (docs/ARCHITECTURE.md, "The version / wakeup
-  // protocol"): blocks the calling process p for at most kGateBound until
-  // p's own replica of one of `watched` holds a higher sn than p's last
-  // quorum read of that register returned. True iff one does. A replica
-  // merely changing is not enough — a read can return an older pair than
-  // the replica already holds, and then only the replica-versus-last-read
-  // test still sees the newer write.
-  bool await_replica_ahead(const std::vector<Watched>& watched) {
-    return client(runtime::ThisProcess::id()).await_ahead(watched,
-                                                          kGateBound);
+  // The delivery gate: blocks the calling process p for at most `bound`
+  // until p's own replica of one of `watched` holds a higher sn than p's
+  // last quorum read of that register returned. True iff one does. A
+  // replica merely changing is not enough — a read can return an older
+  // pair than the replica already holds, and then only the
+  // replica-versus-last-read test still sees the newer write.
+  bool await_change(Seen&, std::span<const Watched> watched,
+                    std::chrono::milliseconds bound) {
+    return client(runtime::ThisProcess::id()).await_ahead(watched, bound);
   }
 
   Network& network() { return net_; }

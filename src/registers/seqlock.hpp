@@ -58,6 +58,8 @@ class SeqlockRegister {
   std::uint64_t version() const {
     return seq_.load(std::memory_order_acquire) >> 1;
   }
+  // The sequence counter itself: odd while a write is in flight.
+  const std::atomic<std::uint64_t>& sequence() const { return seq_; }
 
  private:
   static constexpr int kSpinLimit = 64;

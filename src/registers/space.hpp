@@ -12,16 +12,18 @@
 //    (the metered access doubles as the step count — the controller pulls
 //    the meters in steps()). Deterministic mode is byte-identical to the
 //    virtual path: every access still parks on StepController::step().
-//  * Every register carries a monotone version() (completed writes), and
-//    the Space keeps a write epoch + condvar so idle helpers can park until
-//    some register in the space is written (version-gated wakeup).
+//  * Every register carries a monotone write counter (the wakeup gate's
+//    input), and the Space keeps a write epoch + condvar so idle helpers
+//    can park until some register in the space is written.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,10 +79,44 @@ class Space {
   bool enforcing() const { return mode_ == Enforcement::kEnforcing; }
 
   // True when accesses take the devirtualized free-mode fast path. The
-  // version-gated skip paths in the algorithms key off this: they are
-  // observationally equivalent but change the exact step sequence, so they
-  // must never run under a deterministic controller.
+  // gated paths in the algorithms key off this: they skip metered reads,
+  // which changes the exact step sequence, so they must never run under a
+  // deterministic controller.
   bool free_mode() const { return free_ != nullptr; }
+
+  // ------------------------------------------------------- the wakeup gate
+  // (docs/ARCHITECTURE.md, "The wakeup gate"; msgpass::EmulatedSpace has
+  // the other implementation). A watched register is any Swmr/Swsr (a
+  // pointer converts), by its write counter. A record is one list's length
+  // and counter sum; counters only grow, so an unchanged sum means no
+  // watched register was written.
+  struct Watched {
+    template <typename Reg>
+    Watched(const Reg* reg) : counter(&reg->write_counter()) {}
+    const std::atomic<std::uint64_t>* counter;
+  };
+  struct Seen {
+    std::size_t count = static_cast<std::size_t>(-1);  // no record yet
+    std::uint64_t sum = 0;
+  };
+  // The gate never blocks here (the bound is ignored): composite objects
+  // sweep n × slots inner help rounds, which must not stall, and
+  // FreeSystem parks on the write epoch itself.
+  static constexpr std::chrono::milliseconds kGateBound{0};
+
+  // True when a watched register was written since `seen` recorded it, or
+  // there is no record; false, exactly, when none was. Records the counters
+  // it sampled: sampled before the caller's read, a counter never hides a
+  // newer write. Inline: composite helpers call it n × slots times a sweep.
+  bool await_change(Seen& seen, std::span<const Watched> watched,
+                    std::chrono::milliseconds /*bound*/) {
+    Seen saw{watched.size(), 0};
+    for (const Watched& w : watched)
+      saw.sum += w.counter->load(std::memory_order_acquire);
+    if (saw.count == seen.count && saw.sum == seen.sum) return false;
+    seen = saw;  // only on a change: helpers' records sit side by side
+    return true;
+  }
 
   // Gate + meter, called by registers on every access. In free mode this
   // is a single relaxed fetch-add on a per-thread shard: the metered access
@@ -155,38 +191,71 @@ class Space {
   std::vector<std::unique_ptr<RegisterBase>> registry_;
 };
 
-// ------------------------------------------------------------------- Swmr
+// ---------------------------------------------------------- Swmr, Swsr
 
-// Atomic single-writer multi-reader register. Linearizability comes from
-// the storage engine: a seqlock read/write window for trivially copyable
-// payloads (readers retry, never block), one critical section on a mutex
-// otherwise. In deterministic mode accesses are additionally serialized by
-// the step gate.
-template <typename T, typename Storage>
-class Swmr {
+// What both register kinds share: the owner's write port, the storage
+// engine and its counters. Linearizability comes from the storage engine:
+// a seqlock read/write window for trivially copyable payloads (readers
+// retry, never block), one critical section on a mutex otherwise. In
+// deterministic mode accesses are additionally serialized by the step
+// gate.
+template <typename T, typename Storage, bool kSingleReader>
+class OwnedRegister {
  public:
-  Swmr(Space& space, runtime::ProcessId owner, T initial, std::string name)
+  // Writable only by the owner.
+  void write(T v) {
+    check_port("write to", "owned by", owner_);
+    space_->before_write();
+    storage_.store(std::move(v));
+    space_->notify_write();
+  }
+
+  // Completed writes to this register; monotone. Reading it, or the counter
+  // the wakeup gate watches (Space::Watched), is no register access in the
+  // model (no step, no meter): it lets pollers skip re-reads.
+  std::uint64_t version() const { return storage_.version(); }
+  const auto& write_counter() const { return storage_.write_counter(); }
+
+  runtime::ProcessId owner() const { return owner_; }
+  const std::string& name() const { return name_; }
+
+ protected:
+  OwnedRegister(Space& space, runtime::ProcessId owner, T initial,
+                std::string name)
       : space_(&space),
         owner_(owner),
         name_(std::move(name)),
         storage_(std::move(initial)) {}
 
-  // Readable by any process.
-  T read() const {
-    space_->before_read();
-    return storage_.load();
+  // In enforcing mode, access `op` by any process but `allowed` throws.
+  void check_port(const char* op, const char* role,
+                  runtime::ProcessId allowed) const {
+    if (!space_->enforcing() || runtime::ThisProcess::id() == allowed) return;
+    throw PortViolation(std::string(op) +
+                        (kSingleReader ? " SWSR '" : " SWMR '") + name_ +
+                        "' " + role + " p" + std::to_string(allowed) +
+                        " attempted by p" +
+                        std::to_string(runtime::ThisProcess::id()));
   }
 
-  // Writable only by the owner.
-  void write(T v) {
-    if (space_->enforcing() && runtime::ThisProcess::id() != owner_) {
-      throw PortViolation("write to SWMR '" + name_ + "' owned by p" +
-                          std::to_string(owner_) + " attempted by p" +
-                          std::to_string(runtime::ThisProcess::id()));
-    }
-    space_->before_write();
-    storage_.store(std::move(v));
-    space_->notify_write();
+  Space* space_;
+  runtime::ProcessId owner_;
+  std::string name_;
+  Storage storage_;
+};
+
+// Atomic single-writer multi-reader register.
+template <typename T, typename Storage>
+class Swmr : public OwnedRegister<T, Storage, false> {
+ public:
+  Swmr(Space& space, runtime::ProcessId owner, T initial, std::string name)
+      : Swmr::OwnedRegister(space, owner, std::move(initial),
+                            std::move(name)) {}
+
+  // Readable by any process.
+  T read() const {
+    this->space_->before_read();
+    return this->storage_.load();
   }
 
   // Atomic owner read-modify-write: applies `fn` to the stored value as one
@@ -199,80 +268,33 @@ class Swmr {
   // a plain write.
   template <typename F>
   T update(F&& fn) {
-    if (space_->enforcing() && runtime::ThisProcess::id() != owner_) {
-      throw PortViolation("update of SWMR '" + name_ + "' owned by p" +
-                          std::to_string(owner_) + " attempted by p" +
-                          std::to_string(runtime::ThisProcess::id()));
-    }
-    space_->before_write();
-    T result = storage_.apply(std::forward<F>(fn));
-    space_->notify_write();
+    this->check_port("update of", "owned by", this->owner_);
+    this->space_->before_write();
+    T result = this->storage_.apply(std::forward<F>(fn));
+    this->space_->notify_write();
     return result;
   }
-
-  // Completed writes to this register; monotone. Reading the version is not
-  // a register access in the model (no step, no meter): it exists so
-  // pollers can skip re-reads that would observably return the same value.
-  std::uint64_t version() const { return storage_.version(); }
-
-  runtime::ProcessId owner() const { return owner_; }
-  const std::string& name() const { return name_; }
-
- private:
-  Space* space_;
-  runtime::ProcessId owner_;
-  std::string name_;
-  Storage storage_;
 };
 
-// ------------------------------------------------------------------- Swsr
-
-// Atomic single-writer single-reader register.
+// Atomic single-writer single-reader register: exactly `reader` may read.
 template <typename T, typename Storage>
-class Swsr {
+class Swsr : public OwnedRegister<T, Storage, true> {
  public:
   Swsr(Space& space, runtime::ProcessId owner, runtime::ProcessId reader,
        T initial, std::string name)
-      : space_(&space),
-        owner_(owner),
-        reader_(reader),
-        name_(std::move(name)),
-        storage_(std::move(initial)) {}
+      : Swsr::OwnedRegister(space, owner, std::move(initial), std::move(name)),
+        reader_(reader) {}
 
   T read() const {
-    if (space_->enforcing() && runtime::ThisProcess::id() != reader_) {
-      throw PortViolation("read of SWSR '" + name_ + "' readable by p" +
-                          std::to_string(reader_) + " attempted by p" +
-                          std::to_string(runtime::ThisProcess::id()));
-    }
-    space_->before_read();
-    return storage_.load();
+    this->check_port("read of", "readable by", reader_);
+    this->space_->before_read();
+    return this->storage_.load();
   }
 
-  void write(T v) {
-    if (space_->enforcing() && runtime::ThisProcess::id() != owner_) {
-      throw PortViolation("write to SWSR '" + name_ + "' owned by p" +
-                          std::to_string(owner_) + " attempted by p" +
-                          std::to_string(runtime::ThisProcess::id()));
-    }
-    space_->before_write();
-    storage_.store(std::move(v));
-    space_->notify_write();
-  }
-
-  // See Swmr::version().
-  std::uint64_t version() const { return storage_.version(); }
-
-  runtime::ProcessId owner() const { return owner_; }
   runtime::ProcessId reader() const { return reader_; }
-  const std::string& name() const { return name_; }
 
  private:
-  Space* space_;
-  runtime::ProcessId owner_;
   runtime::ProcessId reader_;
-  std::string name_;
-  Storage storage_;
 };
 
 // --------------------------------------------------------------- factories

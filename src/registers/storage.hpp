@@ -15,10 +15,11 @@
 //   void store(T v);                // linearizable write (single writer)
 //   T apply(fn);                    // owner read-modify-write, returns copy
 //   std::uint64_t version() const;  // completed writes, monotone
+//   const std::atomic<std::uint64_t>& write_counter() const;
 //
-// version() powers the version-gated helper wakeup: "version unchanged"
-// implies "no write completed", so pollers (helpers, Verify retry loops)
-// can skip re-reading a register without changing what they would observe.
+// write_counter(), which version() derives from, grows by each write's
+// completion. The wakeup gate (Space::await_change) reads it: "unchanged"
+// implies "no write completed", so a poller may skip a re-read.
 #pragma once
 
 #include <atomic>
@@ -64,6 +65,7 @@ class MutexStorage {
   std::uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
+  const std::atomic<std::uint64_t>& write_counter() const { return version_; }
 
  private:
   mutable std::mutex mu_;
@@ -101,6 +103,7 @@ class SeqlockStorage {
   }
 
   std::uint64_t version() const { return cell_.version(); }
+  const auto& write_counter() const { return cell_.sequence(); }
 
  private:
   std::mutex writer_mu_;

@@ -133,20 +133,17 @@ class AtomicSnapshot {
 
   bool help_round() {
     const int self = runtime::ThisProcess::id();
-    // Version-gated wakeup (free mode): helping can only become necessary
+    // Epoch gate (free mode): helping can only become necessary
     // after some register in the space was written (an updater's segment,
     // an embedded scan, a reader's round counter — all are writes). If the
-    // space-wide write epoch is unchanged since this process's last
-    // completed round, skip the 2n inner helping rounds outright.
-    const bool gate = space_->free_mode();
-    std::uint64_t epoch = 0;
-    if (gate && !epoch_gate_.changed(*space_, self, epoch)) return false;
+    // space-wide write epoch is unchanged since this process's last round,
+    // skip the 2n inner helping rounds outright.
+    if (!epoch_gate_.changed(*space_, self)) return false;
     bool any = false;
     for (int i = 1; i <= cfg_.n; ++i) {
       any |= segments_[static_cast<std::size_t>(i)]->help(self);
       any |= scans_[static_cast<std::size_t>(i)]->help(self);
     }
-    if (gate) epoch_gate_.record(self, epoch);
     return any;
   }
 

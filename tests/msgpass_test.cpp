@@ -3,6 +3,7 @@
 // registers running unchanged over message passing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -961,6 +963,125 @@ TEST(DeliveryGate, HelperWhoseReadLagsItsReplicaStillServes) {
   space.network().set_fault_injector(nullptr);
 }
 
+// Delivers the ACCEPTs of the registers in `regs` at once to `except`
+// and `delay` late to every other process (every process for except = 0).
+// Counts the READs each process sends.
+class DelayAccepts : public FaultInjector {
+ public:
+  DelayAccepts(std::set<int> regs, int except, std::chrono::milliseconds delay)
+      : regs_(std::move(regs)), except_(except), delay_(delay) {}
+  FaultDecision on_deliver(const Message& m) override {
+    if (m.tag == obs::MsgTag::kRead) reads_[m.from].fetch_add(1);
+    if (m.tag == obs::MsgTag::kAccept && regs_.contains(m.reg) &&
+        m.to != except_)
+      return {.delay = delay_};
+    return {};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+  std::uint64_t reads_from(int pid) const { return reads_[pid].load(); }
+
+ private:
+  std::set<int> regs_;
+  int except_;
+  std::chrono::milliseconds delay_;
+  std::array<std::atomic<std::uint64_t>, 8> reads_{};
+};
+
+// The reader side of the gate. p4's helper is not running, so p2's
+// Verify(5) needs the answers of p1, p2 and p3 (n − f = 3). ACCEPTs of
+// p3's answer on R_3,2 are held 300 ms to every process but p2: p2's
+// replica delivers the answer at once, but p2's quorum reads of R_3,2
+// return the old tuple until the hold lapses. The channel cache re-reads
+// a channel while p2's replica is ahead of p2's last read of it, so the
+// Verify completes once the others deliver. A cache keyed on "the replica
+// changed since the last pass" would never read R_3,2 again: p4's helper
+// starts after 5 s to let such a Verify end, and the test fails.
+TEST(DeliveryGate, ReaderWhoseReadLagsItsReplicaStillCompletes) {
+  EmulatedSpace space({.n = 4, .f = 1});
+  using Reg = core::VerifiableRegister<int, EmulatedSpace>;
+  Reg alg(space, {.n = 4, .f = 1, .v0 = 0});
+  DelayAccepts hold({(*alg.raw().channel)[3][2]->reg_id()}, 2,
+                    std::chrono::milliseconds(300));
+  space.network().set_fault_injector(&hold);
+  {
+    ThisProcess::Binder bind(1);
+    alg.write(5);
+    ASSERT_EQ(alg.sign(5), core::SignResult::kSuccess);
+  }
+  std::vector<std::jthread> helpers;
+  for (int pid = 1; pid <= 3; ++pid)
+    helpers.emplace_back([&alg, pid](std::stop_token st) {
+      ThisProcess::Binder bind(pid);
+      while (!st.stop_requested()) alg.help_round();
+    });
+  std::atomic<bool> done{false}, rescued{false};
+  helpers.emplace_back([&](std::stop_token st) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done && std::chrono::steady_clock::now() < until)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (done) return;
+    rescued = true;
+    ThisProcess::Binder bind(4);
+    while (!st.stop_requested()) alg.help_round();
+  });
+  bool verified = false;
+  {
+    ThisProcess::Binder bind(2);
+    verified = alg.verify(5);
+  }
+  EXPECT_FALSE(rescued.load()) << "p2's Verify needed p4's answer";
+  done = true;
+  EXPECT_TRUE(verified);
+  helpers.clear();
+  space.network().set_fault_injector(nullptr);
+}
+
+// Algorithm 3's Write waits for n − f witnesses on the gate. ACCEPTs of
+// the witness slots are delayed 200 ms to every process, so the quorum
+// forms about 200 ms after the Write starts. A Write that polls sends n
+// READs per pass all that time; one on the gate re-reads when a witness
+// slot reaches p1's replica, or when kGateBound lapses. p1's helper is not
+// running (p2..p4 are the n − f witnesses), so every READ p1 sends is the
+// Write's.
+TEST(DeliveryGate, StickyWriteWaitsOnTheGate) {
+  constexpr int kN = 4;
+  constexpr auto kDelay = std::chrono::milliseconds(200);
+  EmulatedSpace space({.n = kN, .f = 1});
+  using Reg = core::StickyRegister<int, EmulatedSpace>;
+  Reg reg(space, {.n = kN, .f = 1});
+  std::set<int> slots;
+  for (int i = 1; i <= kN; ++i) slots.insert((*reg.raw().witness)[i]->reg_id());
+  DelayAccepts delay(slots, 0, kDelay);
+  space.network().set_fault_injector(&delay);
+  std::vector<std::jthread> helpers;
+  for (int pid = 2; pid <= kN; ++pid)
+    helpers.emplace_back([&reg, pid](std::stop_token st) {
+      ThisProcess::Binder bind(pid);
+      while (!st.stop_requested()) reg.help_round();
+    });
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    ThisProcess::Binder bind(1);
+    reg.write(11);
+  }
+  const auto took = std::chrono::steady_clock::now() - t0;
+  const std::uint64_t reads = delay.reads_from(1);
+  helpers.clear();
+  space.network().set_fault_injector(nullptr);
+  EXPECT_GE(took, kDelay);
+  // A pass is one collect, n READs (more when stores still converge). It
+  // runs after L1's read, once per witness slot that reaches p1's replica
+  // (a few more while that slot's quorum catches up) and once per
+  // kGateBound that lapses.
+  const auto lapses = static_cast<std::uint64_t>(
+      took / EmulatedSpace::kGateBound + 1);
+  const std::uint64_t witness_writes = kN - 1;
+  EXPECT_LE(reads, kN * (2 + 8 * witness_writes + lapses))
+      << "Write READs in " << std::chrono::duration<double, std::milli>(took).count()
+      << " ms";
+}
+
 // One process, one client: p1 has three threads blocked at once — a
 // write's ACK wait on `a`, a read of `b` and a delivery-gate wait on `c` —
 // all on its client's one lock and condition variable. ACKs and STATEs to
@@ -1002,7 +1123,10 @@ TEST(EmulatedClient, AckReadAndGateWaitsOfOneProcessAllComplete) {
   });
   std::jthread gate([&] {
     ThisProcess::Binder bind(1);
-    while (!space.await_replica_ahead({&c})) {
+    EmulatedSpace::Seen seen;
+    const EmulatedSpace::Watched watched = &c;
+    while (!space.await_change(seen, std::span(&watched, 1),
+                               EmulatedSpace::kGateBound)) {
     }
     gated = true;
   });

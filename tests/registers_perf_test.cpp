@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -222,6 +223,30 @@ TEST_F(PerfSpaceTest, WaitWriteEpochReturnsImmediatelyWhenStale) {
   space.wait_write_epoch(seen, std::chrono::microseconds(5'000'000));
   const auto waited = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(waited, std::chrono::seconds(1));
+}
+
+// ------------------------------------------------------- the wakeup gate
+
+TEST_F(PerfSpaceTest, AwaitChangeReportsWatchedWritesOnly) {
+  auto& a = space.make_swmr<int>(1, 0, "a");
+  auto& b = space.make_swmr<std::set<int>>(1, {}, "b");
+  auto& other = space.make_swmr<int>(1, 0, "other");
+  const std::vector<Space::Watched> watched{&a, &b};
+  const auto now = std::chrono::milliseconds(0);
+  Space::Seen seen;
+  EXPECT_TRUE(space.await_change(seen, watched, now)) << "no record yet";
+  EXPECT_FALSE(space.await_change(seen, watched, now));
+  ThisProcess::Binder bind(1);
+  other.write(1);
+  EXPECT_FALSE(space.await_change(seen, watched, now));
+  b.update([](std::set<int>& s) { s.insert(3); });
+  EXPECT_TRUE(space.await_change(seen, watched, now));
+  // The gate never waits here: with nothing written, a bound is ignored.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(space.await_change(seen, watched, std::chrono::seconds(5)));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  // A shorter list is another list: changed.
+  EXPECT_TRUE(space.await_change(seen, std::span(watched).first(1), now));
 }
 
 }  // namespace

@@ -9,7 +9,9 @@ Usage:
 Metrics are compared by key (only keys present in both dumps). Lower is
 better, except keys ending in "_per_s", "_ops" or "_speedup", which are
 higher-is-better. A metric regresses when it is worse than the baseline by
-more than the threshold (relative). Exit status is 1 when any metric
+more than the threshold (relative). Keys ending in "_iqr_us" or "_iqr" are
+spreads (interquartile ranges), not costs: they are printed, marked
+"spread", and never regress. Exit status is 1 when any metric
 regressed, unless --warn-only is given (CI uses --warn-only so noisy
 runners cannot turn the perf-smoke job red).
 
@@ -20,9 +22,11 @@ of printing an infinite ratio. --self-test runs the built-in unit checks
 (wired into CTest as bench_compare_selftest).
 
 Hardware: each dump states where it was measured in a "meta" object
-(nproc, build_type; bench/baseline.hpp). Both sides' meta is printed, and
-a warning says when they differ, since the numbers then compare machines or
-builds as much as code. Dumps without meta (older baselines) still load.
+(nproc, build_type, steal_frac; bench/baseline.hpp). Both sides' meta is
+printed, and a warning says when nproc or the build type differ, since the
+numbers then compare machines or builds as much as code, or when either
+side's CPU steal was above 5%, since a noisy neighbour then moves them too.
+Dumps without meta (older baselines) still load.
 
 Stale baselines: when BASELINE is a committed bench/baselines/BENCH_<name>.json
 whose last commit is older than the last commit touching
@@ -40,10 +44,16 @@ import subprocess
 import sys
 
 HIGHER_IS_BETTER_SUFFIXES = ("_per_s", "_ops", "_speedup")
+SPREAD_SUFFIXES = ("_iqr_us", "_iqr")
+STEAL_WARN_FRAC = 0.05
 
 
 def higher_is_better(key: str) -> bool:
     return key.endswith(HIGHER_IS_BETTER_SUFFIXES)
+
+
+def is_spread(key: str) -> bool:
+    return key.endswith(SPREAD_SUFFIXES)
 
 
 def load_metrics(path: str) -> dict:
@@ -87,13 +97,31 @@ def meta_warning(base: dict, cur: dict):
     if not base or not cur:
         return None
     differ = [key for key in sorted(set(base) | set(cur))
-              if base.get(key) != cur.get(key)]
+              if key != "steal_frac" and base.get(key) != cur.get(key)]
     if not differ:
         return None
     return ("bench_compare: WARNING: the dumps differ in " +
             ", ".join(f"{key} ({base.get(key)} vs {cur.get(key)})"
                       for key in differ) +
             "; the comparison is not like for like")
+
+
+def steal_warning(base: dict, cur: dict):
+    """The warning for a dump measured while the hypervisor stole more than
+    STEAL_WARN_FRAC of the CPU, or None."""
+    noisy = []
+    for side, meta in (("baseline", base), ("current", cur)):
+        try:
+            steal = float(meta.get("steal_frac", 0.0))
+        except (TypeError, ValueError):
+            continue
+        if steal > STEAL_WARN_FRAC:
+            noisy.append(f"{side} {steal:.1%}")
+    if not noisy:
+        return None
+    return ("bench_compare: WARNING: CPU steal above "
+            f"{STEAL_WARN_FRAC:.0%} ({', '.join(noisy)}); other load on the "
+            "machine moved these numbers")
 
 
 def last_commit_time(path: str):
@@ -151,9 +179,10 @@ def main(argv=None) -> int:
     base_meta, cur_meta = load_meta(args.baseline), load_meta(args.current)
     print(f"bench_compare: baseline meta: {describe_meta(base_meta)}")
     print(f"bench_compare: current meta:  {describe_meta(cur_meta)}")
-    mismatch = meta_warning(base_meta, cur_meta)
-    if mismatch:
-        print(mismatch)
+    for warning in (meta_warning(base_meta, cur_meta),
+                    steal_warning(base_meta, cur_meta)):
+        if warning:
+            print(warning)
     base = load_metrics(args.baseline)
     cur = load_metrics(args.current)
     shared = sorted(set(base) & set(cur))
@@ -172,6 +201,9 @@ def main(argv=None) -> int:
                   f"(zero baseline)")
             continue
         ratio = c / b
+        if is_spread(key):
+            print(f"{key:<44} {b:>12.4g} {c:>12.4g} {ratio:>8.3f}  spread")
+            continue
         if higher_is_better(key):
             regressed = c < b * (1.0 - args.threshold)
         else:
@@ -281,6 +313,30 @@ def run_self_test() -> int:
               main([meta4, meta2]) == 0)
         check("a dump with meta compares against one without",
               main([base, meta4]) == 0)
+
+        iqr_base = dump("iqr_base.json", {
+            "msgpass.fullstack.n4.after1000.verify_iqr_us": 97.5,
+            "q_iqr": 1.0, "a_us": 100.0})
+        iqr_cur = dump("iqr_cur.json", {
+            "msgpass.fullstack.n4.after1000.verify_iqr_us": 147.7,
+            "q_iqr": 9.0, "a_us": 100.0})
+        check("a spread (_iqr_us, _iqr) that widens is not a regression",
+              main([iqr_base, iqr_cur]) == 0)
+        check("spread keys are recognised",
+              is_spread("x.verify_iqr_us") and is_spread("x_iqr") and
+              not is_spread("x.verify_us"))
+        check("steal differing alone is not a hardware mismatch",
+              meta_warning(dict(release4, steal_frac=0.01),
+                           dict(release4, steal_frac=0.2)) is None)
+        check("steal above 5% on either side warns and names it",
+              "current 20.0%" in (steal_warning(
+                  {"steal_frac": 0.01}, {"steal_frac": 0.2}) or ""))
+        check("steal at or below 5%, or unrecorded, is quiet",
+              steal_warning({"steal_frac": 0.05}, {}) is None)
+        steal_dump = dump("steal.json", {"a_us": 100.0},
+                          dict(release4, steal_frac=0.3))
+        check("high steal warns but does not fail the comparison",
+              main([meta4, steal_dump]) == 0)
 
         check("unknown commit time (no git history) is quiet",
               stale_warning("read", None, 200) is None and
