@@ -14,13 +14,15 @@
 // delivery gate — is one wait_with_retry on that mutex and the client's
 // one condition variable.
 //
-// Lock order: code may hold a register's replica lock (EmulatedSwmr::mu_)
-// while it takes a client lock — the delivery path feeds the replica's sn
-// to its process's client — never the reverse. A client never calls into a
-// replica under its own lock, so the gate tests only client state. Replies
-// (STATE, ACK, ABACK) reach on_reply on the thread that sends them (the
-// network's client endpoint), so a reply is sent holding no replica lock
-// and no client lock.
+// Lock order: code may hold one process's replica lock of a register
+// (EmulatedSwmr::Replica::mu, one lock per register and process) while it
+// takes that process's client lock — the delivery path feeds the
+// replica's sn to its process's client — never the reverse. A client never
+// calls into a replica under its own lock, so the gate tests only client
+// state. READs and replies (STATE, ACK, ABACK) are handled on the thread
+// that sends them (the network's client endpoint): a READ takes the
+// addressee's replica locks and then the reader's client lock, so both are
+// sent holding no replica lock and no client lock.
 //
 // This file also holds the retry/deadline policy and HandlerBase, the face
 // of a register that the space's servers and clients use.
@@ -36,7 +38,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -130,8 +131,9 @@ class HandlerBase {
   const std::string& name() const { return name_; }
 
   // Runs on the server thread of the receiving process (bound to its pid).
-  // READ goes to the space's server (EmulatedSpace::serve_read); STATE,
-  // ACK and ABACK never come here: the network hands them to the receiving
+  // READ, STATE, ACK and ABACK never come here: the network hands them
+  // to the space on the delivering thread, which answers a READ itself
+  // (EmulatedSpace::serve_read) and applies a reply to the receiving
   // process's client.
   virtual void handle(const Message& m) = 0;
   // Crash model (driven by the owning Space): wipe the volatile protocol
@@ -199,13 +201,22 @@ class Client {
   // --------------------------------------------------------------- reads
 
   // A client read of `regs`: the n−f quorum. Records each result as this
-  // process's last read of its register (the delivery gate's baseline).
+  // process's last read of its register, and what this process's replica
+  // held when the read began — the delivery gate's baseline.
   std::vector<StateEntry> read(const std::vector<HandlerBase*>& regs) {
+    std::vector<std::uint64_t> replica_at_start(regs.size());
+    {
+      std::scoped_lock lock(mu_);
+      for (std::size_t x = 0; x < regs.size(); ++x)
+        replica_at_start[x] = view(regs[x]->reg_id()).replica;
+    }
     std::vector<StateEntry> res = quorum(regs, n_ - f_);
     std::scoped_lock lock(mu_);
     for (std::size_t x = 0; x < regs.size(); ++x) {
-      std::uint64_t& last = view(regs[x]->reg_id()).last_read;
-      last = std::max(last, res[x].first);
+      View& v = view(regs[x]->reg_id());
+      v.last_read = std::max(v.last_read, res[x].first);
+      v.read_replica = std::max(v.read_replica, replica_at_start[x]);
+      if (v.last_read >= v.replica) v.stale_wait = kStaleWaitBase;
     }
     return res;
   }
@@ -258,6 +269,7 @@ class Client {
       lock.lock();
     };
     const auto deadline = deadline_from(retry_, t0);
+    auto converge_wait = kConvergeWaitBase;
     issue();
     for (;;) {
       const bool replied = wait_with_retry(
@@ -301,15 +313,26 @@ class Client {
         return out;
       }
       // Some register has no sufficiently-supported pair among these
-      // replies (stores still converging): ask about those again now, no
-      // backoff — replies ARE arriving, the stores just have not converged
-      // yet. The next wait still checks the deadline.
+      // replies (stores still converging): replies ARE arriving, so this is
+      // not the retry layer's loss. Past the deadline the read times out;
+      // before it, wait a short doubling backoff and ask about those
+      // registers again. An undelayed read is answered before its
+      // broadcast returns, so without the wait the re-issue would spin, and
+      // without this deadline check it would never time out (the wait
+      // below finds its quorum of replies already there).
       pending = std::move(unconverged);
-      lock.unlock();
+      reads_.erase(rid);  // late replies to this rid count for nothing now
       record_phase(obs::EventKind::kReadRetry, self_, head.reg_id(),
                    head.owner(), rid);
-      std::this_thread::yield();
-      lock.lock();
+      const auto now = Clock::now();
+      if (now >= deadline) {
+        lock.unlock();
+        throw_op_timeout(head.reg_id(), head.owner(), rid, read_op(regs));
+      }
+      const auto until = std::min(now + converge_wait, deadline);
+      while (cv_.wait_until(lock, until) == std::cv_status::no_timeout) {
+      }
+      converge_wait = std::min(converge_wait * 2, kConvergeWaitMax);
       issue();
     }
   }
@@ -357,36 +380,58 @@ class Client {
 
   // This process's replica of `reg` now holds write sn (called by the
   // delivery path and the crash wipe, under that replica's lock). Wakes
-  // the gate's waiters, if any, once the replica gets ahead of the last
-  // read.
+  // the gate's waiters, if any, once the replica moves past what the last
+  // read saw.
   void replica_is(int reg, std::uint64_t sn) {
     std::unique_lock lock(mu_);
     View& v = view(reg);
-    const bool was_ahead = v.replica > v.last_read;
+    const bool was_fresh = v.fresh();
+    if (sn > v.replica) v.stale_wait = kStaleWaitBase;
     v.replica = sn;
-    if (gate_waiters_ > 0 && !was_ahead && v.replica > v.last_read)
-      wake(lock);
+    if (gate_waiters_ > 0 && !was_fresh && v.fresh()) wake(lock);
   }
 
-  // The delivery gate: blocks for at most `bound` until this process's
-  // replica of one of `watched` holds a higher sn than its last quorum
-  // read of that register returned. True iff one does.
+  // The delivery gate: true iff this process's replica of one of `watched`
+  // holds a higher sn than its last quorum read of that register returned.
+  // It returns at once when such a replica moved after the last read began
+  // (fresh). For a replica that was already ahead when that read began
+  // (stale: the read returned an older pair, which its n−f vouchers
+  // pinned), nothing here signals when the other replicas catch up, and
+  // re-reading at once would spin, since reads cost microseconds: the gate
+  // then returns true only after a wait that doubles each time the same
+  // replica re-fires (from kStaleWaitBase), capped at `bound`. Otherwise it
+  // blocks for at most `bound` for a fresh one.
   bool await_ahead(std::span<const HandlerBase* const> watched,
                    std::chrono::milliseconds bound) {
     std::unique_lock lock(mu_);
-    ++gate_waiters_;
-    const bool ahead = wait_with_retry(
-        lock, Clock::now() + bound,
-        [&] {
-          for (const HandlerBase* reg : watched) {
-            const View& v = view(reg->reg_id());
-            if (v.replica > v.last_read) return true;
-          }
-          return false;
-        },
-        [](std::uint64_t) {});
-    --gate_waiters_;
-    return ahead;
+    const auto any_fresh = [&] {
+      for (const HandlerBase* reg : watched)
+        if (view(reg->reg_id()).fresh()) return true;
+      return false;
+    };
+    if (any_fresh()) return true;
+    Clock::duration wait = bound;
+    for (const HandlerBase* reg : watched) {
+      const View& v = view(reg->reg_id());
+      if (v.ahead()) wait = std::min(wait, v.stale_wait);
+    }
+    if (wait > Clock::duration::zero()) {
+      ++gate_waiters_;
+      const bool fresh =
+          wait_with_retry(lock, Clock::now() + wait, any_fresh,
+                          [](std::uint64_t) {});
+      --gate_waiters_;
+      if (fresh) return true;
+    }
+    bool stale = false;
+    for (const HandlerBase* reg : watched) {
+      View& v = view(reg->reg_id());
+      if (!v.ahead()) continue;
+      stale = true;
+      if (bound > Clock::duration::zero())
+        v.stale_wait = std::min<Clock::duration>(v.stale_wait * 2, bound);
+    }
+    return stale;
   }
 
   // -------------------------------------------------------------- writes
@@ -604,8 +649,25 @@ class Client {
   struct View {
     std::uint64_t last_read = 0;  // highest sn a quorum read returned
     std::uint64_t replica = 0;    // sn this process's replica holds
+    // The highest sn the replica held when a quorum read began.
+    std::uint64_t read_replica = 0;
+    // How long the gate holds back a stale replica (await_ahead).
+    Clock::duration stale_wait = kStaleWaitBase;
+
+    bool ahead() const { return replica > last_read; }
+    bool fresh() const { return ahead() && replica > read_replica; }
   };
   using WriteKey = std::pair<int, std::uint64_t>;  // (register, sn)
+
+  // The quorum loop's wait before it asks again about registers whose
+  // replies did not converge, doubling per re-issue of one read.
+  static constexpr Clock::duration kConvergeWaitBase =
+      std::chrono::microseconds(50);
+  static constexpr Clock::duration kConvergeWaitMax =
+      std::chrono::milliseconds(2);
+  // The gate's first wait before it re-fires for a stale replica.
+  static constexpr Clock::duration kStaleWaitBase =
+      std::chrono::microseconds(100);
 
   // The one client wait loop (design note 14) behind every wait: the read
   // quorum, the capacity gate, the ACK prefix, the abort fence and the

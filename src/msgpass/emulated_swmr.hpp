@@ -70,7 +70,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
@@ -96,9 +98,11 @@
 namespace swsig::msgpass {
 
 // One emulated SWMR register: the server replicas of all n processes plus
-// the owner's client-side operations. mu_ guards the replicas (ladders and
-// stored pairs); message handling runs on per-process server threads owned
-// by the EmulatedSpace. What a client waits on lives in its detail::Client.
+// the owner's client-side operations. Each replica (one process's ladder
+// and stored pair) has its own lock, so the server threads of different
+// processes never contend on a register. Queued messages are handled on
+// per-process server threads owned by the EmulatedSpace, READs on the
+// delivering thread. What a client waits on lives in its detail::Client.
 template <typename T>
 class EmulatedSwmr : public detail::HandlerBase {
   static_assert(requires(const T& a, const T& b) {
@@ -127,17 +131,20 @@ class EmulatedSwmr : public detail::HandlerBase {
         net_(&net),
         clients_(&clients),
         pipeline_depth_(std::max(pipeline_depth, 1)),
+        replicas_(static_cast<std::size_t>(n_) + 1),
         owner_view_(initial_) {
-    state_.resize(static_cast<std::size_t>(n_) + 1, StoredState{0, initial_});
-    ladder_.assign(static_cast<std::size_t>(n_) + 1, Ladder(n_, f_));
+    for (Replica& r : replicas_) {
+      r.state = StoredState{0, initial_};
+      r.ladder = Ladder(n_, f_);
+    }
   }
 
   // Inspection hook for crash/recovery tests and the soak harness: process
   // pid's stored (sn, value) pair.
   std::pair<std::uint64_t, T> stored_state(int pid) const {
-    std::scoped_lock lock(mu_);
-    const StoredState& st = state_.at(static_cast<std::size_t>(pid));
-    return {st.stored_sn, *st.stored_val};
+    const Replica& r = replicas_.at(static_cast<std::size_t>(pid));
+    std::scoped_lock lock(r.mu);
+    return {r.state.stored_sn, *r.state.stored_val};
   }
 
   // ------------------------------------------------------------- client
@@ -274,9 +281,10 @@ class EmulatedSwmr : public detail::HandlerBase {
   // The writes pid had in flight as a client are its client's
   // (detail::Client::interrupt).
   void crash_process(int pid) override {
-    std::scoped_lock lock(mu_);
-    state_[static_cast<std::size_t>(pid)] = StoredState{0, initial_};
-    ladder_[static_cast<std::size_t>(pid)].crash();
+    Replica& r = replica(pid);
+    std::scoped_lock lock(r.mu);
+    r.state = StoredState{0, initial_};
+    r.ladder.crash();
     client(pid).replica_is(reg_id_, 0);
   }
 
@@ -289,16 +297,16 @@ class EmulatedSwmr : public detail::HandlerBase {
   // driver restarts one process at a time, within the fault budget).
   void resync_process(int self) override {
     const StateEntry e = client(self).quorum({this}, f_ + 1).front();
-    std::scoped_lock lock(mu_);
+    std::scoped_lock lock(replica(self).mu);
     apply_locked(self, e.first, e.second.template share<T>());
   }
 
   // ------------------------------------------------ read side (clients)
 
   StateEntry stored_entry(int pid) const override {
-    std::scoped_lock lock(mu_);
-    const StoredState& st = state_[static_cast<std::size_t>(pid)];
-    return {st.stored_sn, Payload(st.stored_val)};
+    const Replica& r = replicas_[static_cast<std::size_t>(pid)];
+    std::scoped_lock lock(r.mu);
+    return {r.state.stored_sn, Payload(r.state.stored_val)};
   }
 
   bool holds_value(const Payload& v) const override {
@@ -348,8 +356,8 @@ class EmulatedSwmr : public detail::HandlerBase {
         // The server-side resync just adopted the highest f+1-vouched pair
         // into our own replica: if it carries sn, the write delivered
         // somewhere and must complete.
-        std::scoped_lock lock(mu_);
-        certified = state_[static_cast<std::size_t>(owner_)].stored_sn >= sn;
+        std::scoped_lock lock(replica(owner_).mu);
+        certified = replica(owner_).state.stored_sn >= sn;
       }
       Payload value;
       switch (c.recover(reg_id_, sn, certified || !c.fence(reg_id_, sn),
@@ -365,8 +373,9 @@ class EmulatedSwmr : public detail::HandlerBase {
           break;
       }
     }
-    std::scoped_lock lock(mu_);  // replica lock first, then the client's
-    const StoredState& own = state_[static_cast<std::size_t>(owner_)];
+    // The owner's replica lock first, then its client's.
+    std::scoped_lock lock(replica(owner_).mu);
+    const StoredState& own = replica(owner_).state;
     c.locked([&] {
       if (owner_view_sn_ == 0 || !aborted.contains(owner_view_sn_)) return;
       if (live && live_sn >= own.stored_sn) {
@@ -384,6 +393,12 @@ class EmulatedSwmr : public detail::HandlerBase {
     std::uint64_t stored_sn = 0;
     Ref stored_val;
   };
+  // One process's server replica of this register, under its own lock.
+  struct Replica {
+    mutable std::mutex mu;  // guards state and ladder
+    StoredState state;
+    Ladder ladder;
+  };
 
   void require_owner(const char* op) const {
     if (runtime::ThisProcess::id() != owner_)
@@ -394,6 +409,10 @@ class EmulatedSwmr : public detail::HandlerBase {
 
   detail::Client& client(int pid) const {
     return *(*clients_)[static_cast<std::size_t>(pid)];
+  }
+
+  Replica& replica(int pid) {
+    return replicas_[static_cast<std::size_t>(pid)];
   }
 
   // Issue half of the pipelined write path: caller holds writer_mu_. The
@@ -427,9 +446,9 @@ class EmulatedSwmr : public detail::HandlerBase {
     if (v == nullptr) return;
     typename Ladder::WriteStep step;
     {
-      std::scoped_lock lock(mu_);
-      step = ladder_[static_cast<std::size_t>(self)].on_write(m.sn, complete,
-                                                              v);
+      Replica& r = replica(self);
+      std::scoped_lock lock(r.mu);
+      step = r.ladder.on_write(m.sn, complete, v);
     }
     switch (step.action) {
       case Ladder::WriteAction::kReAck:
@@ -458,9 +477,9 @@ class EmulatedSwmr : public detail::HandlerBase {
     if (v == nullptr) return;  // malformed payload: dropped
     typename Ladder::VoteStep step;
     {
-      std::scoped_lock lock(mu_);
-      step = ladder_[static_cast<std::size_t>(self)].on_vote(m.sn, v, m.from,
-                                                             is_echo);
+      Replica& r = replica(self);
+      std::scoped_lock lock(r.mu);
+      step = r.ladder.on_vote(m.sn, v, m.from, is_echo);
       if (step.deliver) apply_locked(self, m.sn, step.value);
     }
     if (step.send_accept)
@@ -499,8 +518,9 @@ class EmulatedSwmr : public detail::HandlerBase {
   void on_abort(int self, const Message& m) {
     bool unsafe;
     {
-      std::scoped_lock lock(mu_);
-      unsafe = ladder_[static_cast<std::size_t>(self)].fence(m.sn);
+      Replica& r = replica(self);
+      std::scoped_lock lock(r.mu);
+      unsafe = r.ladder.fence(m.sn);
     }
     Message r;
     r.reg = reg_id_;
@@ -514,9 +534,9 @@ class EmulatedSwmr : public detail::HandlerBase {
   // Applies a delivered (sn, value) to process `self`'s stored state,
   // sn-monotone — late or reordered deliveries cannot roll it back — and
   // feeds the new sn to self's client, whose delivery gate wakes on it.
-  // Caller holds mu_.
+  // Caller holds self's replica lock.
   void apply_locked(int self, std::uint64_t sn, const Ref& v) {
-    StoredState& st = state_[static_cast<std::size_t>(self)];
+    StoredState& st = replica(self).state;
     if (sn > st.stored_sn) {
       st.stored_sn = sn;
       st.stored_val = v;
@@ -532,14 +552,11 @@ class EmulatedSwmr : public detail::HandlerBase {
   const detail::Clients* const clients_;  // the space's, by pid
   const int pipeline_depth_;  // max unsettled async writes
 
-  // Guards the server replicas: state_ and ladder_.
-  mutable std::mutex mu_;
   // Serializes the owner's writing threads (op + Help) whole-operation —
   // the seqlock engine's writer-mutex discipline (registers/storage.hpp);
   // never touched by readers.
   std::mutex writer_mu_;
-  std::vector<StoredState> state_;   // per process
-  std::vector<Ladder> ladder_;       // per process
+  std::vector<Replica> replicas_;  // per process, slot 0 unused; never resized
   // Owner-side, guarded by the owner's client lock (Client::locked).
   std::uint64_t write_sn_ = 0;
   Ref owner_view_;                   // latest (possibly pending) value
@@ -594,7 +611,7 @@ class EmulatedSpace {
   explicit EmulatedSpace(Options options)
       : options_(checked(options)),
         net_(Network::Options{options.n, options.reorder_seed},
-             [this](const Message& m) { on_reply(m); }),
+             [this](const Message& m) { on_inline(m); }),
         clients_(make_clients(net_, options)),
         crashed_(static_cast<std::size_t>(options.n) + 1),
         pool_(net_, options.n,
@@ -675,14 +692,8 @@ class EmulatedSpace {
   EmulatedSwmr<T>& make_swmr(runtime::ProcessId owner, T initial,
                              std::string name) {
     check_pid(owner, "owner", name);
-    std::scoped_lock lock(mu_);
-    const int id = static_cast<int>(registry_.size());
-    auto reg = std::make_unique<EmulatedSwmr<T>>(
-        net_, clients_, id, options_.n, options_.f, owner, std::move(initial),
-        std::move(name), runtime::kNoProcess, options_.pipeline_depth);
-    auto& ref = *reg;
-    registry_.push_back(std::move(reg));
-    return ref;
+    return add<EmulatedSwmr<T>>(owner, std::move(initial), std::move(name),
+                                runtime::kNoProcess);
   }
 
   template <typename T>
@@ -691,14 +702,8 @@ class EmulatedSpace {
                              std::string name) {
     check_pid(owner, "owner", name);
     check_pid(reader, "reader", name);
-    std::scoped_lock lock(mu_);
-    const int id = static_cast<int>(registry_.size());
-    auto reg = std::make_unique<EmulatedSwsr<T>>(
-        net_, clients_, id, options_.n, options_.f, owner, std::move(initial),
-        std::move(name), reader, options_.pipeline_depth);
-    auto& ref = *reg;
-    registry_.push_back(std::move(reg));
-    return ref;
+    return add<EmulatedSwsr<T>>(owner, std::move(initial), std::move(name),
+                                reader);
   }
 
   // Reads every register of `regs` (all of one value type) as the calling
@@ -763,47 +768,41 @@ class EmulatedSpace {
         std::memory_order_acquire);
   }
 
-  // Server traffic, on pid's server thread.
+  // Queued server traffic (WRITE, ECHO, ACCEPT, ABORT, CWRITE), on pid's
+  // server thread. Handlers drop malformed payloads themselves
+  // (Payload::get).
   void dispatch(int pid, const Message& m) {
     if (crashed(pid)) return;
-    if (m.tag == obs::MsgTag::kRead) {
-      serve_read(pid, m);
-      return;
-    }
-    // Handlers drop malformed payloads themselves (Payload::get).
-    if (detail::HandlerBase* handler = handler_of(m.reg)) handler->handle(m);
+    if (detail::HandlerBase* handler = registry_.find(m.reg))
+      handler->handle(m);
   }
 
-  // The network's client endpoint: a STATE, ACK or ABACK for process m.to,
-  // on the delivering thread.
-  void on_reply(const Message& m) {
-    if (!crashed(m.to)) client(m.to).on_reply(m);
-  }
-
-  detail::HandlerBase* handler_of(int reg) {
-    std::scoped_lock lock(mu_);
-    if (reg < 0 || reg >= static_cast<int>(registry_.size())) return nullptr;
-    return registry_[static_cast<std::size_t>(reg)].get();
+  // The network's client endpoint: a READ, STATE, ACK or ABACK for process
+  // m.to, on the delivering thread bound as m.to.
+  void on_inline(const Message& m) {
+    if (crashed(m.to)) return;
+    if (m.tag == obs::MsgTag::kRead)
+      serve_read(m.to, m);
+    else
+      client(m.to).on_reply(m);
   }
 
   // Server side of a read: reply to READ(rid, ids) with process `self`'s
   // stored pair of every register named — handles to the stored values,
   // not copies of them. A READ that is malformed or names an unknown
-  // register gets no reply at all.
+  // register gets no reply at all. Each pair is read under its own replica
+  // lock, so a STATE is not a snapshot across its registers (design note
+  // 18 says why none is needed).
   void serve_read(int self, const Message& m) {
     const ReadRequest* ids = m.payload.get<ReadRequest>();
     if (ids == nullptr || ids->empty()) return;
-    std::vector<detail::HandlerBase*> regs;
-    regs.reserve(ids->size());
-    for (const int id : *ids) {
-      detail::HandlerBase* reg = handler_of(id);
-      if (reg == nullptr) return;
-      regs.push_back(reg);
-    }
     StateReply state;
-    state.reserve(regs.size());
-    for (const detail::HandlerBase* reg : regs)
+    state.reserve(ids->size());
+    for (const int id : *ids) {
+      const detail::HandlerBase* reg = registry_.find(id);
+      if (reg == nullptr) return;
       state.push_back(reg->stored_entry(self));
+    }
     Message reply;
     reply.reg = m.reg;
     reply.tag = obs::MsgTag::kState;
@@ -825,19 +824,80 @@ class EmulatedSpace {
     return *clients_[static_cast<std::size_t>(pid)];
   }
 
-  std::vector<detail::HandlerBase*> handlers() {
-    std::scoped_lock lock(mu_);
+  std::vector<detail::HandlerBase*> handlers() const {
     std::vector<detail::HandlerBase*> out;
-    out.reserve(registry_.size());
-    for (auto& reg : registry_) out.push_back(reg.get());
+    const int size = registry_.size();
+    out.reserve(static_cast<std::size_t>(size));
+    for (int id = 0; id < size; ++id) out.push_back(registry_.find(id));
     return out;
   }
+
+  // Creates the next register. Its id is the registry's next slot, taken
+  // and filled under mu_; a rejected register (its constructor threw)
+  // takes none.
+  template <typename Reg, typename T>
+  Reg& add(runtime::ProcessId owner, T initial, std::string name,
+           runtime::ProcessId sole_reader) {
+    std::scoped_lock lock(mu_);
+    auto reg = std::make_unique<Reg>(
+        net_, clients_, registry_.size(), options_.n, options_.f, owner,
+        std::move(initial), std::move(name), sole_reader,
+        options_.pipeline_depth);
+    Reg& ref = *reg;
+    registry_.append(std::move(reg));
+    return ref;
+  }
+
+  // The registers by id, for lookups that take no lock — one per server
+  // message and k per READ. Ids are dense and only ever appended, so an
+  // append publishes its register with a release store of the size, and a
+  // lookup that sees size() > id sees register id. Chunk c holds the
+  // kFirst·2^c ids from kFirst·(2^c − 1) on, so no entry ever moves.
+  class Registry {
+   public:
+    // One appender at a time (the space's mu_).
+    void append(std::unique_ptr<detail::HandlerBase> reg) {
+      const int id = size_.load(std::memory_order_relaxed);
+      const auto [c, at] = locate(id);
+      if (!chunks_[c])
+        chunks_[c] = std::make_unique<std::unique_ptr<detail::HandlerBase>[]>(
+            kFirst << c);
+      chunks_[c][at] = std::move(reg);
+      size_.store(id + 1, std::memory_order_release);
+    }
+
+    // Register id, or nullptr if there is none.
+    detail::HandlerBase* find(int id) const {
+      if (id < 0 || id >= size_.load(std::memory_order_acquire))
+        return nullptr;
+      const auto [c, at] = locate(id);
+      return chunks_[c][at].get();
+    }
+
+    int size() const { return size_.load(std::memory_order_acquire); }
+
+   private:
+    static constexpr std::size_t kFirst = 64;
+
+    // (chunk, offset) of id.
+    static std::pair<std::size_t, std::size_t> locate(int id) {
+      const auto i = static_cast<std::size_t>(id);
+      const auto c =
+          static_cast<std::size_t>(std::bit_width(i / kFirst + 1)) - 1;
+      return {c, i - kFirst * ((std::size_t{1} << c) - 1)};
+    }
+
+    // 26 chunks cover every non-negative int.
+    std::array<std::unique_ptr<std::unique_ptr<detail::HandlerBase>[]>, 26>
+        chunks_;
+    std::atomic<int> size_{0};
+  };
 
   Options options_;
   Network net_;
   detail::Clients clients_;  // one per process, by pid
-  std::mutex mu_;
-  std::vector<std::unique_ptr<detail::HandlerBase>> registry_;
+  std::mutex mu_;  // serializes register creation
+  Registry registry_;
   std::vector<std::atomic<bool>> crashed_;  // index by pid
   detail::ServerPool pool_;  // last member: threads stop before state dies
 };

@@ -45,12 +45,13 @@ class FaultInjector {
   virtual ~FaultInjector() = default;
 
   // Called once per point-to-point delivery, before the message is
-  // enqueued into the receiver's inbox.
+  // enqueued into the receiver's inbox or handed to the client endpoint.
   virtual FaultDecision on_deliver(const Message& m) = 0;
 
   // True while receive-side reordering should be active for `receiver`
-  // (each recv then picks a seeded-random queued message instead of the
-  // oldest, exactly like Network::Options::reorder_seed).
+  // (each batch its inbox drains is then handled in a seeded-random order,
+  // exactly like Network::Options::reorder_seed; READs and replies never
+  // queue, so only delay reorders them).
   virtual bool reorder(runtime::ProcessId receiver) = 0;
 };
 

@@ -45,8 +45,8 @@ inline void record_msg(obs::EventKind kind, int pid, int peer,
 
 }  // namespace
 
-Network::Network(Options options, Endpoint replies)
-    : options_(options), replies_(std::move(replies)) {
+Network::Network(Options options, Endpoint endpoint)
+    : options_(options), endpoint_(std::move(endpoint)) {
   if (options_.n < 1) throw std::invalid_argument("network needs n >= 1");
   inboxes_.reserve(static_cast<std::size_t>(options_.n) + 1);
   squelched_.reserve(static_cast<std::size_t>(options_.n) + 1);
@@ -182,10 +182,13 @@ void Network::enqueue(Message m) {
   // Counted before the receiver can see it, so quiesce() never returns
   // before the count of a message that has already been handled.
   sent_.fetch_add(1, std::memory_order_relaxed);
-  if (replies_ && obs::is_reply(m.tag)) {
-    // Received and handled right here, by the addressee's client.
+  if (endpoint_ && obs::is_inline(m.tag)) {
+    // Received and handled right here, as the addressee.
     const runtime::ProcessId to = m.to;
-    replies_(received(to, Queued{std::move(m)}));
+    {
+      const runtime::ThisProcess::Binder bind(to);
+      endpoint_(received(to, Queued{std::move(m)}));
+    }
     handled();
     return;
   }
@@ -248,31 +251,36 @@ void Network::pump(std::stop_token st) {
   }
 }
 
-std::optional<Message> Network::recv(std::stop_token st) {
+bool Network::recv_batch(std::stop_token st, std::vector<Message>& batch) {
   const runtime::ProcessId self = runtime::ThisProcess::id();
   Inbox& inbox = inbox_for(self);
-  std::unique_lock lock(inbox.mu);
-  // No timed polling: a delivery to the parked receiver, or the caller's
-  // stop callback (wake()), ends the wait.
-  while (inbox.queue.empty()) {
-    if (st.stop_requested()) return std::nullopt;
-    inbox.parked = true;
-    inbox.cv.wait(lock);
-    inbox.parked = false;
+  // Release the last batch's payloads before parking: an idle server must
+  // not keep values alive.
+  batch.clear();
+  std::vector<Queued>& drained = inbox.drained;
+  drained.clear();
+  {
+    std::unique_lock lock(inbox.mu);
+    // No timed polling: a delivery to the parked receiver, or the caller's
+    // stop callback (wake()), ends the wait.
+    for (;;) {
+      if (st.stop_requested()) return false;
+      if (!inbox.queue.empty()) break;
+      inbox.parked = true;
+      inbox.cv.wait(lock);
+      inbox.parked = false;
+    }
+    drained.swap(inbox.queue);
   }
   bool reorder = options_.reorder_seed != 0;
   if (!reorder) {
     FaultInjector* fi = injector_.load(std::memory_order_acquire);
     reorder = fi != nullptr && fi->reorder(self);
   }
-  std::size_t index = 0;
-  if (reorder && inbox.queue.size() > 1)
-    index = static_cast<std::size_t>(
-        inbox.rng.uniform(0, inbox.queue.size() - 1));
-  Queued q = std::move(inbox.queue[index]);
-  inbox.queue.erase(inbox.queue.begin() + static_cast<std::ptrdiff_t>(index));
-  lock.unlock();
-  return received(self, std::move(q));
+  if (reorder) inbox.rng.shuffle(drained);
+  batch.reserve(drained.size());
+  for (Queued& q : drained) batch.push_back(received(self, std::move(q)));
+  return true;
 }
 
 std::optional<Message> Network::try_recv() {
@@ -281,7 +289,7 @@ std::optional<Message> Network::try_recv() {
   std::unique_lock lock(inbox.mu);
   if (inbox.queue.empty()) return std::nullopt;
   Queued q = std::move(inbox.queue.front());
-  inbox.queue.pop_front();
+  inbox.queue.erase(inbox.queue.begin());
   lock.unlock();
   Message m = received(self, std::move(q));
   handled();
@@ -291,8 +299,9 @@ std::optional<Message> Network::try_recv() {
 // Sequentially consistent on both sides: either quiesce() sees the count
 // at zero, or the handler that zeroed it sees the waiter and wakes it
 // under idle_mu_.
-void Network::handled() {
-  if (in_flight_.fetch_sub(1) == 1 && quiescers_.load() > 0) {
+void Network::handled(std::size_t k) {
+  const auto count = static_cast<std::int64_t>(k);
+  if (in_flight_.fetch_sub(count) == count && quiescers_.load() > 0) {
     { std::scoped_lock lock(idle_mu_); }
     idle_cv_.notify_all();
   }

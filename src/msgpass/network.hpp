@@ -6,23 +6,26 @@
 // reordering of each inbox). There is no synchrony assumption anywhere —
 // receivers block until something arrives.
 //
-// Two destinations per process. Server traffic (WRITE, ECHO, READ, ...)
-// queues in the addressee's inbox for its server thread; an enqueue wakes
-// that thread only if it is parked on an empty inbox. Replies
-// (obs::is_reply: STATE, ACK, ABACK) go to the client endpoint given at
-// construction, applied on the delivering thread — the sender's, or the
-// delay pump's for a held-back reply — after the fault injector's drop and
-// delay decisions, exactly where an enqueue would have happened. Rule: send
-// a reply holding no lock the endpoint takes (for EmulatedSpace, no
-// replica lock and no client lock). Without an endpoint replies queue like
-// everything else.
+// Where each message is handled. With a client endpoint (given at
+// construction), the replies (STATE, ACK, ABACK) and READ are handled on
+// the delivering thread — the sender's, or the delay pump's for a
+// held-back message — after the fault injector's drop and delay
+// decisions, exactly where an enqueue would have happened, with the
+// thread bound as the addressee (obs::is_inline). A READ's STATE is thus
+// sent by the addressee and, on the same thread, reaches the reader's
+// client: an undelayed quorum read is answered before its broadcast
+// returns. WRITE, ECHO, ACCEPT and the rest queue in the addressee's inbox
+// for its server thread, which drains the whole inbox under one lock
+// (recv_batch); an enqueue wakes that thread only if it is parked on an
+// empty inbox. Rule: send an inline message holding no lock the endpoint
+// takes (for EmulatedSpace, no replica lock and no client lock). Without
+// an endpoint everything queues.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -45,23 +48,25 @@ class Network {
  public:
   struct Options {
     int n = 4;
-    // If > 0, each delivery picks a random queued message instead of the
-    // oldest, modeling out-of-order asynchrony (seeded => reproducible).
+    // If > 0, each batch an inbox drains is handled in a seeded-random
+    // order instead of the order it arrived in, modeling out-of-order
+    // asynchrony (seeded => reproducible). Inline messages never sit in an
+    // inbox, so this does not reorder them; injected delay still does.
     std::uint64_t reorder_seed = 0;
   };
 
-  // Where replies go; see the top of this file.
+  // Where inline messages go; see the top of this file.
   using Endpoint = std::function<void(const Message&)>;
 
-  explicit Network(Options options, Endpoint replies = {});
+  explicit Network(Options options, Endpoint endpoint = {});
   ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   // Stops and joins the delay pump; what it still holds is never
-  // delivered. The pump applies held-back replies to the endpoint, so an
-  // owner stops it before tearing down what the endpoint touches.
+  // delivered. The pump hands held-back inline messages to the endpoint,
+  // so an owner stops it before tearing down what the endpoint touches.
   void stop();
 
   // Sends m to m.to; the sender identity is stamped from the calling
@@ -72,22 +77,27 @@ class Network {
   // symmetry: the sender is also a server).
   void broadcast(Message m);
 
-  // Blocking receive for the bound process. Returns nullopt once `st` is
-  // stopped. A parked receiver sees the stop only when woken: the caller
-  // registers one std::stop_callback calling wake(pid) for as long as it
-  // receives (detail::ServerPool does).
-  std::optional<Message> recv(std::stop_token st);
+  // Blocking batch receive for the bound process: clears `batch` (so an
+  // idle receiver holds no payload), waits for its inbox to fill, then
+  // moves everything queued there into `batch` under one lock — in
+  // arrival order, or shuffled by the inbox's seeded rng while reordering
+  // is on. Returns false, leaving the inbox as it is, once `st` is
+  // stopped. A parked receiver sees the stop
+  // only when woken: the caller registers one std::stop_callback calling
+  // wake(pid) for as long as it receives (detail::ServerPool does). The
+  // batch stays in flight until handled(batch.size()).
+  bool recv_batch(std::stop_token st, std::vector<Message>& batch);
 
   // Wakes pid's receiver if it is parked, so it rechecks its stop token.
   void wake(runtime::ProcessId pid);
 
-  // Non-blocking receive, for driving a network without server threads:
-  // the message counts as handled once it is returned.
+  // Non-blocking receive of the oldest queued message, for driving a
+  // network without server threads: it counts as handled once returned.
   std::optional<Message> try_recv();
 
-  // The bound process finished handling the message its last recv()
-  // returned, sends included. Until then that message counts as in flight.
-  void handled();
+  // The bound process finished handling k messages that recv_batch()
+  // returned, sends included. Until then they count as in flight.
+  void handled(std::size_t k = 1);
 
   // Blocks, without polling, until no message is in flight — none queued
   // in an inbox, held by the delay pump or inside a handler — then returns
@@ -134,8 +144,8 @@ class Network {
   // enqueued them, so injected delay is not queueing), for every
   // kQueueSample-th message of each inbox — timing every one costs two
   // clock reads and a shared-histogram add per message, several percent
-  // of a register op. Replies handed to the client endpoint never sit in
-  // an inbox, so net.queue_us covers server traffic only.
+  // of a register op. Inline messages never sit in an inbox, so
+  // net.queue_us covers queued server traffic only.
   // Resolved once, here; the per-message cost is one sharded relaxed add.
   struct TypeCounters {
     util::ShardedCounter* send[static_cast<std::size_t>(obs::MsgTag::kCount)];
@@ -157,12 +167,15 @@ class Network {
   struct Inbox {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<Queued> queue;
+    std::vector<Queued> queue;
     // The receiver waits on cv for an empty queue to fill: the one enqueue
     // that finds it set clears it and notifies; every other enqueue skips
     // the notify.
     bool parked = false;
     std::uint64_t enqueued = 0;  // picks the sampled messages
+    // The receiver's own: the batch it drained (its buffer swaps with
+    // queue, so a steady state allocates nothing) and the reorder stream.
+    std::vector<Queued> drained;
     util::Rng rng{0};
   };
   struct Delayed {
@@ -174,11 +187,12 @@ class Network {
   // note_send records the flight-recorder send event; broadcast() passes
   // false after recording one consolidated event for the whole fan-out.
   void deliver(Message m, bool note_send = true);
-  // Final step: into the receiver's inbox, or to the endpoint for a reply.
+  // Final step: into the receiver's inbox, or to the endpoint for an
+  // inline message.
   void enqueue(Message m);
   void pump(std::stop_token st);
-  // Dequeue bookkeeping shared by recv() and try_recv(): counters, the
-  // queueing-delay histogram and the receive event.
+  // Dequeue bookkeeping shared by recv_batch() and try_recv(): counters,
+  // the queueing-delay histogram and the receive event.
   Message received(runtime::ProcessId self, Queued q);
 
   // True while the pid may not send (crashed). Checked lock-free on every
@@ -186,7 +200,7 @@ class Network {
   bool is_squelched(runtime::ProcessId pid) const;
 
   Options options_;
-  Endpoint replies_;
+  Endpoint endpoint_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;  // index by pid
   std::vector<std::unique_ptr<std::atomic<bool>>> squelched_;  // by pid
   std::atomic<std::uint64_t> squelched_count_{0};

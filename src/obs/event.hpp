@@ -100,11 +100,13 @@ enum class MsgTag : std::uint8_t {
   kCount
 };
 
-// The replies: what a server sends back to one process's client. A
-// msgpass::Network built with a client endpoint hands these to it on the
-// delivering thread instead of queueing them for the addressee's server.
-inline constexpr bool is_reply(MsgTag t) {
-  return t == MsgTag::kState || t == MsgTag::kAck || t == MsgTag::kAbAck;
+// What a msgpass::Network built with a client endpoint hands to it on the
+// delivering thread instead of queueing it for the addressee's server: the
+// replies to one process's client (STATE, ACK, ABACK) and READ, which a
+// server answers from its stored pairs alone.
+inline constexpr bool is_inline(MsgTag t) {
+  return t == MsgTag::kState || t == MsgTag::kAck || t == MsgTag::kAbAck ||
+         t == MsgTag::kRead;
 }
 
 inline const char* tag_name(MsgTag t) {

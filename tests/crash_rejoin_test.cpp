@@ -46,6 +46,10 @@ TEST(CrashRejoin, MidLadderCrashResyncsOnRestart) {
     while (written.load(std::memory_order_acquire) < 5) std::this_thread::yield();
     space.crash(4);
     writer.join();
+    // A write returns on n−f ACKs. If the crash landed late, p4's ACK may
+    // have stood in for the owner's own, whose server then still has the
+    // last ladders queued: let the trailing traffic drain first.
+    space.quiesce();
 
     // While down, the crashed replica holds its wiped post-crash state.
     EXPECT_EQ(reg.stored_state(4).first, 0u) << "seed " << seed;
@@ -187,12 +191,22 @@ TEST(CrashRejoin, RejoinUnderLoad) {
   space.crash(4);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   space.restart(4);  // the resync races the live ladders of r1 and r2
+  const int at1 = w1.load(std::memory_order_acquire);
+  const int at2 = w2.load(std::memory_order_acquire);
   {
     // The rejoined process serves and issues operations right away.
     ThisProcess::Binder bind(4);
     EXPECT_EQ(r1.read()[0], 'a');
     EXPECT_EQ(r2.read()[0], 'b');
   }
+  // The write in flight at the restart may have sent p4 its WRITE, ECHOs
+  // and most ACCEPTs while p4 was down: those are lost, and no later
+  // message repeats them. So the last write must start after the restart:
+  // each writer completes two more writes before it stops. A read takes
+  // microseconds, so without this wait the writers may not get that far.
+  while (w1.load(std::memory_order_acquire) < at1 + 2 ||
+         w2.load(std::memory_order_acquire) < at2 + 2)
+    std::this_thread::yield();
   stop.store(true, std::memory_order_release);
   t1.join();
   t2.join();

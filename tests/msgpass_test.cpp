@@ -3,6 +3,7 @@
 // registers running unchanged over message passing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -14,6 +15,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <stop_token>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -96,38 +98,46 @@ TEST(Network, TryRecvEmptyInbox) {
   EXPECT_EQ(net.try_recv(), std::nullopt);
 }
 
-// With a client endpoint, a reply (STATE, ACK, ABACK) reaches it before
-// send() returns and never enters the addressee's inbox; server traffic
-// still queues. Both count as sent and leave nothing in flight.
-TEST(Network, RepliesLandOnTheClientEndpoint) {
-  std::vector<Message> replies;
-  Network net({.n = 3}, [&](const Message& m) { replies.push_back(m); });
+// With a client endpoint, a reply (STATE, ACK, ABACK) or a READ reaches it
+// before send() returns, on the sending thread bound as the addressee, and
+// never enters the addressee's inbox; other server traffic still queues.
+// All of it counts as sent and leaves nothing in flight.
+TEST(Network, InlineMessagesLandOnTheClientEndpoint) {
+  std::vector<Message> inline_msgs;
+  std::vector<runtime::ProcessId> bound_as;
+  Network net({.n = 3}, [&](const Message& m) {
+    inline_msgs.push_back(m);
+    bound_as.push_back(ThisProcess::id());
+  });
   {
     ThisProcess::Binder bind(1);
     for (const obs::MsgTag tag :
-         {obs::MsgTag::kState, obs::MsgTag::kAck, obs::MsgTag::kAbAck}) {
-      const std::size_t before = replies.size();
+         {obs::MsgTag::kState, obs::MsgTag::kAck, obs::MsgTag::kAbAck,
+          obs::MsgTag::kRead}) {
+      const std::size_t before = inline_msgs.size();
       Message m;
       m.to = 2;
       m.tag = tag;
       net.send(m);
-      ASSERT_EQ(replies.size(), before + 1) << obs::tag_name(tag);
-      EXPECT_EQ(replies.back().tag, tag);
-      EXPECT_EQ(replies.back().from, 1);
-      EXPECT_EQ(replies.back().to, 2);
+      ASSERT_EQ(inline_msgs.size(), before + 1) << obs::tag_name(tag);
+      EXPECT_EQ(inline_msgs.back().tag, tag);
+      EXPECT_EQ(inline_msgs.back().from, 1);
+      EXPECT_EQ(inline_msgs.back().to, 2);
+      EXPECT_EQ(bound_as.back(), 2) << obs::tag_name(tag);
     }
+    EXPECT_EQ(ThisProcess::id(), 1);  // the sender's binding is restored
     Message echo;
     echo.to = 2;
     echo.tag = obs::MsgTag::kEcho;
     net.send(echo);
   }
-  EXPECT_EQ(replies.size(), 3u);  // the ECHO did not go to the endpoint
+  EXPECT_EQ(inline_msgs.size(), 4u);  // the ECHO did not go to the endpoint
   ThisProcess::Binder bind(2);
   const auto queued = net.try_recv();
   ASSERT_TRUE(queued.has_value());
   EXPECT_EQ(queued->tag, obs::MsgTag::kEcho);
-  EXPECT_EQ(net.try_recv(), std::nullopt);  // no reply was queued
-  EXPECT_EQ(net.quiesce(), 4u);
+  EXPECT_EQ(net.try_recv(), std::nullopt);  // nothing inline was queued
+  EXPECT_EQ(net.quiesce(), 5u);
 }
 
 // ServerPool::stop() wakes server threads parked on empty inboxes.
@@ -140,6 +150,42 @@ TEST(Network, ServerPoolStopsWithIdleInboxes) {
     pool.stop();
   }
   SUCCEED();
+}
+
+// A server thread drains its whole inbox at once. With reorder_seed the
+// batch comes out as a seeded permutation of what was queued, not in
+// arrival order; without it, in arrival order.
+TEST(Network, BatchDrainIsAPermutationUnderReorderSeed) {
+  constexpr std::uint64_t kQueued = 32;
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{7}}) {
+    Network net({.n = 2, .reorder_seed = seed});
+    {
+      ThisProcess::Binder bind(1);
+      for (std::uint64_t i = 0; i < kQueued; ++i) {
+        Message m;
+        m.to = 2;
+        m.tag = obs::MsgTag::kEcho;
+        m.sn = i;
+        net.send(m);
+      }
+    }
+    ThisProcess::Binder bind(2);
+    std::vector<Message> batch;
+    ASSERT_TRUE(net.recv_batch(std::stop_token{}, batch));
+    std::vector<std::uint64_t> order;
+    for (const Message& m : batch) order.push_back(m.sn);
+    std::vector<std::uint64_t> fifo(kQueued);
+    for (std::uint64_t i = 0; i < kQueued; ++i) fifo[i] = i;
+    EXPECT_TRUE(std::is_permutation(order.begin(), order.end(), fifo.begin(),
+                                    fifo.end()))
+        << "seed " << seed;
+    if (seed == 0)
+      EXPECT_EQ(order, fifo);
+    else
+      EXPECT_NE(order, fifo) << "the batch kept arrival order";
+    net.handled(batch.size());
+    EXPECT_EQ(net.quiesce(), kQueued);
+  }
 }
 
 // The quorum tallies are 64-bit pid sets: n = 64 is a configuration error
@@ -610,6 +656,128 @@ TEST(EmulatedRetry, OpTimeoutBoundsANonConvergingRead) {
   space.network().set_fault_injector(nullptr);
   reader.join();
   EXPECT_TRUE(timed_out.load());
+}
+
+// Counts the READs p2 sends while splitting the stores as above.
+class CountReadsSplitStores : public SplitStores {
+ public:
+  FaultDecision on_deliver(const Message& m) override {
+    if (m.tag == obs::MsgTag::kRead && m.from == 2) reads.fetch_add(1);
+    return SplitStores::on_deliver(m);
+  }
+  std::atomic<std::uint64_t> reads{0};
+};
+
+// An undelayed read is answered before its broadcast returns, so a read
+// whose replies never converge must wait between its re-issues, or it
+// spins for its whole deadline. The re-issue backoff doubles to a
+// millisecond or more: over the 300 ms deadline that is a few hundred
+// passes of n READs at most, where a spinning read sends tens of thousands.
+TEST(EmulatedRetry, NonConvergingReadBacksOff) {
+  EmulatedSpace::Options opt{.n = 4, .f = 1};
+  opt.retry.op_timeout_ms = 300;
+  EmulatedSpace space(opt);
+  auto& reg = space.make_swmr<int>(1, 0, "r");
+  CountReadsSplitStores split;
+  space.network().set_fault_injector(&split);
+  {
+    ThisProcess::Binder bind(1);
+    reg.write(1);  // p1, p2 and p4 deliver; p3 keeps (0, 0)
+  }
+  bool timed_out = false;
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    ThisProcess::Binder bind(2);
+    try {
+      reg.read();
+    } catch (const registers::OpTimeout&) {
+      timed_out = true;
+    }
+  }
+  const auto took = std::chrono::steady_clock::now() - t0;
+  space.network().set_fault_injector(nullptr);
+  EXPECT_TRUE(timed_out);
+  EXPECT_GE(took, std::chrono::milliseconds(300));
+  EXPECT_LE(split.reads.load(), 4u * 400) << "READs sent in "
+      << std::chrono::duration<double, std::milli>(took).count() << " ms";
+}
+
+// ------------------------------------------------------------ inline READs
+
+// A READ is handled on the delivering thread, behind the space's crash
+// check: one to a crashed process is received and answered by nobody.
+// quiesce() counts exactly the READ, and no STATE was even attempted (a
+// crashed process's sends are squelched and counted).
+TEST(InlineRead, ReadToACrashedProcessGetsNoState) {
+  EmulatedSpace space({.n = 4, .f = 1});
+  auto& reg = space.make_swmr<int>(1, 0, "r");
+  space.crash(4);
+  Network& net = space.network();
+  const std::uint64_t base = space.quiesce();
+  const std::uint64_t squelched = net.messages_squelched();
+  {
+    ThisProcess::Binder bind(1);
+    Message m;
+    m.to = 4;
+    m.tag = obs::MsgTag::kRead;
+    m.sn = 77;
+    m.payload = Payload::of(ReadRequest{reg.reg_id()});
+    net.send(m);
+  }
+  EXPECT_EQ(space.quiesce() - base, 1u);
+  EXPECT_EQ(net.messages_squelched(), squelched) << "p4 answered the READ";
+}
+
+// Tallies the sender of every STATE, and holds READs back for `delay`
+// (0: none), so they are answered on the delay pump.
+class TallyStates : public FaultInjector {
+ public:
+  explicit TallyStates(std::chrono::milliseconds delay) : delay_(delay) {}
+  FaultDecision on_deliver(const Message& m) override {
+    if (m.tag == obs::MsgTag::kRead) return {.delay = delay_};
+    if (m.tag == obs::MsgTag::kState) {
+      std::scoped_lock lock(mu_);
+      from_.push_back(m.from);
+    }
+    return {};
+  }
+  bool reorder(runtime::ProcessId) override { return false; }
+  std::vector<int> from() {
+    std::scoped_lock lock(mu_);
+    return from_;
+  }
+
+ private:
+  std::chrono::milliseconds delay_;
+  std::mutex mu_;
+  std::vector<int> from_;
+};
+
+// The thread that answers a READ — the reader's own, or the delay pump —
+// is bound as the addressee meanwhile, so each STATE is stamped with the
+// pid of the server that produced it: one read gets four STATEs from four
+// distinct processes. Stamped with the reader's pid instead, they would be
+// duplicate senders, and the read would never converge (the deadline makes
+// that a timeout rather than a hang).
+TEST(InlineRead, EveryStateIsStampedWithItsServer) {
+  for (const auto delay :
+       {std::chrono::milliseconds(0), std::chrono::milliseconds(5)}) {
+    EmulatedSpace space(
+        {.n = 4, .f = 1, .retry = {.op_timeout_ms = 300}});
+    auto& reg = space.make_swmr<int>(1, 6, "r");
+    TallyStates tally(delay);
+    space.network().set_fault_injector(&tally);
+    {
+      ThisProcess::Binder bind(2);
+      EXPECT_EQ(reg.read(), 6) << "delay " << delay.count() << " ms";
+    }
+    space.quiesce();
+    space.network().set_fault_injector(nullptr);
+    std::vector<int> from = tally.from();
+    std::sort(from.begin(), from.end());
+    EXPECT_EQ(from, (std::vector<int>{1, 2, 3, 4}))
+        << "delay " << delay.count() << " ms";
+  }
 }
 
 // Drops every ACK: writes never settle (retries re-ACK into the void).

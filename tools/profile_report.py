@@ -2,7 +2,7 @@
 """Self and inclusive CPU shares per function from a sigprof sampler profile.
 
     python3 tools/profile_report.py sigprof.<pid>.out [--top N]
-        [--share LEAF_REGEX[@UNDER_REGEX]] ...
+        [--share LEAF_REGEX[@UNDER_REGEX]] ... [--callers LEAF_REGEX] ...
 
 The profile comes from the LD_PRELOAD sampler (tools/sigprof_sampler.cpp,
 built as libsigprof_sampler.so; README "Profiling"). Each sample is one call
@@ -19,6 +19,14 @@ fraction of samples with it anywhere on the stack.
 LEAF_REGEX and, when @UNDER_REGEX is given, whose stack also has a frame
 matching UNDER_REGEX — for example the set-node allocation under SharedSet:
     --share 'malloc|free|operator new|operator delete@SharedSet'
+
+--callers attributes the samples whose innermost function matches
+LEAF_REGEX to the code that called into it: for each such sample it tallies
+the first caller frame outside libc (and libstdc++) and the standard
+library's lock and condition-variable wrappers, and prints those callers
+with their share of all samples — for example where the lock and condvar
+time goes:
+    --callers 'lll_lock|pthread_mutex|pthread_cond|futex'
 
 --self-test checks the aggregation on a synthetic profile (CTest:
 profile_report_selftest).
@@ -174,7 +182,30 @@ def share_of(chains, spec):
     return hits / len(chains) if chains else 0.0
 
 
-def report(chains, top, specs, out=sys.stdout):
+# Frames --callers looks past: code in libc and libstdc++ (named after the
+# library when it has no line tables), the pthread and futex layer, and the
+# standard library's lock and condition-variable wrappers, inlined or not.
+WRAPPER = re.compile(
+    r"\[(libc|libstdc\+\+|libpthread|ld-linux)[^\]]*\]$"
+    r"|^(\S+ )?(std::(mutex|timed_mutex|recursive_mutex|unique_lock"
+    r"|scoped_lock|lock_guard|condition_variable|_V2::condition_variable"
+    r"|__condvar)\b|__gthread_|__gthrw_|pthread_|__pthread|__lll_|__futex"
+    r"|futex_)")
+
+
+def callers_of(chains, leaf):
+    """Counter: for samples whose innermost function matches `leaf`, the
+    first caller frame outside WRAPPER ("(none)" if every frame is one)."""
+    leaf_re = re.compile(leaf)
+    tally = collections.Counter()
+    for chain in chains:
+        if chain and leaf_re.search(chain[0]):
+            tally[next((name for name in chain[1:]
+                        if not WRAPPER.search(name)), "(none)")] += 1
+    return tally
+
+
+def report(chains, top, specs, callers=(), out=sys.stdout):
     total = len(chains)
     print("%d samples" % total, file=out)
     if not total:
@@ -187,6 +218,12 @@ def report(chains, top, specs, out=sys.stdout):
     for spec in specs:
         print("\nshare %s: %.1f%%" % (spec, 100.0 * share_of(chains, spec)),
               file=out)
+    for leaf in callers:
+        tally = callers_of(chains, leaf)
+        print("\ncallers of %s: %.1f%% of samples" %
+              (leaf, 100.0 * sum(tally.values()) / total), file=out)
+        for name, n in tally.most_common(top):
+            print("%8.1f%%  %s" % (100.0 * n / total, name[:160]), file=out)
 
 
 def self_test():
@@ -210,6 +247,25 @@ def self_test():
     assert abs(share_of(chains, "leaf") - 2 / 3) < 1e-9
     assert abs(share_of(chains, "leaf@inl") - 1 / 3) < 1e-9
     assert share_of(chains, "rb_@nothing") == 0.0
+    # --callers skips libc frames (named after the library) and lock
+    # wrappers, inlined template ones included, to the first caller.
+    locked = [
+        ["__lll_lock_wait_private [libc.so.6]",
+         "pthread_mutex_lock [libc.so.6]", "std::mutex::lock()",
+         "Network::enqueue(Message)", "main"],
+        ["__lll_lock_wake_private [libc.so.6]",
+         "bool std::condition_variable::wait_until<Clock>(...)",
+         "Client::quorum(...)", "main"],
+        ["__lll_lock_wait_private [libc.so.6]", "__gthread_mutex_lock",
+         "Network::enqueue(Message)"],
+        ["pthread_cond_signal [libc.so.6]", "start_thread [libc.so.6]"],
+        ["leaf", "pthread_mutex_lock [libc.so.6]", "main"],
+    ]
+    tally = callers_of(locked, "lll_lock|pthread_")
+    assert tally == {"Network::enqueue(Message)": 2,
+                     "Client::quorum(...)": 1, "(none)": 1}, tally
+    assert callers_of(locked, "^leaf") == {"main": 1}
+    assert callers_of(locked, "nothing") == {}
     print("profile_report self-test: ok")
 
 
@@ -218,6 +274,7 @@ def main():
     ap.add_argument("profile", nargs="?")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--share", action="append", default=[])
+    ap.add_argument("--callers", action="append", default=[])
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
@@ -226,7 +283,7 @@ def main():
     if not args.profile:
         ap.error("a profile file is required")
     maps, samples = parse(args.profile)
-    report(stacks(maps, samples), args.top, args.share)
+    report(stacks(maps, samples), args.top, args.share, args.callers)
 
 
 if __name__ == "__main__":
